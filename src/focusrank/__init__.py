@@ -2,11 +2,11 @@
 
 from .config import RunConfig, default_config, load_config
 from .data import PairedDataset, SyntheticSpec, generate_synthetic_pairs
-from .encoders import EncodedText, EncodedVideo, TextSequence, VideoClip
+from .encoders import EncodedItem, TextSequence, VideoClip
 from .losses import LossReport, combined_loss, contrastive_loss, focused_ce_loss
 from .metrics import MetricsReport, compute_ranks, evaluate_two_stage, summarize
 from .model import RetrievalModel
-from .ops import ParameterSet, gumbel_softmax, mlp_forward, scaled_dot_attention
+from .ops import ParameterSet, mlp_forward, scaled_dot_attention
 from .pipeline import (
     CandidateSet,
     FinalScores,

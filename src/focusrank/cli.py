@@ -14,15 +14,13 @@ import sys
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
-import numpy as np
-
 from .config import RunConfig, apply_overrides, default_config, load_config, parse_value
 from .data import build_galleries, generate_synthetic_pairs, spec_from_config
 from .errors import FocusrankError, UsageError
 from .gradcheck import run_gradient_suite
 from .metrics import MetricsReport, evaluate_two_stage
 from .model import RetrievalModel
-from .pipeline import rank_broad_only, rank_full
+from .pipeline import rank_queries
 from .training import train_loop
 
 log = logging.getLogger("focusrank")
@@ -198,17 +196,14 @@ def execute(cmd: Command) -> int:
             raise UsageError(f"query_index {cfg.query_index} outside dataset")
         text_q, video_q, video_gallery, text_gallery = build_galleries(model, dataset)
         if cfg.query_direction == "t2v":
-            globals_, focus, gallery = text_q[0], text_q[1], video_gallery
+            (globals_, focus), gallery = text_q, video_gallery
         else:
-            globals_, focus, gallery = video_q[0], video_q[1], text_gallery
+            (globals_, focus), gallery = video_q, text_gallery
         i = cfg.query_index
-        if cfg.use_query_indicators:
-            from .encoders import EncodedText
-
-            query = EncodedText(globals_[i], focus[i], np.zeros((0, cfg.dim)))
-            final = rank_full(query, gallery, model.fusion, cfg.k)
-        else:
-            final = rank_broad_only(globals_[i], gallery)
+        net = model.fusion if cfg.use_query_indicators else None
+        (final,) = rank_queries(
+            globals_[i : i + 1], None if focus is None else focus[i : i + 1], gallery, net, cfg.k
+        )
         rows = []
         for rank, idx in enumerate(final.order, start=1):
             rows.append((rank, int(gallery.ids[idx]), _float(final.stage1_score[idx]),

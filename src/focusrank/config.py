@@ -125,10 +125,6 @@ _FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
 _TYPE_LOOKUP = {"int": int, "float": float, "bool": bool, "str": str}
 
 
-def known_keys() -> list[str]:
-    return list(_FIELD_TYPES)
-
-
 def parse_value(key: str, raw: str):
     """Convert the raw string for `key` to its typed value."""
     if key not in _FIELD_TYPES:

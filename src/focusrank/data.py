@@ -1,5 +1,5 @@
-"""Synthetic paired text/video data with controllable hard negatives, plus
-binary persistence for datasets and encoded galleries.
+"""Synthetic paired text/video data with controllable hard negatives, and
+its encoding into retrieval galleries.
 
 Every generated pair renders a (coarse, fine) latent: cohorts of
 `cohort_size` items share one coarse latent and differ only in a fine
@@ -11,15 +11,12 @@ members while local cross-attention can separate them.
 
 from __future__ import annotations
 
-import struct
-import zlib
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from .config import RunConfig
-from .errors import ConfigError, FormatError, InputError
+from .errors import ConfigError
 from .model import RetrievalModel
 from .pipeline import SIDE_TEXT, SIDE_VIDEO, Gallery
 from .rng import RandomStream
@@ -149,123 +146,6 @@ def generate_synthetic_pairs(spec: SyntheticSpec) -> PairedDataset:
         videos[item] = clip
 
     return PairedDataset(texts, videos, groups, seed=spec.seed)
-
-
-# -- binary persistence -----------------------------------------------------
-
-_GALLERY_MAGIC = b"FRGL"
-_DATASET_MAGIC = b"FRDS"
-_VERSION = 1
-_SIDE_CODES = {SIDE_VIDEO: 0, SIDE_TEXT: 1}
-_SIDE_NAMES = {0: SIDE_VIDEO, 1: SIDE_TEXT}
-
-
-def _checked_header(blob: bytes, magic: bytes, fmt: str, what: str) -> tuple:
-    """Parse `magic | fields | crc32` and verify the checksum covers every
-    header byte, so any single corrupted byte is rejected."""
-    head_len = len(magic) + struct.calcsize(fmt) + 4
-    if len(blob) < head_len:
-        raise FormatError(f"truncated {what} header", offset=len(blob))
-    if blob[: len(magic)] != magic:
-        raise FormatError(f"bad magic; not a {what} file", offset=0)
-    fields = struct.unpack_from(fmt, blob, len(magic))
-    (crc,) = struct.unpack_from("<I", blob, head_len - 4)
-    if zlib.crc32(blob[: head_len - 4]) != crc:
-        raise FormatError(f"{what} header checksum mismatch", offset=head_len - 4)
-    return fields, head_len
-
-
-def save_gallery(gallery: Gallery, path) -> None:
-    """Gallery file: FRGL | version, N, C, n, side | crc32 | entry records.
-
-    Each record is id (u64) + global (C f64-le) + locals (n*C f64-le).
-    """
-    if len(gallery) == 0:
-        raise InputError("refusing to save an empty gallery")
-    n_entries, c = gallery.globals_.shape
-    n_local = gallery.locals_.shape[1]
-    header = _GALLERY_MAGIC + struct.pack(
-        "<IIIII", _VERSION, n_entries, c, n_local, _SIDE_CODES[gallery.side]
-    )
-    chunks = [header, struct.pack("<I", zlib.crc32(header))]
-    for i in range(n_entries):
-        chunks.append(struct.pack("<q", int(gallery.ids[i])))
-        chunks.append(gallery.globals_[i].astype("<f8").tobytes())
-        chunks.append(gallery.locals_[i].astype("<f8").tobytes())
-    Path(path).write_bytes(b"".join(chunks))
-
-
-def load_gallery(path) -> Gallery:
-    blob = Path(path).read_bytes()
-    (version, n_entries, c, n_local, side_code), pos = _checked_header(
-        blob, _GALLERY_MAGIC, "<IIIII", "gallery"
-    )
-    if version != _VERSION:
-        raise FormatError(f"unsupported gallery version {version}", offset=4)
-    if side_code not in _SIDE_NAMES:
-        raise FormatError(f"unknown gallery side code {side_code}", offset=20)
-    record = 8 + 8 * c + 8 * n_local * c
-    expected = pos + n_entries * record
-    if len(blob) != expected:
-        raise FormatError(
-            f"gallery size {len(blob)} != expected {expected}", offset=min(len(blob), expected)
-        )
-    ids = np.empty(n_entries, dtype=np.int64)
-    globals_ = np.empty((n_entries, c))
-    locals_ = np.empty((n_entries, n_local, c))
-    for i in range(n_entries):
-        (ids[i],) = struct.unpack_from("<q", blob, pos)
-        pos += 8
-        globals_[i] = np.frombuffer(blob, dtype="<f8", count=c, offset=pos)
-        pos += 8 * c
-        locals_[i] = np.frombuffer(blob, dtype="<f8", count=n_local * c, offset=pos).reshape(
-            n_local, c
-        )
-        pos += 8 * n_local * c
-    return Gallery(ids, globals_, locals_, _SIDE_NAMES[side_code])
-
-
-def save_dataset(dataset: PairedDataset, path) -> None:
-    """Dataset file: FRDS | version, N, text_len, T, P^2, D, seed | crc32 |
-    token array (u32) | patch features (f64-le) | group labels (u32)."""
-    n, text_len = dataset.texts.shape
-    _, t, p2, d = dataset.videos.shape
-    header = _DATASET_MAGIC + struct.pack(
-        "<IIIIIIq", _VERSION, n, text_len, t, p2, d, dataset.seed
-    )
-    chunks = [header, struct.pack("<I", zlib.crc32(header))]
-    chunks.append(dataset.texts.astype("<u4").tobytes())
-    chunks.append(dataset.videos.astype("<f8").tobytes())
-    chunks.append(dataset.groups.astype("<u4").tobytes())
-    Path(path).write_bytes(b"".join(chunks))
-
-
-def load_dataset(path) -> PairedDataset:
-    blob = Path(path).read_bytes()
-    (version, n, text_len, t, p2, d, seed), pos = _checked_header(
-        blob, _DATASET_MAGIC, "<IIIIIIq", "dataset"
-    )
-    if version != _VERSION:
-        raise FormatError(f"unsupported dataset version {version}", offset=4)
-    expected = pos + 4 * n * text_len + 8 * n * t * p2 * d + 4 * n
-    if len(blob) != expected:
-        raise FormatError(
-            f"dataset size {len(blob)} != expected {expected}", offset=min(len(blob), expected)
-        )
-    texts = np.frombuffer(blob, dtype="<u4", count=n * text_len, offset=pos)
-    pos += 4 * n * text_len
-    videos = np.frombuffer(blob, dtype="<f8", count=n * t * p2 * d, offset=pos)
-    pos += 8 * n * t * p2 * d
-    groups = np.frombuffer(blob, dtype="<u4", count=n, offset=pos)
-    return PairedDataset(
-        texts.astype(np.int64).reshape(n, text_len),
-        videos.reshape(n, t, p2, d).copy(),
-        groups.astype(np.int64),
-        seed=seed,
-    )
-
-
-# -- gallery construction ----------------------------------------------------
 
 
 def encode_dataset(model: RetrievalModel, dataset: PairedDataset, chunk: int = 100):

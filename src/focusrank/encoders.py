@@ -55,17 +55,12 @@ class VideoClip:
 
 
 @dataclass
-class EncodedText:
-    global_vec: np.ndarray      # (C,), unit L2 norm
-    focus_indicators: np.ndarray  # (m-1, C)
-    locals_: np.ndarray         # (M, C) final token states
+class EncodedItem:
+    """One encoded text or video, as numpy arrays."""
 
-
-@dataclass
-class EncodedVideo:
-    global_vec: np.ndarray      # (C,), unit L2 norm
-    focus_indicators: np.ndarray  # (m-1, C)
-    locals_: np.ndarray         # (n, C) temporally pooled patch tokens
+    global_vec: np.ndarray        # (C,), unit L2 norm
+    focus_indicators: np.ndarray  # (m-1, C); (0, C) without query indicators
+    locals_: np.ndarray           # (M, C) token states or (P^2, C) pooled patches
 
 
 def temporal_mean_pool(features):
@@ -170,7 +165,8 @@ class TextEncoder:
         Returns (global (B, C) unit rows, focus (B, m-1, C) or None, locals (B, M, C)).
         A key mask of shape (B, M) marks real tokens with 1; masked positions
         get zero attention weight everywhere, so outputs at real positions are
-        unaffected by padding content.
+        unaffected by padding content. Every row needs one real token: a fully
+        masked row would softmax over nothing but -inf.
         """
         tokens = np.asarray(tokens, dtype=np.int64)
         if tokens.ndim != 2 or tokens.shape[1] == 0:
@@ -181,6 +177,12 @@ class TextEncoder:
             )
         if tokens.min() < 0 or tokens.max() >= self.cfg.vocab_size:
             raise InputError("token id outside vocabulary")
+        if key_mask is not None:
+            key_mask = np.asarray(key_mask, dtype=np.float64)
+            if key_mask.shape != tokens.shape:
+                raise DimensionError(f"key mask {key_mask.shape} != token batch {tokens.shape}")
+            if not (key_mask > 0).any(axis=1).all():
+                raise InputError("key mask row has no real token")
         p = self.params
         m_len = tokens.shape[1]
         x = take(p["text.token_embedding"], tokens) + p["text.position_embedding"][:m_len]

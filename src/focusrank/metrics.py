@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
-from .pipeline import FinalScores, Gallery
+from .pipeline import Gallery, rank_queries
 
 
 @dataclass
@@ -61,17 +61,6 @@ def summarize(ranks: np.ndarray, direction: str = "", stage: str = "") -> Metric
     )
 
 
-def evaluate_rankings(
-    finals: list[FinalScores],
-    gallery: Gallery,
-    truth_ids: list[int],
-    direction: str,
-    stage: str,
-) -> MetricsReport:
-    orderings = [f.ranked_ids(gallery) for f in finals]
-    return summarize(compute_ranks(orderings, truth_ids), direction, stage)
-
-
 def evaluate_two_stage(
     text_queries,
     video_gallery: Gallery,
@@ -90,18 +79,14 @@ def evaluate_two_stage(
     pairs; truth defaults to index-aligned pairing (query i's true item is
     gallery entry i's id).
     """
-    from .pipeline import rank_queries
-
-    reports: dict[str, MetricsReport] = {}
-    t_globals, t_focus = text_queries
-    if truth_t2v is None:
-        truth_t2v = video_gallery.ids[: len(t_globals)].tolist()
-    finals = rank_queries(t_globals, t_focus, video_gallery, net, k, mode)
-    reports["t2v"] = evaluate_rankings(finals, video_gallery, truth_t2v, "t2v", mode)
+    directions = [("t2v", text_queries, video_gallery, truth_t2v)]
     if video_queries is not None and text_gallery is not None:
-        v_globals, v_focus = video_queries
-        if truth_v2t is None:
-            truth_v2t = text_gallery.ids[: len(v_globals)].tolist()
-        finals = rank_queries(v_globals, v_focus, text_gallery, net, k, mode)
-        reports["v2t"] = evaluate_rankings(finals, text_gallery, truth_v2t, "v2t", mode)
+        directions.append(("v2t", video_queries, text_gallery, truth_v2t))
+    reports: dict[str, MetricsReport] = {}
+    for direction, (globals_, focus), gallery, truth in directions:
+        if truth is None:
+            truth = gallery.ids[: len(globals_)].tolist()
+        finals = rank_queries(globals_, focus, gallery, net, k, mode)
+        ranks = compute_ranks([f.ranked_ids(gallery) for f in finals], truth)
+        reports[direction] = summarize(ranks, direction, mode)
     return reports

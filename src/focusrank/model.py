@@ -7,14 +7,7 @@ import numpy as np
 
 from .checkpoint import load_parameters, save_parameters
 from .config import RunConfig
-from .encoders import (
-    EncodedText,
-    EncodedVideo,
-    TextEncoder,
-    TextSequence,
-    VideoClip,
-    VideoEncoder,
-)
+from .encoders import EncodedItem, TextEncoder, TextSequence, VideoClip, VideoEncoder
 from .ops import ParameterSet
 from .rng import RandomStream
 from .tensor import Tensor, no_grad
@@ -44,24 +37,19 @@ class RetrievalModel:
     def encode_video_batch(self, clips: np.ndarray):
         return self.video_encoder.forward(clips)
 
-    def encode_text(self, seq: TextSequence) -> EncodedText:
+    def encode_text(self, seq: TextSequence) -> EncodedItem:
         """Inference encoding of a single sequence (numpy outputs)."""
-        with no_grad():
-            g, focus, locs = self.encode_text_batch(seq.tokens[None, :])
-        return EncodedText(
-            g.data[0].copy(),
-            focus.data[0].copy() if focus is not None else np.zeros((0, self.cfg.dim)),
-            locs.data[0].copy(),
-        )
+        return self._encode_one(self.encode_text_batch, seq.tokens)
 
-    def encode_video(self, clip: VideoClip) -> EncodedVideo:
+    def encode_video(self, clip: VideoClip) -> EncodedItem:
+        """Inference encoding of a single clip (numpy outputs)."""
+        return self._encode_one(self.encode_video_batch, clip.frames)
+
+    def _encode_one(self, encode_batch, item: np.ndarray) -> EncodedItem:
         with no_grad():
-            g, focus, locs = self.encode_video_batch(clip.frames[None])
-        return EncodedVideo(
-            g.data[0].copy(),
-            focus.data[0].copy() if focus is not None else np.zeros((0, self.cfg.dim)),
-            locs.data[0].copy(),
-        )
+            g, focus, locs = encode_batch(item[None])
+        focus = np.zeros((0, self.cfg.dim)) if focus is None else focus.data[0].copy()
+        return EncodedItem(g.data[0].copy(), focus, locs.data[0].copy())
 
     def save(self, path) -> None:
         save_parameters(self.params, path)

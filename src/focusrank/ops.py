@@ -1,4 +1,5 @@
-"""Neural building blocks: named parameters, attention, Gumbel-softmax, MLPs."""
+"""Neural building blocks: named parameters, attention (optionally with
+Gumbel-perturbed weights) and MLPs."""
 
 from __future__ import annotations
 
@@ -137,27 +138,6 @@ def scaled_dot_attention(
         logits = logits * (1.0 / gumbel_temp)
     weights = softmax(logits, axis=-1)
     return weights @ v
-
-
-def gumbel_softmax(
-    logits,
-    temp: float = 1.0,
-    rng: RandomStream | None = None,
-    deterministic: bool = False,
-) -> Tensor:
-    """softmax((logits + g) / temp) with g ~ Gumbel(0,1) i.i.d. per logit.
-
-    Deterministic mode sets g = 0, so the result is plain softmax(logits / temp).
-    Operates along the last axis.
-    """
-    if temp <= 0:
-        raise ConfigError("gumbel-softmax temperature must be > 0")
-    logits = as_tensor(logits)
-    if not deterministic:
-        if rng is None:
-            raise ConfigError("stochastic gumbel_softmax requires a random stream")
-        logits = logits + Tensor(rng.gumbel(logits.shape))
-    return softmax(logits * (1.0 / temp), axis=-1)
 
 
 def affine(x, w, b) -> Tensor:

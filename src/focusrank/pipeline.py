@@ -7,23 +7,32 @@ local tokens of the top-k candidates (with per-slot index embeddings on keys
 and values), projects the fused indicators to k logits, and adds the scaled
 logits to the stage-1 scores of the candidates. Re-ranking permutes the
 top-k block only; everything below keeps its stage-1 order.
+
+`rank_queries` is the one inference ranking path: it ranks a batch of
+queries, fusing each chunk of them in one call. A single query is a batch
+of one (`rank_full`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .config import RunConfig
-from .encoders import EncodedText, EncodedVideo
+from .encoders import EncodedItem
 from .errors import ConfigError, DimensionError, InputError
 from .ops import GROUP_FUSION, Mlp, ParameterSet, kaiming_normal, scaled_dot_attention
 from .rng import RandomStream
-from .tensor import Tensor, as_tensor, no_grad, take
+from .tensor import Tensor, as_tensor, no_grad
 
 SIDE_VIDEO = "video"
 SIDE_TEXT = "text"
+
+
+def _require_finite(values: np.ndarray, what: str) -> None:
+    if not np.isfinite(values).all():
+        raise InputError(f"{what} hold NaN or infinite values")
 
 
 @dataclass
@@ -52,6 +61,8 @@ class Gallery:
             raise DimensionError("gallery needs (N, C) globals and (N, n, C) locals")
         if self.globals_.shape[1] != self.locals_.shape[2]:
             raise DimensionError("gallery globals and locals disagree on width")
+        _require_finite(self.globals_, "gallery globals")
+        _require_finite(self.locals_, "gallery locals")
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -205,51 +216,39 @@ class FusionNetwork:
 
     def project(self, fused: Tensor) -> tuple[Tensor, Tensor]:
         """Map fused indicators to (logits, deltas): deltas = delta_scale * logits."""
-        if fused.ndim == 2:
-            flat = fused.reshape(1, -1)
-            squeeze = True
-        else:
-            flat = fused.reshape(fused.shape[0], -1)
-            squeeze = False
+        flat = fused.reshape(fused.shape[0], -1)
         expect = (self.cfg.indicator_count - 1) * self.cfg.dim
         if flat.shape[-1] != expect:
             raise ConfigError(
                 f"fused indicators width {flat.shape[-1]} != network input {expect}"
             )
         logits = self.mlp(flat)
-        if squeeze:
-            logits = logits.reshape(-1)
         deltas = self.params["fusion.delta_scale"] * logits
         return logits, deltas
 
 
 def focused_fuse(
     focus_indicators: np.ndarray,
-    candidates: CandidateSet,
+    candidates: list[CandidateSet],
     net: FusionNetwork,
-    rng: RandomStream | None = None,
-    deterministic: bool = True,
 ) -> Tensor:
-    """Single-query fusion over a candidate set carrying its local tokens."""
-    if candidates.k == 0:
-        raise InputError("empty candidate set")
-    if candidates.locals_ is None:
-        raise InputError("candidate set has no local tokens attached")
-    indicators = as_tensor(focus_indicators).reshape(
-        1, *np.asarray(focus_indicators).shape
-    )
+    """Deterministic fusion of a batch: query q's (m-1, C) indicators attend
+    over the local tokens of `candidates[q]`. Returns (Q, m-1, C)."""
+    for cand in candidates:
+        if cand.k == 0:
+            raise InputError("empty candidate set")
+        if cand.locals_ is None:
+            raise InputError("candidate set has no local tokens attached")
     tokens = net.candidate_tokens(
-        as_tensor(candidates.locals_).reshape(1, *candidates.locals_.shape),
-        candidates.k,
+        Tensor(np.stack([c.locals_ for c in candidates])), candidates[0].k
     )
-    fused = net.fuse(indicators, tokens, rng=rng, deterministic=deterministic)
-    return fused[0]
+    return net.fuse(Tensor(np.asarray(focus_indicators, dtype=np.float64)), tokens)
 
 
 def project_deltas(fused: Tensor, net: FusionNetwork) -> tuple[np.ndarray, np.ndarray]:
-    """Numpy view of the delta head for the inference path."""
+    """Numpy (logits, deltas) of the delta head, both (Q, k), for inference."""
     logits, deltas = net.project(fused)
-    return logits.data.copy(), deltas.data.copy()
+    return logits.data, deltas.data
 
 
 def compose_scores(
@@ -287,24 +286,9 @@ def compose_scores(
     return FinalScores(order, final_score, broad.copy(), delta_full, candidates.clamped)
 
 
-def rank_full(
-    query: EncodedText | EncodedVideo,
-    gallery: Gallery,
-    net: FusionNetwork,
-    k: int,
-) -> FinalScores:
-    """Full two-stage ranking of one query against a gallery (deterministic)."""
-    with no_grad():
-        broad = broad_view_scores(query.global_vec, gallery)
-        candidates = select_top_k(broad, k, gallery)
-        fused = focused_fuse(query.focus_indicators, candidates, net)
-        _, deltas = project_deltas(fused, net)
-        return compose_scores(
-            candidates,
-            deltas[: candidates.k],
-            broad,
-            include_stage1=net.cfg.use_stage1_scores,
-        )
+def rank_full(query: EncodedItem, gallery: Gallery, net: FusionNetwork, k: int) -> FinalScores:
+    """Full two-stage ranking of one query: `rank_queries` on a batch of one."""
+    return rank_queries(query.global_vec[None], query.focus_indicators[None], gallery, net, k)[0]
 
 
 def rank_broad_only(query_global: np.ndarray, gallery: Gallery) -> FinalScores:
@@ -324,36 +308,39 @@ def rank_queries(
     mode: str = "two-stage",
     chunk: int = 64,
 ) -> list[FinalScores]:
-    """Rank many queries; fusion runs in batched chunks for speed."""
+    """Rank (Q, C) query globals against one gallery, deterministically.
+
+    Broad-only mode, or no network, ranks by stage-1 scores alone. Two-stage
+    mode needs the (Q, m-1, C) focus indicators and fuses `chunk` queries per
+    call. Stage-1 scores are one matrix-vector product per query, so they
+    equal `gallery.globals_ @ q` bit for bit.
+    """
     if mode not in ("broad-only", "two-stage"):
         raise InputError(f"unknown mode {mode!r}")
     query_globals = np.asarray(query_globals, dtype=np.float64)
-    n_q = query_globals.shape[0]
+    if query_globals.ndim != 2:
+        raise DimensionError("query globals must be (Q, C)")
+    _require_finite(query_globals, "query globals")
     if mode == "broad-only" or net is None:
-        return [rank_broad_only(query_globals[i], gallery) for i in range(n_q)]
+        return [rank_broad_only(q, gallery) for q in query_globals]
+    if query_focus is None:
+        raise InputError("two-stage ranking needs query focus indicators")
+    query_focus = np.asarray(query_focus, dtype=np.float64)
+    if len(query_focus) != len(query_globals):
+        raise DimensionError("one set of focus indicators required per query")
+    _require_finite(query_focus, "query focus indicators")
 
     results: list[FinalScores] = []
     with no_grad():
-        for start in range(0, n_q, chunk):
-            stop = min(start + chunk, n_q)
-            broads, cands = [], []
-            for i in range(start, stop):
-                broad = broad_view_scores(query_globals[i], gallery)
-                broads.append(broad)
-                cands.append(select_top_k(broad, k, gallery))
-            k_sel = cands[0].k
-            locals_stack = np.stack([c.locals_ for c in cands])
-            tokens = net.candidate_tokens(Tensor(locals_stack), k_sel)
-            indicators = Tensor(np.asarray(query_focus[start:stop], dtype=np.float64))
-            fused = net.fuse(indicators, tokens)
-            logits, deltas = net.project(fused)
-            for j, (broad, cand) in enumerate(zip(broads, cands)):
+        for start in range(0, len(query_globals), chunk):
+            broads = [broad_view_scores(q, gallery) for q in query_globals[start : start + chunk]]
+            cands = [select_top_k(broad, k, gallery) for broad in broads]
+            fused = focused_fuse(query_focus[start : start + chunk], cands, net)
+            _, deltas = project_deltas(fused, net)
+            for broad, cand, delta in zip(broads, cands, deltas):
                 results.append(
                     compose_scores(
-                        cand,
-                        deltas.data[j, : cand.k],
-                        broad,
-                        include_stage1=net.cfg.use_stage1_scores,
+                        cand, delta[: cand.k], broad, include_stage1=net.cfg.use_stage1_scores
                     )
                 )
     return results

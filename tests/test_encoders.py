@@ -163,6 +163,19 @@ class TestTextEncoder:
         np.testing.assert_allclose(f1.data, f2.data, atol=1e-12)
         np.testing.assert_allclose(l1.data, l2.data[:, :5], atol=1e-12)
 
+    @pytest.mark.parametrize("indicators", [True, False])
+    def test_fully_masked_row_rejected(self, indicators):
+        model = RetrievalModel(tiny_config(use_query_indicators=indicators), seed=4)
+        mask = np.ones((2, 5))
+        mask[1] = 0.0
+        with pytest.raises(InputError):
+            model.encode_text_batch(RNG.integers(0, 64, (2, 5)), key_mask=mask)
+
+    def test_key_mask_shape_mismatch_rejected(self):
+        model = RetrievalModel(tiny_config(), seed=4)
+        with pytest.raises(DimensionError):
+            model.encode_text_batch(RNG.integers(0, 64, (2, 5)), key_mask=np.ones((2, 6)))
+
 
 class TestVideoEncoder:
     def test_identical_clip_bit_identical_encoding(self):

@@ -3,8 +3,12 @@
 import numpy as np
 import pytest
 
+from focusrank.config import default_config
 from focusrank.errors import InputError
-from focusrank.metrics import compute_ranks, summarize
+from focusrank.metrics import compute_ranks, evaluate_two_stage, summarize
+from focusrank.ops import ParameterSet
+from focusrank.pipeline import SIDE_VIDEO, FusionNetwork, Gallery
+from focusrank.rng import RandomStream
 
 RNG = np.random.default_rng(53)
 
@@ -105,3 +109,14 @@ def test_rank_invariant_under_increasing_transform():
     base = stage1_order(scores)
     for transform in (lambda s: 3 * s + 1, np.tanh, lambda s: s**3):
         np.testing.assert_array_equal(stage1_order(transform(scores)), base)
+
+
+def test_two_stage_evaluation_without_focus_rejected():
+    cfg = default_config()
+    cfg.dim, cfg.k, cfg.mlp_hidden = 8, 4, 16
+    net = FusionNetwork(ParameterSet(), cfg.validate(), RandomStream(0))
+    globals_ = RNG.normal(size=(6, 8))
+    globals_ /= np.linalg.norm(globals_, axis=1, keepdims=True)
+    gallery = Gallery(np.arange(6), globals_, RNG.normal(size=(6, 2, 8)), SIDE_VIDEO)
+    with pytest.raises(InputError):
+        evaluate_two_stage((globals_, None), gallery, net=net, k=4)

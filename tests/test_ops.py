@@ -1,4 +1,4 @@
-"""Attention, Gumbel-softmax, the MLP and the parameter registry."""
+"""Attention (with and without Gumbel noise), the MLP and the parameter registry."""
 
 import numpy as np
 import pytest
@@ -10,7 +10,6 @@ from focusrank.gradcheck import check_gradients
 from focusrank.ops import (
     Mlp,
     ParameterSet,
-    gumbel_softmax,
     kaiming_normal,
     mlp_forward,
     scaled_dot_attention,
@@ -82,6 +81,31 @@ class TestScaledDotAttention:
         expected = softmax(Tensor(logits / 0.5)).data @ v.data
         np.testing.assert_allclose(out, expected, atol=1e-12)
 
+    def test_gumbel_weights_sum_to_one(self):
+        # Identity values make the output rows the attention weights.
+        q, k = Tensor(RNG.normal(size=(4, 3))), Tensor(RNG.normal(size=(6, 3)))
+        rng = RandomStream(3).child("g")
+        out = scaled_dot_attention(q, k, Tensor(np.eye(6)), use_gumbel=True, gumbel_temp=0.3, rng=rng).data
+        np.testing.assert_allclose(out.sum(axis=1), 1.0, atol=1e-12)
+        assert np.all(out >= 0)
+
+    def test_gumbel_argmax_frequencies_match_softmax(self):
+        # Gumbel-max: argmax(logits + g) ~ Categorical(softmax(logits)).
+        # A unit query against keys 1, 0, -1 (width 1) gives logits 1, 0, -1.
+        logits = np.array([1.0, 0.0, -1.0])
+        draws = 100_000
+        rng = RandomStream(12).child("mc")
+        weights = scaled_dot_attention(
+            Tensor(np.ones((draws, 1))),
+            Tensor(logits[:, None]),
+            Tensor(np.eye(3)),
+            use_gumbel=True,
+            rng=rng,
+        ).data
+        counts = np.bincount(weights.argmax(axis=1), minlength=3) / draws
+        expected = softmax(Tensor(logits)).data
+        np.testing.assert_allclose(counts, expected, atol=0.02)
+
 
 @settings(deadline=None, max_examples=30)
 @given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.integers(1, 6))
@@ -94,54 +118,6 @@ def test_attention_output_in_value_convex_hull(seed, n_q, n_k):
     lo, hi = v.min(axis=0), v.max(axis=0)
     assert np.all(out >= lo - 1e-12)
     assert np.all(out <= hi + 1e-12)
-
-
-class TestGumbelSoftmax:
-    def test_uniform_logits_deterministic(self):
-        out = gumbel_softmax(Tensor(np.full(4, 1.7)), temp=1.0, deterministic=True).data
-        np.testing.assert_allclose(out, [0.25, 0.25, 0.25, 0.25], atol=1e-15)
-
-    def test_two_equal_logits(self):
-        out = gumbel_softmax(Tensor(np.zeros(2)), temp=1.0, deterministic=True).data
-        np.testing.assert_allclose(out, [0.5, 0.5], atol=1e-15)
-
-    def test_deterministic_temp1_is_softmax_bitwise(self):
-        logits = RNG.normal(size=9)
-        a = gumbel_softmax(Tensor(logits), temp=1.0, deterministic=True).data
-        b = softmax(Tensor(logits)).data
-        assert np.array_equal(a, b)
-
-    def test_output_sums_to_one_stochastic(self):
-        rng = RandomStream(3).child("g")
-        out = gumbel_softmax(Tensor(RNG.normal(size=6)), temp=0.3, rng=rng).data
-        assert abs(out.sum() - 1.0) < 1e-12
-        assert np.all(out >= 0)
-
-    def test_nonpositive_temp_raises(self):
-        with pytest.raises(ConfigError):
-            gumbel_softmax(Tensor(np.zeros(3)), temp=-1.0, deterministic=True)
-
-    def test_stochastic_without_rng_raises(self):
-        with pytest.raises(ConfigError):
-            gumbel_softmax(Tensor(np.zeros(3)), temp=1.0)
-
-    def test_argmax_frequencies_match_softmax(self):
-        # Gumbel-max: argmax(logits + g) ~ Categorical(softmax(logits)).
-        logits = np.array([1.0, 0.0, -1.0])
-        draws = 100_000
-        rng = RandomStream(12).child("mc")
-        probs = gumbel_softmax(
-            Tensor(np.tile(logits, (draws, 1))), temp=1.0, rng=rng
-        ).data
-        counts = np.bincount(probs.argmax(axis=1), minlength=3) / draws
-        expected = softmax(Tensor(logits)).data
-        np.testing.assert_allclose(counts, expected, atol=0.02)
-
-    def test_shift_invariance_deterministic(self):
-        logits = RNG.normal(size=5)
-        a = gumbel_softmax(Tensor(logits), temp=0.7, deterministic=True).data
-        b = gumbel_softmax(Tensor(logits + 13.0), temp=0.7, deterministic=True).data
-        np.testing.assert_allclose(a, b, atol=1e-12)
 
 
 class TestMlp:

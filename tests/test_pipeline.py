@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from focusrank.config import default_config
-from focusrank.encoders import EncodedText
+from focusrank.encoders import EncodedItem
 from focusrank.errors import DimensionError, InputError
 from focusrank.ops import ParameterSet
 from focusrank.pipeline import (
@@ -20,6 +20,7 @@ from focusrank.pipeline import (
     project_deltas,
     rank_broad_only,
     rank_full,
+    rank_queries,
     select_top_k,
     stage1_order,
 )
@@ -141,8 +142,8 @@ class TestFocusedFuse:
         net = make_net()
         gallery = make_gallery()
         cands = select_top_k(broad_view_scores(unit_rows(1, 8)[0], gallery), 4, gallery)
-        ind = RNG.normal(size=(3, 8))
-        fused = focused_fuse(ind, cands, net)
+        ind = RNG.normal(size=(1, 3, 8))
+        fused = focused_fuse(ind, [cands], net)
         np.testing.assert_array_equal(fused.data, ind)
 
     def test_single_candidate_single_token(self):
@@ -157,12 +158,12 @@ class TestFocusedFuse:
         local = RNG.normal(size=(1, 1, 8))
         cands = CandidateSet(np.array([0]), np.array([0.5]), locals_=local)
         ind = RNG.normal(size=(3, 8))
-        fused = focused_fuse(ind, cands, net)
+        fused = focused_fuse(ind[None], [cands], net)
         token = local[0, 0] + net.params["fusion.index_embedding"].data[0]
         w = net.params["fusion.block0.out_w"].data
         b = net.params["fusion.block0.out_b"].data
         expected = ind + (token @ w + b)
-        np.testing.assert_allclose(fused.data, expected, atol=1e-12)
+        np.testing.assert_allclose(fused.data[0], expected, atol=1e-12)
 
     def test_matches_flattened_attention_oracle(self):
         cfg = default_config()
@@ -173,36 +174,41 @@ class TestFocusedFuse:
         cfg.gumbel_temp = 0.8
         cfg.validate()
         net = make_net(cfg, randomize=True)
-        locals_ = RNG.normal(size=(2, 3, 8))  # k=2 candidates, n=3 tokens
-        cands = CandidateSet(np.array([1, 0]), np.array([0.8, 0.2]), locals_=locals_)
-        ind = RNG.normal(size=(2, 8))
+        # Two queries, each with its own k=2 candidates of n=3 tokens.
+        cands = [
+            CandidateSet(np.array([1, 0]), np.array([0.8, 0.2]), locals_=RNG.normal(size=(2, 3, 8))),
+            CandidateSet(np.array([0, 2]), np.array([0.5, 0.4]), locals_=RNG.normal(size=(2, 3, 8))),
+        ]
+        ind = RNG.normal(size=(2, 2, 8))
         fused = focused_fuse(ind, cands, net)  # deterministic: g = 0
 
         idx_emb = net.params["fusion.index_embedding"].data
-        tokens = np.concatenate([locals_[0] + idx_emb[0], locals_[1] + idx_emb[1]])
-        logits = ind @ tokens.T / np.sqrt(8) / cfg.gumbel_temp
-        e = np.exp(logits - logits.max(axis=1, keepdims=True))
-        w_attn = e / e.sum(axis=1, keepdims=True)
-        attended = w_attn @ tokens
-        expected = ind + (
-            attended @ net.params["fusion.block0.out_w"].data
-            + net.params["fusion.block0.out_b"].data
-        )
-        np.testing.assert_allclose(fused.data, expected, atol=1e-12)
+        for q, cand in enumerate(cands):
+            locals_ = cand.locals_
+            tokens = np.concatenate([locals_[0] + idx_emb[0], locals_[1] + idx_emb[1]])
+            logits = ind[q] @ tokens.T / np.sqrt(8) / cfg.gumbel_temp
+            e = np.exp(logits - logits.max(axis=1, keepdims=True))
+            w_attn = e / e.sum(axis=1, keepdims=True)
+            attended = w_attn @ tokens
+            expected = ind[q] + (
+                attended @ net.params["fusion.block0.out_w"].data
+                + net.params["fusion.block0.out_b"].data
+            )
+            np.testing.assert_allclose(fused.data[q], expected, atol=1e-12)
 
     def test_empty_candidates_rejected(self):
         net = make_net()
         cands = CandidateSet(np.array([], dtype=int), np.array([]), locals_=np.zeros((0, 2, 8)))
         with pytest.raises(InputError):
-            focused_fuse(RNG.normal(size=(3, 8)), cands, net)
+            focused_fuse(RNG.normal(size=(1, 3, 8)), [cands], net)
 
 
 class TestProjectDeltas:
     def test_zero_scale_zeroes_deltas(self):
         net = make_net()
-        fused = Tensor(RNG.normal(size=(3, 8)))
+        fused = Tensor(RNG.normal(size=(1, 3, 8)))
         logits, deltas = project_deltas(fused, net)
-        assert np.array_equal(deltas, np.zeros(4))
+        assert np.array_equal(deltas, np.zeros((1, 4)))
         assert not np.allclose(logits, 0)
 
     def test_uniform_logits_give_uniform_distribution(self):
@@ -215,11 +221,12 @@ class TestProjectDeltas:
         from focusrank.ops import mlp_forward
 
         net = make_net(randomize=True)
-        fused = RNG.normal(size=(3, 8))
+        fused = RNG.normal(size=(2, 3, 8))
         logits, deltas = project_deltas(Tensor(fused), net)
-        expected = mlp_forward(
-            Tensor(fused.reshape(-1)), net.params, "fusion.mlp", net.cfg.activation
-        ).data
+        expected = np.stack([
+            mlp_forward(Tensor(f.reshape(-1)), net.params, "fusion.mlp", net.cfg.activation).data
+            for f in fused
+        ])
         np.testing.assert_allclose(logits, expected, atol=1e-12)
         np.testing.assert_allclose(
             deltas, float(net.params["fusion.delta_scale"].data) * expected, atol=1e-12
@@ -230,7 +237,7 @@ class TestProjectDeltas:
 
         net = make_net()
         with pytest.raises(ConfigError):
-            net.project(Tensor(RNG.normal(size=(2, 8))))  # needs (m-1)=3 rows
+            net.project(Tensor(RNG.normal(size=(1, 2, 8))))  # needs (m-1)=3 rows
 
 
 class TestComposeScores:
@@ -287,7 +294,7 @@ class TestRankFull:
         net = make_net()  # zero out_w / delta_scale
         gallery = make_gallery(n=20)
         for _ in range(25):
-            q = EncodedText(unit_rows(1, 8)[0], RNG.normal(size=(3, 8)), np.zeros((0, 8)))
+            q = EncodedItem(unit_rows(1, 8)[0], RNG.normal(size=(3, 8)), np.zeros((0, 8)))
             full = rank_full(q, gallery, net, 4)
             broad = rank_broad_only(q.global_vec, gallery)
             np.testing.assert_array_equal(full.order, broad.order)
@@ -295,14 +302,14 @@ class TestRankFull:
     def test_small_gallery_clamps_and_composes(self):
         net = make_net(randomize=True)
         gallery = make_gallery(n=3)  # N < k = 4
-        q = EncodedText(unit_rows(1, 8)[0], RNG.normal(size=(3, 8)), np.zeros((0, 8)))
+        q = EncodedItem(unit_rows(1, 8)[0], RNG.normal(size=(3, 8)), np.zeros((0, 8)))
         final = rank_full(q, gallery, net, 4)
         assert final.clamped
         scores = broad_view_scores(q.global_vec, gallery)
         cands = select_top_k(scores, 4, gallery)
-        fused = focused_fuse(q.focus_indicators, cands, net)
+        fused = focused_fuse(q.focus_indicators[None], [cands], net)
         _, deltas = project_deltas(fused, net)
-        expected = compose_oracle(scores, cands.indices.tolist(), deltas[:3].tolist())
+        expected = compose_oracle(scores, cands.indices.tolist(), deltas[0, :3].tolist())
         np.testing.assert_array_equal(final.order, expected)
 
     def test_positive_rescaling_of_stage1_scores_keeps_argmax(self):
@@ -313,9 +320,62 @@ class TestRankFull:
     def test_determinism_same_seed_bitwise(self):
         net = make_net(randomize=True)
         gallery = make_gallery(n=10)
-        q = EncodedText(unit_rows(1, 8)[0], RNG.normal(size=(3, 8)), np.zeros((0, 8)))
+        q = EncodedItem(unit_rows(1, 8)[0], RNG.normal(size=(3, 8)), np.zeros((0, 8)))
         a = rank_full(q, gallery, net, 4)
         b = rank_full(q, gallery, net, 4)
         assert np.array_equal(a.order, b.order)
         assert np.array_equal(a.final_score, b.final_score)
         assert np.array_equal(a.delta, b.delta)
+
+
+class TestRankQueries:
+    def test_one_batch_matches_single_queries(self):
+        # The batched fusion matmul may sum in another order than a batch of
+        # one, so scores agree to rounding while orders are identical.
+        net = make_net(randomize=True)
+        gallery = make_gallery(n=500)
+        globals_ = unit_rows(64, 8)
+        focus = RNG.normal(size=(64, 3, 8))
+        batched = rank_queries(globals_, focus, gallery, net, 4)
+        assert len(batched) == 64
+        for i, got in enumerate(batched):
+            (single,) = rank_queries(globals_[i : i + 1], focus[i : i + 1], gallery, net, 4)
+            np.testing.assert_array_equal(got.order, single.order)
+            for name in ("final_score", "stage1_score", "delta"):
+                np.testing.assert_allclose(
+                    getattr(got, name), getattr(single, name), rtol=0, atol=1e-12
+                )
+        assert any(np.any(f.delta != 0) for f in batched)
+
+    def test_rank_full_is_a_batch_of_one(self):
+        net = make_net(randomize=True)
+        gallery = make_gallery(n=30)
+        q = EncodedItem(unit_rows(1, 8)[0], RNG.normal(size=(3, 8)), np.zeros((0, 8)))
+        full = rank_full(q, gallery, net, 4)
+        (batched,) = rank_queries(q.global_vec[None], q.focus_indicators[None], gallery, net, 4)
+        assert np.array_equal(full.order, batched.order)
+        assert np.array_equal(full.final_score, batched.final_score)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_query_globals_rejected(self, bad):
+        net = make_net(randomize=True)
+        globals_ = unit_rows(3, 8)
+        globals_[1, 2] = bad
+        for mode in ("broad-only", "two-stage"):
+            with pytest.raises(InputError):
+                rank_queries(globals_, RNG.normal(size=(3, 3, 8)), make_gallery(), net, 4, mode)
+
+    @pytest.mark.parametrize("bad", [np.nan, -np.inf])
+    def test_non_finite_focus_indicators_rejected(self, bad):
+        focus = RNG.normal(size=(3, 3, 8))
+        focus[2, 0, 5] = bad
+        with pytest.raises(InputError):
+            rank_queries(unit_rows(3, 8), focus, make_gallery(), make_net(randomize=True), 4)
+
+    def test_two_stage_without_focus_rejected(self):
+        with pytest.raises(InputError):
+            rank_queries(unit_rows(2, 8), None, make_gallery(), make_net(), 4)
+
+    def test_focus_count_must_match_queries(self):
+        with pytest.raises(DimensionError):
+            rank_queries(unit_rows(2, 8), RNG.normal(size=(3, 3, 8)), make_gallery(), make_net(), 4)
