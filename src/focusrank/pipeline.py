@@ -215,7 +215,7 @@ class FusionNetwork:
         return indicators
 
     def project(self, fused: Tensor) -> tuple[Tensor, Tensor]:
-        """Map fused indicators to (logits, deltas): deltas = delta_scale * logits."""
+        """Map (B, m-1, C) fused indicators to (B, k) logits and deltas = delta_scale * logits."""
         flat = fused.reshape(fused.shape[0], -1)
         expect = (self.cfg.indicator_count - 1) * self.cfg.dim
         if flat.shape[-1] != expect:

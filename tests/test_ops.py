@@ -85,7 +85,9 @@ class TestScaledDotAttention:
         # Identity values make the output rows the attention weights.
         q, k = Tensor(RNG.normal(size=(4, 3))), Tensor(RNG.normal(size=(6, 3)))
         rng = RandomStream(3).child("g")
-        out = scaled_dot_attention(q, k, Tensor(np.eye(6)), use_gumbel=True, gumbel_temp=0.3, rng=rng).data
+        out = scaled_dot_attention(
+            q, k, Tensor(np.eye(6)), use_gumbel=True, gumbel_temp=0.3, rng=rng
+        ).data
         np.testing.assert_allclose(out.sum(axis=1), 1.0, atol=1e-12)
         assert np.all(out >= 0)
 

@@ -176,8 +176,8 @@ class TestFocusedFuse:
         net = make_net(cfg, randomize=True)
         # Two queries, each with its own k=2 candidates of n=3 tokens.
         cands = [
-            CandidateSet(np.array([1, 0]), np.array([0.8, 0.2]), locals_=RNG.normal(size=(2, 3, 8))),
-            CandidateSet(np.array([0, 2]), np.array([0.5, 0.4]), locals_=RNG.normal(size=(2, 3, 8))),
+            CandidateSet(np.array(idx), np.array(scores), locals_=RNG.normal(size=(2, 3, 8)))
+            for idx, scores in (([1, 0], [0.8, 0.2]), ([0, 2], [0.5, 0.4]))
         ]
         ind = RNG.normal(size=(2, 2, 8))
         fused = focused_fuse(ind, cands, net)  # deterministic: g = 0
@@ -201,6 +201,14 @@ class TestFocusedFuse:
         cands = CandidateSet(np.array([], dtype=int), np.array([]), locals_=np.zeros((0, 2, 8)))
         with pytest.raises(InputError):
             focused_fuse(RNG.normal(size=(1, 3, 8)), [cands], net)
+
+    def test_stochastic_fusion_without_stream_rejected(self):
+        from focusrank.errors import ConfigError
+
+        net = make_net()  # default config samples Gumbel noise in training
+        tokens = net.candidate_tokens(Tensor(RNG.normal(size=(1, 4, 3, 8))), 4)
+        with pytest.raises(ConfigError):
+            net.fuse(Tensor(RNG.normal(size=(1, 3, 8))), tokens, deterministic=False)
 
 
 class TestProjectDeltas:
