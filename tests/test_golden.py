@@ -1,9 +1,10 @@
 """Golden outputs of the CLI `query` and `eval` verbs, compared byte for byte.
 
 The fixtures under `tests/golden/` pin the ranking and metrics CSVs of a tiny
-run (`pair_count=20`) against a checkpoint whose zero-initialised tensors
-(`*.bind.out_*`, `fusion.block*.out_*`, `fusion.delta_scale`) hold seeded
-non-zero values. At zero init every delta is zero and the text globals are
+run (`pair_count=20`), plus `query` on a gallery smaller than the default
+k=10 (`pair_count=5`), where stage 1 keeps every entry. They run against a
+checkpoint whose zero-initialised tensors (`*.bind.out_*`,
+`fusion.block*.out_*`, `fusion.delta_scale`) hold seeded non-zero values. At zero init every delta is zero and the text globals are
 all the same vector, so a fixture from such a model would pin nothing of
 the focused view.
 
@@ -27,6 +28,7 @@ from focusrank.rng import RandomStream
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 PAIR_COUNT = 20
+SMALL_PAIR_COUNT = 5  # below the default k: the re-ranked block is the whole gallery
 CHECKPOINT_SEED = 7
 ZERO_INIT = re.compile(r"(\.bind\.out_[wb]|^fusion\.block\d+\.out_[wb])$")
 
@@ -35,6 +37,7 @@ QUERY_CASES = [
     for direction in ("t2v", "v2t")
     for indicators in ("true", "false")
 ]
+SMALL_DIRECTIONS = ("t2v", "v2t")
 
 
 def write_checkpoint(path: Path) -> Path:
@@ -53,16 +56,18 @@ def write_checkpoint(path: Path) -> Path:
     return path
 
 
-def run_verb(verb: str, out: Path, checkpoint: Path, **overrides) -> None:
-    args = [verb, "--out", str(out), "--set", f"pair_count={PAIR_COUNT}",
+def run_verb(verb: str, out: Path, checkpoint: Path, pair_count: int = PAIR_COUNT,
+             **overrides) -> None:
+    args = [verb, "--out", str(out), "--set", f"pair_count={pair_count}",
             "--set", f"checkpoint={checkpoint}"]
     for key, value in overrides.items():
         args += ["--set", f"{key}={value}"]
     assert execute(parse_args(args)) == 0
 
 
-def query_output(out: Path, checkpoint: Path, direction: str, indicators: str) -> bytes:
-    run_verb("query", out, checkpoint, query_index=3, query_direction=direction,
+def query_output(out: Path, checkpoint: Path, direction: str, indicators: str,
+                 pair_count: int = PAIR_COUNT) -> bytes:
+    run_verb("query", out, checkpoint, pair_count, query_index=3, query_direction=direction,
              use_query_indicators=indicators)
     return (out / "query_result.csv").read_bytes()
 
@@ -75,6 +80,10 @@ def eval_output(out: Path, checkpoint: Path) -> bytes:
 def query_fixture(direction: str, indicators: str) -> Path:
     suffix = "indicators" if indicators == "true" else "no_indicators"
     return GOLDEN / f"query_{direction}_{suffix}.csv"
+
+
+def small_query_fixture(direction: str) -> Path:
+    return GOLDEN / f"query_{direction}_small_gallery.csv"
 
 
 @pytest.fixture(scope="module")
@@ -94,6 +103,13 @@ def test_query_matches_golden(checkpoint, tmp_path, direction, indicators, capsy
     assert got == query_fixture(direction, indicators).read_bytes()
 
 
+@pytest.mark.parametrize("direction", SMALL_DIRECTIONS)
+def test_small_gallery_query_matches_golden(checkpoint, tmp_path, direction, capsys):
+    got = query_output(tmp_path, checkpoint, direction, "true", SMALL_PAIR_COUNT)
+    assert len(got.decode().splitlines()) == SMALL_PAIR_COUNT + 1
+    assert got == small_query_fixture(direction).read_bytes()
+
+
 def test_eval_metrics_match_golden(checkpoint, tmp_path, capsys):
     assert eval_output(tmp_path, checkpoint) == (GOLDEN / "eval_metrics.csv").read_bytes()
 
@@ -104,6 +120,9 @@ def regenerate(work: Path) -> None:
     for direction, indicators in QUERY_CASES:
         blob = query_output(work / f"q_{direction}_{indicators}", ckpt, direction, indicators)
         query_fixture(direction, indicators).write_bytes(blob)
+    for direction in SMALL_DIRECTIONS:
+        blob = query_output(work / f"small_{direction}", ckpt, direction, "true", SMALL_PAIR_COUNT)
+        small_query_fixture(direction).write_bytes(blob)
     (GOLDEN / "eval_metrics.csv").write_bytes(eval_output(work / "eval", ckpt))
 
 
