@@ -6,7 +6,7 @@ from .encoders import EncodedItem, TextSequence, VideoClip
 from .losses import LossReport, combined_loss, contrastive_loss, focused_ce_loss
 from .metrics import MetricsReport, compute_ranks, evaluate_two_stage, summarize
 from .model import RetrievalModel
-from .ops import ParameterSet, mlp_forward, scaled_dot_attention
+from .ops import ParameterSet, scaled_dot_attention
 from .pipeline import (
     CandidateSet,
     FinalScores,

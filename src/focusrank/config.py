@@ -40,7 +40,6 @@ class RunConfig:
     fusion_blocks: int = 1        # focused-view cross-attention blocks B_f
     k: int = 10                   # re-ranked candidates per query
     gumbel_temp: float = 1.0
-    activation: str = "gelu"      # smooth gate used inside MLPs
     use_query_indicators: bool = True
     use_stage1_scores: bool = True   # include stage-1 scores in composition
     use_gumbel: bool = True          # gumbel noise in fusion attention (training)
@@ -94,7 +93,6 @@ class RunConfig:
         require(self.fusion_blocks >= 1, "fusion_blocks must be >= 1")
         require(self.k >= 1, "k must be >= 1")
         require(self.gumbel_temp > 0, "gumbel_temp must be > 0")
-        require(self.activation in ("gelu", "silu"), "activation must be gelu or silu")
         require(self.batch_size >= 2, "batch_size must be >= 2 (contrastive training)")
         require(self.epochs >= 1, "epochs must be >= 1")
         require(self.lr_fusion > 0 and self.lr_base > 0, "learning rates must be > 0")

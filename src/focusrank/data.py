@@ -18,7 +18,7 @@ import numpy as np
 from .config import RunConfig
 from .errors import ConfigError
 from .model import RetrievalModel
-from .pipeline import SIDE_TEXT, SIDE_VIDEO, Gallery
+from .pipeline import Gallery
 from .rng import RandomStream
 from .tensor import no_grad
 
@@ -173,6 +173,4 @@ def build_galleries(model: RetrievalModel, dataset: PairedDataset):
     returning (text_queries, video_queries, video_gallery, text_gallery)."""
     ids = np.arange(len(dataset), dtype=np.int64)
     (tg, tf, tl), (vg, vf, vl) = encode_dataset(model, dataset)
-    video_gallery = Gallery(ids, vg, vl, SIDE_VIDEO)
-    text_gallery = Gallery(ids, tg, tl, SIDE_TEXT)
-    return (tg, tf), (vg, vf), video_gallery, text_gallery
+    return (tg, tf), (vg, vf), Gallery(ids, vg, vl), Gallery(ids, tg, tl)

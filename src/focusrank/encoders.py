@@ -261,6 +261,8 @@ class VideoEncoder:
             raise DimensionError(
                 f"clip patches {(n_patches, d)} != configured {(cfg.patch_count, cfg.patch_dim)}"
             )
+        if not np.isfinite(clips).all():
+            raise InputError("clip batch holds NaN or infinite values")
         p = self.params
         c = cfg.dim
         x = Tensor(clips) @ p["video.input_w"] + p["video.input_b"]

@@ -127,7 +127,7 @@ def run_gradient_suite(seed: int = 0, eps: float = 1e-5) -> list[GradCheckResult
 
     # MLP head.
     p = ParameterSet()
-    x = p.add("x", rng.child("mlp", "x").normal(8))
+    x = p.add("x", rng.child("mlp", "x").normal(8).reshape(1, 8))
     mlp = Mlp(p, "mlp", 8, 16, 3, rng.child("mlp"))
     results.append(
         check_gradients(lambda: sum_of_squares(mlp(x)), p, eps, name="mlp-head")

@@ -9,9 +9,7 @@ import numpy as np
 
 from .errors import ConfigError, DimensionError
 from .rng import RandomStream
-from .tensor import Tensor, as_tensor, gelu, silu, softmax
-
-ACTIVATIONS = {"gelu": gelu, "silu": silu}
+from .tensor import Tensor, as_tensor, gelu, softmax
 
 GROUP_BASE = "base"
 GROUP_FUSION = "fusion"
@@ -144,26 +142,9 @@ def affine(x, w, b) -> Tensor:
     return x @ w + b
 
 
-def mlp_forward(x, params: ParameterSet, prefix: str = "mlp", activation: str = "gelu") -> Tensor:
-    """Two affine layers with a smooth gate between: w2ᵀ act(w1ᵀ x + b1) + b2.
-
-    Reads `{prefix}.w1/.b1/.w2/.b2` from `params`; a missing name raises
-    ConfigError. `x` may carry leading batch axes.
-    """
-    if activation not in ACTIVATIONS:
-        raise ConfigError(f"unknown activation: {activation!r}")
-    act = ACTIVATIONS[activation]
-    x = as_tensor(x)
-    squeeze = x.ndim == 1
-    if squeeze:
-        x = x.reshape(1, -1)
-    h = act(affine(x, params[f"{prefix}.w1"], params[f"{prefix}.b1"]))
-    y = affine(h, params[f"{prefix}.w2"], params[f"{prefix}.b2"])
-    return y.reshape(-1) if squeeze else y
-
-
 class Mlp:
-    """Owns the parameters of a two-layer MLP registered under a name prefix."""
+    """Two affine layers with a GELU gate between, w2ᵀ gelu(w1ᵀ x + b1) + b2,
+    owning `{prefix}.w1/.b1/.w2/.b2` in a parameter set."""
 
     def __init__(
         self,
@@ -174,17 +155,16 @@ class Mlp:
         d_out: int,
         rng: RandomStream,
         group: str = GROUP_BASE,
-        activation: str = "gelu",
     ):
-        if activation not in ACTIVATIONS:
-            raise ConfigError(f"unknown activation: {activation!r}")
         self.params = params
         self.prefix = prefix
-        self.activation = activation
         params.add(f"{prefix}.w1", kaiming_normal(rng.child("w1"), (d_in, d_hidden), d_in), group)
         params.add(f"{prefix}.b1", np.zeros(d_hidden), group)
         params.add(f"{prefix}.w2", kaiming_normal(rng.child("w2"), (d_hidden, d_out), d_hidden), group)
         params.add(f"{prefix}.b2", np.zeros(d_out), group)
 
     def __call__(self, x) -> Tensor:
-        return mlp_forward(x, self.params, self.prefix, self.activation)
+        """Map (..., d_in) rows to (..., d_out); `x` needs a batch axis."""
+        p, prefix = self.params, self.prefix
+        h = gelu(affine(as_tensor(x), p[f"{prefix}.w1"], p[f"{prefix}.b1"]))
+        return affine(h, p[f"{prefix}.w2"], p[f"{prefix}.b2"])

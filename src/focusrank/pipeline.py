@@ -1,15 +1,17 @@
 """Two-stage retrieval: broad-view scoring, top-k selection, focused-view
 fusion and final score composition.
 
-Stage 1 ranks the whole gallery by dot product of unit-normalized globals.
-Stage 2 cross-attends the query's remaining indicators over the flattened
-local tokens of the top-k candidates (with per-slot index embeddings on keys
-and values), projects the fused indicators to k logits, and adds the scaled
-logits to the stage-1 scores of the candidates. Re-ranking permutes the
-top-k block only; everything below keeps its stage-1 order.
+A ranking is one stage-1 sort plus a permutation of its first k entries.
+Stage 1 sorts the whole gallery by dot product of unit-normalized globals
+(`select_top_k`, the only full sort). Stage 2 cross-attends the query's
+remaining indicators over the flattened local tokens of the top-k candidates
+(with per-slot index embeddings on keys and values), projects the fused
+indicators to k logits, and adds the scaled logits to the stage-1 scores of
+the candidates. `compose_scores` re-sorts that k-block and appends the rest
+of the stage-1 order unchanged; broad-only ranking is the stage-1 order.
 
 `rank_queries` is the one inference ranking path: it ranks a batch of
-queries, fusing each chunk of them in one call. A single query is a batch
+queries, fusing `FUSION_CHUNK` of them per call. A single query is a batch
 of one (`rank_full`).
 """
 
@@ -26,8 +28,8 @@ from .ops import GROUP_FUSION, Mlp, ParameterSet, kaiming_normal, scaled_dot_att
 from .rng import RandomStream
 from .tensor import Tensor, as_tensor, no_grad
 
-SIDE_VIDEO = "video"
-SIDE_TEXT = "text"
+# Queries fused per call: bounds the (chunk, k*n, C) candidate-token array for any Q.
+FUSION_CHUNK = 64
 
 
 def _require_finite(values: np.ndarray, what: str) -> None:
@@ -42,14 +44,11 @@ class Gallery:
     ids: np.ndarray       # (N,) unique int64
     globals_: np.ndarray  # (N, C) unit rows
     locals_: np.ndarray   # (N, n, C)
-    side: str             # SIDE_VIDEO for t2v, SIDE_TEXT for v2t
 
     def __post_init__(self):
         self.ids = np.asarray(self.ids, dtype=np.int64)
         self.globals_ = np.asarray(self.globals_, dtype=np.float64)
         self.locals_ = np.asarray(self.locals_, dtype=np.float64)
-        if self.side not in (SIDE_VIDEO, SIDE_TEXT):
-            raise InputError(f"unknown gallery side {self.side!r}")
         if len(self.ids) == 0:
             raise InputError("gallery must hold at least one entry")
         if len(self.ids) != len(set(self.ids.tolist())):
@@ -70,16 +69,15 @@ class Gallery:
 
 @dataclass
 class CandidateSet:
-    """Top-k stage-1 candidates for one query."""
+    """Stage-1 ranking of one query; its first k entries are the candidates."""
 
-    indices: np.ndarray        # (k',) gallery indices, scores non-increasing
-    stage1_scores: np.ndarray  # (k',)
-    clamped: bool = False      # k exceeded the gallery size and was clamped
-    locals_: np.ndarray | None = None  # (k', n, C) local tokens
+    order: np.ndarray   # (N,) gallery indices, score desc, ties by ascending index
+    scores: np.ndarray  # (N,) stage-1 scores, gallery-aligned
+    k: int              # re-ranked block size, min(requested k, N)
 
     @property
-    def k(self) -> int:
-        return len(self.indices)
+    def indices(self) -> np.ndarray:
+        return self.order[: self.k]
 
 
 @dataclass
@@ -90,7 +88,6 @@ class FinalScores:
     final_score: np.ndarray   # (N,) aligned to gallery order
     stage1_score: np.ndarray  # (N,)
     delta: np.ndarray         # (N,); zero outside the re-ranked block
-    clamped: bool = False
 
     def ranked_ids(self, gallery: Gallery) -> np.ndarray:
         return gallery.ids[self.order]
@@ -115,20 +112,12 @@ def stage1_order(scores: np.ndarray) -> np.ndarray:
     return np.lexsort((np.arange(len(scores)), -scores))
 
 
-def select_top_k(scores: np.ndarray, k: int, gallery: Gallery | None = None) -> CandidateSet:
-    """Pick the k best entries (score desc, ties by ascending index).
-
-    k larger than the gallery clamps to N and sets the `clamped` flag.
-    """
-    scores = np.asarray(scores, dtype=np.float64)
-    n = len(scores)
+def select_top_k(scores: np.ndarray, k: int) -> CandidateSet:
+    """Sort the gallery once and mark its k best entries; k above N clamps to N."""
     if k < 1:
         raise InputError("k must be >= 1")
-    clamped = k > n
-    k = min(k, n)
-    order = stage1_order(scores)[:k]
-    locals_ = gallery.locals_[order] if gallery is not None else None
-    return CandidateSet(order, scores[order], clamped, locals_)
+    scores = np.asarray(scores, dtype=np.float64)
+    return CandidateSet(stage1_order(scores), scores, min(k, len(scores)))
 
 
 class FusionNetwork:
@@ -163,17 +152,16 @@ class FusionNetwork:
             cfg.k,
             rng.child("mlp"),
             group=GROUP_FUSION,
-            activation=cfg.activation,
         )
         params.add("fusion.delta_scale", np.zeros(()), GROUP_FUSION)
 
-    def candidate_tokens(self, locals_, slot_count: int) -> Tensor:
+    def candidate_tokens(self, locals_) -> Tensor:
         """Flatten (B, k', n, C) locals and add per-slot index embeddings."""
         locals_ = as_tensor(locals_)
         if locals_.ndim != 4:
             raise DimensionError("candidate locals must be (B, k', n, C)")
         b, k_sel, n, c = locals_.shape
-        if k_sel != slot_count or k_sel > self.k:
+        if k_sel > self.k:
             raise ConfigError(
                 f"candidate count {k_sel} incompatible with network k {self.k}"
             )
@@ -228,20 +216,12 @@ class FusionNetwork:
 
 
 def focused_fuse(
-    focus_indicators: np.ndarray,
-    candidates: list[CandidateSet],
-    net: FusionNetwork,
+    focus_indicators: np.ndarray, cand_locals: np.ndarray, net: FusionNetwork
 ) -> Tensor:
     """Deterministic fusion of a batch: query q's (m-1, C) indicators attend
-    over the local tokens of `candidates[q]`. Returns (Q, m-1, C)."""
-    for cand in candidates:
-        if cand.k == 0:
-            raise InputError("empty candidate set")
-        if cand.locals_ is None:
-            raise InputError("candidate set has no local tokens attached")
-    tokens = net.candidate_tokens(
-        Tensor(np.stack([c.locals_ for c in candidates])), candidates[0].k
-    )
+    over the local tokens of its candidates, `cand_locals[q]` (k', n, C).
+    Returns (Q, m-1, C)."""
+    tokens = net.candidate_tokens(Tensor(cand_locals))
     return net.fuse(Tensor(np.asarray(focus_indicators, dtype=np.float64)), tokens)
 
 
@@ -252,51 +232,30 @@ def project_deltas(fused: Tensor, net: FusionNetwork) -> tuple[np.ndarray, np.nd
 
 
 def compose_scores(
-    candidates: CandidateSet,
-    deltas: np.ndarray,
-    broad: np.ndarray,
-    include_stage1: bool = True,
+    candidates: CandidateSet, deltas: np.ndarray, include_stage1: bool = True
 ) -> FinalScores:
     """Eq-style composition: refined = stage-1 + delta inside the top-k block.
 
     The block is re-sorted by refined score (ties by ascending gallery index)
-    and occupies final ranks 1..k; all other entries follow in stage-1 order.
+    and occupies final ranks 1..k; the rest of the stage-1 order follows as is.
     """
-    broad = np.asarray(broad, dtype=np.float64)
     deltas = np.asarray(deltas, dtype=np.float64)
     if len(deltas) != candidates.k:
-        raise DimensionError(
-            f"{len(deltas)} deltas for {candidates.k} candidates"
-        )
-    n = len(broad)
-    refined = (candidates.stage1_scores if include_stage1 else 0.0) + deltas
-    block_sort = np.lexsort((candidates.indices, -refined))
-    block = candidates.indices[block_sort]
-
-    full_order = stage1_order(broad)
-    in_block = np.zeros(n, dtype=bool)
-    in_block[candidates.indices] = True
-    remainder = full_order[~in_block[full_order]]
-    order = np.concatenate([block, remainder])
-
-    final_score = broad.copy()
-    delta_full = np.zeros(n)
-    final_score[candidates.indices] = refined
-    delta_full[candidates.indices] = deltas
-    return FinalScores(order, final_score, broad.copy(), delta_full, candidates.clamped)
+        raise DimensionError(f"{len(deltas)} deltas for {candidates.k} candidates")
+    block, scores = candidates.indices, candidates.scores
+    refined = (scores[block] if include_stage1 else 0.0) + deltas
+    order = candidates.order.copy()
+    order[: candidates.k] = block[np.lexsort((block, -refined))]
+    final_score = scores.copy()
+    final_score[block] = refined
+    delta_full = np.zeros(len(scores))
+    delta_full[block] = deltas
+    return FinalScores(order, final_score, scores.copy(), delta_full)
 
 
 def rank_full(query: EncodedItem, gallery: Gallery, net: FusionNetwork, k: int) -> FinalScores:
     """Full two-stage ranking of one query: `rank_queries` on a batch of one."""
     return rank_queries(query.global_vec[None], query.focus_indicators[None], gallery, net, k)[0]
-
-
-def rank_broad_only(query_global: np.ndarray, gallery: Gallery) -> FinalScores:
-    """Stage-1-only ranking (no fusion, zero deltas)."""
-    broad = broad_view_scores(query_global, gallery)
-    return FinalScores(
-        stage1_order(broad), broad.copy(), broad.copy(), np.zeros(len(broad))
-    )
 
 
 def rank_queries(
@@ -306,14 +265,14 @@ def rank_queries(
     net: FusionNetwork | None,
     k: int,
     mode: str = "two-stage",
-    chunk: int = 64,
 ) -> list[FinalScores]:
     """Rank (Q, C) query globals against one gallery, deterministically.
 
-    Broad-only mode, or no network, ranks by stage-1 scores alone. Two-stage
-    mode needs the (Q, m-1, C) focus indicators and fuses `chunk` queries per
-    call. Stage-1 scores are one matrix-vector product per query, so they
-    equal `gallery.globals_ @ q` bit for bit.
+    Each query's gallery is sorted once, by `select_top_k`. Broad-only mode,
+    or no network, keeps that stage-1 order. Two-stage mode needs the
+    (Q, m-1, C) focus indicators and re-ranks each top-k block. Stage-1
+    scores are one matrix-vector product per query, so they equal
+    `gallery.globals_ @ q` bit for bit.
     """
     if mode not in ("broad-only", "two-stage"):
         raise InputError(f"unknown mode {mode!r}")
@@ -322,7 +281,9 @@ def rank_queries(
         raise DimensionError("query globals must be (Q, C)")
     _require_finite(query_globals, "query globals")
     if mode == "broad-only" or net is None:
-        return [rank_broad_only(q, gallery) for q in query_globals]
+        cands = [select_top_k(broad_view_scores(q, gallery), k) for q in query_globals]
+        return [FinalScores(c.order, c.scores, c.scores.copy(), np.zeros(len(c.scores)))
+                for c in cands]
     if query_focus is None:
         raise InputError("two-stage ranking needs query focus indicators")
     query_focus = np.asarray(query_focus, dtype=np.float64)
@@ -332,15 +293,14 @@ def rank_queries(
 
     results: list[FinalScores] = []
     with no_grad():
-        for start in range(0, len(query_globals), chunk):
-            broads = [broad_view_scores(q, gallery) for q in query_globals[start : start + chunk]]
-            cands = [select_top_k(broad, k, gallery) for broad in broads]
-            fused = focused_fuse(query_focus[start : start + chunk], cands, net)
-            _, deltas = project_deltas(fused, net)
-            for broad, cand, delta in zip(broads, cands, deltas):
-                results.append(
-                    compose_scores(
-                        cand, delta[: cand.k], broad, include_stage1=net.cfg.use_stage1_scores
-                    )
-                )
+        for start in range(0, len(query_globals), FUSION_CHUNK):
+            stop = start + FUSION_CHUNK
+            broads = [broad_view_scores(q, gallery) for q in query_globals[start:stop]]
+            cands = [select_top_k(broad, k) for broad in broads]
+            cand_locals = gallery.locals_[[c.indices for c in cands]]
+            _, deltas = project_deltas(focused_fuse(query_focus[start:stop], cand_locals, net), net)
+            results.extend(
+                compose_scores(c, d[: c.k], include_stage1=net.cfg.use_stage1_scores)
+                for c, d in zip(cands, deltas)
+            )
     return results

@@ -258,26 +258,6 @@ class Tensor:
             out._grad_fn = lambda g: self._acc(g * y)
         return out
 
-    def log(self):
-        out = _result(np.log(self.data), (self,))
-        if out._parents:
-            out._grad_fn = lambda g: self._acc(g / self.data)
-        return out
-
-    def tanh(self):
-        y = np.tanh(self.data)
-        out = _result(y, (self,))
-        if out._parents:
-            out._grad_fn = lambda g: self._acc(g * (1.0 - y * y))
-        return out
-
-    def sqrt(self):
-        y = np.sqrt(self.data)
-        out = _result(y, (self,))
-        if out._parents:
-            out._grad_fn = lambda g: self._acc(g * 0.5 / y)
-        return out
-
 
 def as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
@@ -391,21 +371,6 @@ def gelu(t: Tensor) -> Tensor:
             d_inner = _GELU_C * (1.0 + 3 * 0.044715 * x**2)
             dy = 0.5 * (1.0 + th) + 0.5 * x * (1.0 - th * th) * d_inner
             t._acc(g * dy)
-
-        out._grad_fn = grad_fn
-    return out
-
-
-def silu(t: Tensor) -> Tensor:
-    """Smooth gating nonlinearity x * sigmoid(x)."""
-    t = as_tensor(t)
-    sig = 1.0 / (1.0 + np.exp(-t.data))
-    y = t.data * sig
-    out = _result(y, (t,))
-    if out._parents:
-
-        def grad_fn(g):
-            t._acc(g * sig * (1.0 + t.data * (1.0 - sig)))
 
         out._grad_fn = grad_fn
     return out

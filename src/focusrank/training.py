@@ -124,7 +124,7 @@ def _focused_direction(model, query_focus, cand_locals, sims, k_train, rng, dete
     for i in range(b):
         cand_idx[i], positions[i] = build_candidates(sims[i], i, k_train)
     gathered = take(cand_locals, cand_idx)  # (B, k_train, n, C)
-    tokens = model.fusion.candidate_tokens(gathered, k_train)
+    tokens = model.fusion.candidate_tokens(gathered)
     noise_rng = rng.child("gumbel", tag) if rng is not None else None
     fused = model.fusion.fuse(
         query_focus, tokens, rng=noise_rng, deterministic=deterministic

@@ -6,7 +6,7 @@ import pytest
 from focusrank.config import RunConfig, apply_overrides, default_config, load_config
 from focusrank.data import PairedDataset, SyntheticSpec, generate_synthetic_pairs
 from focusrank.errors import ConfigError, InputError
-from focusrank.pipeline import SIDE_VIDEO, Gallery
+from focusrank.pipeline import Gallery
 
 RNG = np.random.default_rng(61)
 
@@ -83,13 +83,13 @@ class TestGenerator:
 def make_gallery(n=6, c=8, n_local=3):
     globals_ = RNG.normal(size=(n, c))
     globals_ /= np.linalg.norm(globals_, axis=1, keepdims=True)
-    return Gallery(np.arange(n) * 3 + 1, globals_, RNG.normal(size=(n, n_local, c)), SIDE_VIDEO)
+    return Gallery(np.arange(n) * 3 + 1, globals_, RNG.normal(size=(n, n_local, c)))
 
 
 class TestGalleryValidation:
     def test_empty_gallery_rejected_at_construction(self):
         with pytest.raises(InputError):
-            Gallery(np.array([], dtype=np.int64), np.zeros((0, 4)), np.zeros((0, 1, 4)), SIDE_VIDEO)
+            Gallery(np.array([], dtype=np.int64), np.zeros((0, 4)), np.zeros((0, 1, 4)))
 
     @pytest.mark.parametrize("part", ["globals", "locals"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -98,7 +98,7 @@ class TestGalleryValidation:
         globals_, locals_ = gallery.globals_.copy(), gallery.locals_.copy()
         (globals_ if part == "globals" else locals_)[3, 1] = bad
         with pytest.raises(InputError):
-            Gallery(gallery.ids, globals_, locals_, SIDE_VIDEO)
+            Gallery(gallery.ids, globals_, locals_)
 
 
 class TestConfig:

@@ -212,6 +212,16 @@ class TestVideoEncoder:
         with pytest.raises(DimensionError):
             model.encode_video(VideoClip(RNG.normal(size=(2, 5, 16))))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_clip_rejected(self, bad):
+        model = RetrievalModel(tiny_config(), seed=5)
+        clips = RNG.normal(size=(3, 2, 4, 16))
+        clips[1, 0, 2, 7] = bad
+        with pytest.raises(InputError):
+            model.encode_video(VideoClip(clips[1]))
+        with pytest.raises(InputError):
+            model.encode_video_batch(clips)
+
 
 def test_prenormalization_scale_invariance():
     # Scaling every pre-normalization feature by a positive constant must not

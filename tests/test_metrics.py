@@ -7,7 +7,7 @@ from focusrank.config import default_config
 from focusrank.errors import InputError
 from focusrank.metrics import compute_ranks, evaluate_two_stage, summarize
 from focusrank.ops import ParameterSet
-from focusrank.pipeline import SIDE_VIDEO, FusionNetwork, Gallery
+from focusrank.pipeline import FusionNetwork, Gallery
 from focusrank.rng import RandomStream
 
 RNG = np.random.default_rng(53)
@@ -117,6 +117,6 @@ def test_two_stage_evaluation_without_focus_rejected():
     net = FusionNetwork(ParameterSet(), cfg.validate(), RandomStream(0))
     globals_ = RNG.normal(size=(6, 8))
     globals_ /= np.linalg.norm(globals_, axis=1, keepdims=True)
-    gallery = Gallery(np.arange(6), globals_, RNG.normal(size=(6, 2, 8)), SIDE_VIDEO)
+    gallery = Gallery(np.arange(6), globals_, RNG.normal(size=(6, 2, 8)))
     with pytest.raises(InputError):
         evaluate_two_stage((globals_, None), gallery, net=net, k=4)

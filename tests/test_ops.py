@@ -11,7 +11,6 @@ from focusrank.ops import (
     Mlp,
     ParameterSet,
     kaiming_normal,
-    mlp_forward,
     scaled_dot_attention,
 )
 from focusrank.rng import RandomStream
@@ -126,12 +125,12 @@ class TestMlp:
     def test_zero_second_layer_outputs_bias(self):
         p = ParameterSet()
         rng = RandomStream(1)
-        Mlp(p, "mlp", 5, 7, 3, rng)
+        mlp = Mlp(p, "mlp", 5, 7, 3, rng)
         p["mlp.w2"].data[:] = 0.0
         p["mlp.b2"].data[:] = [1.0, -2.0, 0.5]
         for _ in range(3):
-            out = mlp_forward(Tensor(RNG.normal(size=5)), p)
-            np.testing.assert_allclose(out.data, [1.0, -2.0, 0.5], atol=1e-15)
+            out = mlp(Tensor(RNG.normal(size=(1, 5))))
+            np.testing.assert_allclose(out.data, [[1.0, -2.0, 0.5]], atol=1e-15)
 
     def test_identity_configuration(self):
         # Linear region of the gate: gelu(x) ~= x for large positive x, so use
@@ -139,20 +138,20 @@ class TestMlp:
         # from the nonlinearity's bend.
         p = ParameterSet()
         rng = RandomStream(2)
-        Mlp(p, "mlp", 3, 3, 3, rng)
+        mlp = Mlp(p, "mlp", 3, 3, 3, rng)
         p["mlp.w1"].data[:] = np.eye(3) * 30.0
         p["mlp.b1"].data[:] = 0.0
         p["mlp.w2"].data[:] = np.eye(3) / 30.0
         p["mlp.b2"].data[:] = 0.0
-        x = np.array([1.0, 2.0, 3.0])
-        out = mlp_forward(Tensor(x), p)
+        x = np.array([[1.0, 2.0, 3.0]])
+        out = mlp(Tensor(x))
         np.testing.assert_allclose(out.data, x, rtol=1e-9)
 
     def test_matches_matrix_oracle(self):
         p = ParameterSet()
-        Mlp(p, "mlp", 8, 16, 4, RandomStream(3))
-        x = RNG.normal(size=8)
-        out = mlp_forward(Tensor(x), p).data
+        mlp = Mlp(p, "mlp", 8, 16, 4, RandomStream(3))
+        x = RNG.normal(size=(2, 8))
+        out = mlp(Tensor(x)).data
 
         def gelu_ref(v):
             return 0.5 * v * (1 + np.tanh(np.sqrt(2 / np.pi) * (v + 0.044715 * v**3)))
@@ -163,14 +162,10 @@ class TestMlp:
 
     def test_missing_parameter_raises(self):
         p = ParameterSet()
+        mlp = Mlp(p, "mlp", 3, 3, 3, RandomStream(0))
+        mlp.prefix = "nope"
         with pytest.raises(ConfigError):
-            mlp_forward(Tensor(np.zeros(3)), p, prefix="nope")
-
-    def test_unknown_activation_raises(self):
-        p = ParameterSet()
-        Mlp(p, "mlp", 3, 3, 3, RandomStream(0))
-        with pytest.raises(ConfigError):
-            mlp_forward(Tensor(np.zeros(3)), p, activation="relu6")
+            mlp(Tensor(np.zeros((1, 3))))
 
 
 class TestParameterSet:

@@ -8,17 +8,16 @@ from hypothesis import strategies as st
 from focusrank.config import default_config
 from focusrank.encoders import EncodedItem
 from focusrank.errors import DimensionError, InputError
+from focusrank import pipeline
 from focusrank.ops import ParameterSet
 from focusrank.pipeline import (
-    SIDE_VIDEO,
-    CandidateSet,
+    FUSION_CHUNK,
     FusionNetwork,
     Gallery,
     broad_view_scores,
     compose_scores,
     focused_fuse,
     project_deltas,
-    rank_broad_only,
     rank_full,
     rank_queries,
     select_top_k,
@@ -36,9 +35,7 @@ def unit_rows(n, c, rng=RNG):
 
 
 def make_gallery(n=12, c=8, n_local=3, rng=RNG):
-    return Gallery(
-        np.arange(n), unit_rows(n, c, rng), rng.normal(size=(n, n_local, c)), SIDE_VIDEO
-    )
+    return Gallery(np.arange(n), unit_rows(n, c, rng), rng.normal(size=(n, n_local, c)))
 
 
 def make_net(cfg=None, seed=0, randomize=False):
@@ -78,7 +75,7 @@ def compose_oracle(scores, cand_indices, deltas, include_stage1=True):
 class TestBroadViewScores:
     def test_orthonormal_construction(self):
         globals_ = np.eye(6)
-        gallery = Gallery(np.arange(6), globals_, np.zeros((6, 2, 6)), SIDE_VIDEO)
+        gallery = Gallery(np.arange(6), globals_, np.zeros((6, 2, 6)))
         scores = broad_view_scores(globals_[3], gallery)
         np.testing.assert_array_equal(scores, [0, 0, 0, 1, 0, 0])
 
@@ -99,7 +96,7 @@ class TestBroadViewScores:
 
     def test_empty_gallery_rejected(self):
         with pytest.raises(InputError):
-            Gallery(np.array([], dtype=np.int64), np.zeros((0, 4)), np.zeros((0, 1, 4)), SIDE_VIDEO)
+            Gallery(np.array([], dtype=np.int64), np.zeros((0, 4)), np.zeros((0, 1, 4)))
 
     def test_width_mismatch_rejected(self):
         with pytest.raises(DimensionError):
@@ -110,7 +107,7 @@ class TestSelectTopK:
     def test_tie_broken_by_lower_index(self):
         cands = select_top_k(np.array([0.9, 0.1, 0.9, 0.5]), 2)
         np.testing.assert_array_equal(cands.indices, [0, 2])
-        assert not cands.clamped
+        assert cands.k == 2
 
     def test_full_selection_is_sorted_order(self):
         scores = RNG.normal(size=9)
@@ -122,28 +119,30 @@ class TestSelectTopK:
             scores = RNG.normal(size=RNG.integers(10, 40))
             k = int(RNG.integers(1, 11))
             cands = select_top_k(scores, k)
-            expected = sorted(range(len(scores)), key=lambda i: (-scores[i], i))[:k]
-            np.testing.assert_array_equal(cands.indices, expected)
-            assert np.all(np.diff(cands.stage1_scores) <= 0)
+            expected = sorted(range(len(scores)), key=lambda i: (-scores[i], i))
+            np.testing.assert_array_equal(cands.order, expected)
+            np.testing.assert_array_equal(cands.indices, expected[:k])
+            assert np.all(np.diff(cands.scores[cands.order]) <= 0)
 
-    def test_clamps_and_flags(self):
-        cands = select_top_k(np.array([0.3, 0.1]), 5)
-        assert cands.clamped and cands.k == 2
+    def test_clamps_k_to_gallery_size(self):
+        cands = select_top_k(np.array([0.1, 0.3]), 5)
+        assert cands.k == 2
+        np.testing.assert_array_equal(cands.indices, [1, 0])
 
-    def test_attaches_gallery_locals(self):
-        gallery = make_gallery(n=6)
-        scores = broad_view_scores(unit_rows(1, 8)[0], gallery)
-        cands = select_top_k(scores, 3, gallery)
-        np.testing.assert_array_equal(cands.locals_, gallery.locals_[cands.indices])
+    def test_keeps_gallery_aligned_scores(self):
+        scores = RNG.normal(size=7)
+        cands = select_top_k(scores, 3)
+        np.testing.assert_array_equal(cands.scores, scores)
+        assert len(cands.order) == 7
 
 
 class TestFocusedFuse:
     def test_zero_init_projection_is_identity(self):
         net = make_net()
         gallery = make_gallery()
-        cands = select_top_k(broad_view_scores(unit_rows(1, 8)[0], gallery), 4, gallery)
+        cands = select_top_k(broad_view_scores(unit_rows(1, 8)[0], gallery), 4)
         ind = RNG.normal(size=(1, 3, 8))
-        fused = focused_fuse(ind, [cands], net)
+        fused = focused_fuse(ind, gallery.locals_[cands.indices][None], net)
         np.testing.assert_array_equal(fused.data, ind)
 
     def test_single_candidate_single_token(self):
@@ -156,9 +155,8 @@ class TestFocusedFuse:
         cfg.validate()
         net = make_net(cfg, randomize=True)
         local = RNG.normal(size=(1, 1, 8))
-        cands = CandidateSet(np.array([0]), np.array([0.5]), locals_=local)
         ind = RNG.normal(size=(3, 8))
-        fused = focused_fuse(ind[None], [cands], net)
+        fused = focused_fuse(ind[None], local[None], net)
         token = local[0, 0] + net.params["fusion.index_embedding"].data[0]
         w = net.params["fusion.block0.out_w"].data
         b = net.params["fusion.block0.out_b"].data
@@ -175,16 +173,12 @@ class TestFocusedFuse:
         cfg.validate()
         net = make_net(cfg, randomize=True)
         # Two queries, each with its own k=2 candidates of n=3 tokens.
-        cands = [
-            CandidateSet(np.array(idx), np.array(scores), locals_=RNG.normal(size=(2, 3, 8)))
-            for idx, scores in (([1, 0], [0.8, 0.2]), ([0, 2], [0.5, 0.4]))
-        ]
+        cand_locals = RNG.normal(size=(2, 2, 3, 8))
         ind = RNG.normal(size=(2, 2, 8))
-        fused = focused_fuse(ind, cands, net)  # deterministic: g = 0
+        fused = focused_fuse(ind, cand_locals, net)  # deterministic: g = 0
 
         idx_emb = net.params["fusion.index_embedding"].data
-        for q, cand in enumerate(cands):
-            locals_ = cand.locals_
+        for q, locals_ in enumerate(cand_locals):
             tokens = np.concatenate([locals_[0] + idx_emb[0], locals_[1] + idx_emb[1]])
             logits = ind[q] @ tokens.T / np.sqrt(8) / cfg.gumbel_temp
             e = np.exp(logits - logits.max(axis=1, keepdims=True))
@@ -198,15 +192,14 @@ class TestFocusedFuse:
 
     def test_empty_candidates_rejected(self):
         net = make_net()
-        cands = CandidateSet(np.array([], dtype=int), np.array([]), locals_=np.zeros((0, 2, 8)))
         with pytest.raises(InputError):
-            focused_fuse(RNG.normal(size=(1, 3, 8)), [cands], net)
+            focused_fuse(RNG.normal(size=(1, 3, 8)), np.zeros((1, 0, 2, 8)), net)
 
     def test_stochastic_fusion_without_stream_rejected(self):
         from focusrank.errors import ConfigError
 
         net = make_net()  # default config samples Gumbel noise in training
-        tokens = net.candidate_tokens(Tensor(RNG.normal(size=(1, 4, 3, 8))), 4)
+        tokens = net.candidate_tokens(Tensor(RNG.normal(size=(1, 4, 3, 8))))
         with pytest.raises(ConfigError):
             net.fuse(Tensor(RNG.normal(size=(1, 3, 8))), tokens, deterministic=False)
 
@@ -226,14 +219,15 @@ class TestProjectDeltas:
         np.testing.assert_allclose(probs, 0.1, atol=1e-15)
 
     def test_logits_match_mlp_oracle(self):
-        from focusrank.ops import mlp_forward
+        def gelu_ref(v):
+            return 0.5 * v * (1 + np.tanh(np.sqrt(2 / np.pi) * (v + 0.044715 * v**3)))
 
         net = make_net(randomize=True)
         fused = RNG.normal(size=(2, 3, 8))
         logits, deltas = project_deltas(Tensor(fused), net)
+        w = {name: net.params[f"fusion.mlp.{name}"].data for name in ("w1", "b1", "w2", "b2")}
         expected = np.stack([
-            mlp_forward(Tensor(f.reshape(-1)), net.params, "fusion.mlp", net.cfg.activation).data
-            for f in fused
+            gelu_ref(f.reshape(-1) @ w["w1"] + w["b1"]) @ w["w2"] + w["b2"] for f in fused
         ])
         np.testing.assert_allclose(logits, expected, atol=1e-12)
         np.testing.assert_allclose(
@@ -252,13 +246,13 @@ class TestComposeScores:
     def test_zero_deltas_keep_stage1_ranking(self):
         scores = RNG.normal(size=20)
         cands = select_top_k(scores, 5)
-        final = compose_scores(cands, np.zeros(5), scores)
+        final = compose_scores(cands, np.zeros(5))
         np.testing.assert_array_equal(final.order, stage1_order(scores))
 
     def test_delta_promotes_candidate(self):
         scores = np.array([0.8, 0.7])
         cands = select_top_k(scores, 2)
-        final = compose_scores(cands, np.array([0.0, 0.2]), scores)
+        final = compose_scores(cands, np.array([0.0, 0.2]))
         np.testing.assert_allclose(final.final_score, [0.8, 0.9])
         np.testing.assert_array_equal(final.order, [1, 0])
 
@@ -269,7 +263,7 @@ class TestComposeScores:
             scores = RNG.normal(size=n)
             cands = select_top_k(scores, k)
             deltas = RNG.normal(size=k)
-            final = compose_scores(cands, deltas, scores)
+            final = compose_scores(cands, deltas)
             expected = compose_oracle(scores, cands.indices.tolist(), deltas.tolist())
             np.testing.assert_array_equal(final.order, expected)
 
@@ -277,7 +271,7 @@ class TestComposeScores:
         scores = RNG.normal(size=10)
         cands = select_top_k(scores, 4)
         deltas = RNG.normal(size=4)
-        final = compose_scores(cands, deltas, scores, include_stage1=False)
+        final = compose_scores(cands, deltas, include_stage1=False)
         expected = compose_oracle(scores, cands.indices.tolist(), deltas.tolist(), False)
         np.testing.assert_array_equal(final.order, expected)
 
@@ -289,7 +283,7 @@ def test_rerank_containment_and_tail_preservation(seed, n, k):
     scores = rng.normal(size=n)
     k = min(k, n)
     cands = select_top_k(scores, k)
-    final = compose_scores(cands, rng.normal(size=k), scores)
+    final = compose_scores(cands, rng.normal(size=k))
     stage1 = stage1_order(scores)
     # Containment: the re-ranked block is a permutation of the stage-1 top-k.
     assert set(final.order[:k]) == set(stage1[:k])
@@ -304,18 +298,18 @@ class TestRankFull:
         for _ in range(25):
             q = EncodedItem(unit_rows(1, 8)[0], RNG.normal(size=(3, 8)), np.zeros((0, 8)))
             full = rank_full(q, gallery, net, 4)
-            broad = rank_broad_only(q.global_vec, gallery)
-            np.testing.assert_array_equal(full.order, broad.order)
+            broad = stage1_order(broad_view_scores(q.global_vec, gallery))
+            np.testing.assert_array_equal(full.order, broad)
 
     def test_small_gallery_clamps_and_composes(self):
         net = make_net(randomize=True)
         gallery = make_gallery(n=3)  # N < k = 4
         q = EncodedItem(unit_rows(1, 8)[0], RNG.normal(size=(3, 8)), np.zeros((0, 8)))
         final = rank_full(q, gallery, net, 4)
-        assert final.clamped
         scores = broad_view_scores(q.global_vec, gallery)
-        cands = select_top_k(scores, 4, gallery)
-        fused = focused_fuse(q.focus_indicators[None], [cands], net)
+        cands = select_top_k(scores, 4)
+        assert cands.k == 3
+        fused = focused_fuse(q.focus_indicators[None], gallery.locals_[cands.indices][None], net)
         _, deltas = project_deltas(fused, net)
         expected = compose_oracle(scores, cands.indices.tolist(), deltas[0, :3].tolist())
         np.testing.assert_array_equal(final.order, expected)
@@ -337,15 +331,17 @@ class TestRankFull:
 
 
 class TestRankQueries:
-    def test_one_batch_matches_single_queries(self):
+    # One fusion chunk, and a batch crossing the chunk boundary (64 + 64 + 2).
+    @pytest.mark.parametrize("q", [FUSION_CHUNK, 2 * FUSION_CHUNK + 2])
+    def test_one_batch_matches_single_queries(self, q):
         # The batched fusion matmul may sum in another order than a batch of
         # one, so scores agree to rounding while orders are identical.
         net = make_net(randomize=True)
         gallery = make_gallery(n=500)
-        globals_ = unit_rows(64, 8)
-        focus = RNG.normal(size=(64, 3, 8))
+        globals_ = unit_rows(q, 8)
+        focus = RNG.normal(size=(q, 3, 8))
         batched = rank_queries(globals_, focus, gallery, net, 4)
-        assert len(batched) == 64
+        assert len(batched) == q
         for i, got in enumerate(batched):
             (single,) = rank_queries(globals_[i : i + 1], focus[i : i + 1], gallery, net, 4)
             np.testing.assert_array_equal(got.order, single.order)
@@ -354,6 +350,32 @@ class TestRankQueries:
                     getattr(got, name), getattr(single, name), rtol=0, atol=1e-12
                 )
         assert any(np.any(f.delta != 0) for f in batched)
+
+    @pytest.mark.parametrize("mode", ["broad-only", "two-stage"])
+    def test_one_stage1_sort_per_query(self, mode, monkeypatch):
+        calls = []
+
+        def counting(scores):
+            calls.append(len(scores))
+            return stage1_order(scores)
+
+        monkeypatch.setattr(pipeline, "stage1_order", counting)
+        gallery = make_gallery(n=40)
+        finals = rank_queries(unit_rows(5, 8), RNG.normal(size=(5, 3, 8)), gallery,
+                              make_net(randomize=True), 4, mode)
+        assert calls == [40] * 5
+        assert len(finals) == 5
+
+    def test_broad_only_is_the_stage1_order(self):
+        gallery = make_gallery(n=30)
+        globals_ = unit_rows(3, 8)
+        finals = rank_queries(globals_, None, gallery, make_net(randomize=True), 4, "broad-only")
+        for q, final in zip(globals_, finals):
+            scores = broad_view_scores(q, gallery)
+            np.testing.assert_array_equal(final.order, stage1_order(scores))
+            np.testing.assert_array_equal(final.final_score, scores)
+            np.testing.assert_array_equal(final.stage1_score, scores)
+            assert not final.delta.any()
 
     def test_rank_full_is_a_batch_of_one(self):
         net = make_net(randomize=True)

@@ -14,7 +14,6 @@ from focusrank.tensor import (
     log_softmax,
     no_grad,
     normalize_rows,
-    silu,
     softmax,
     take,
 )
@@ -64,11 +63,11 @@ class TestElementwiseGradients:
         w = Tensor(RNG.normal(size=(3, 5)))
         check_op(lambda t: t @ w, (2, 4, 3))
 
-    def test_exp_log(self):
-        check_op(lambda t: (t.exp() + t.log()), (6,), positive=True)
+    def test_exp(self):
+        check_op(lambda t: t.exp(), (6,), positive=True)
 
-    def test_tanh_sqrt_pow(self):
-        check_op(lambda t: t.tanh() + t.sqrt() + t**1.5, (5,), positive=True)
+    def test_pow(self):
+        check_op(lambda t: t**1.5, (5,), positive=True)
 
     def test_division_by_tensor(self):
         d = Tensor(np.array(0.37), requires_grad=True)
@@ -82,9 +81,6 @@ class TestElementwiseGradients:
 
     def test_gelu(self):
         check_op(gelu, (7,))
-
-    def test_silu(self):
-        check_op(silu, (7,))
 
     def test_softmax_grad(self):
         check_op(lambda t: softmax(t, axis=-1), (3, 4))
@@ -186,7 +182,6 @@ def test_operations_keep_finite_inputs_finite():
             softmax(x).data,
             log_softmax(x).data,
             gelu(x).data,
-            silu(x).data,
             (x * x).sum().data,
             normalize_rows(x).data,
         ]
