@@ -138,10 +138,6 @@ def scaled_dot_attention(
     return weights @ v
 
 
-def affine(x, w, b) -> Tensor:
-    return x @ w + b
-
-
 class Mlp:
     """Two affine layers with a GELU gate between, w2ᵀ gelu(w1ᵀ x + b1) + b2,
     owning `{prefix}.w1/.b1/.w2/.b2` in a parameter set."""
@@ -166,5 +162,5 @@ class Mlp:
     def __call__(self, x) -> Tensor:
         """Map (..., d_in) rows to (..., d_out); `x` needs a batch axis."""
         p, prefix = self.params, self.prefix
-        h = gelu(affine(as_tensor(x), p[f"{prefix}.w1"], p[f"{prefix}.b1"]))
-        return affine(h, p[f"{prefix}.w2"], p[f"{prefix}.b2"])
+        h = gelu(as_tensor(x) @ p[f"{prefix}.w1"] + p[f"{prefix}.b1"])
+        return h @ p[f"{prefix}.w2"] + p[f"{prefix}.b2"]
