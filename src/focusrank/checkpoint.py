@@ -7,11 +7,14 @@ Layout (all integers little-endian):
     name_len u32 | name utf-8 | ndim u32 | dims u32 * ndim | data f64-le
 
 Round-trips are bit-exact. Loading validates the magic, version, header
-checksum and that the file ends exactly where the last record says it does.
+checksum, that names are utf-8, that no record runs past the end of the file
+and that the file ends exactly where the last record says it does. Any
+malformed file raises `FormatError`.
 """
 
 from __future__ import annotations
 
+import math
 import struct
 import zlib
 from pathlib import Path
@@ -72,14 +75,17 @@ def load_parameters(path) -> dict[str, np.ndarray]:
     arrays: dict[str, np.ndarray] = {}
     for _ in range(count):
         name_at = r.pos
-        name = r.read(r.u32()).decode("utf-8")
+        try:
+            name = r.read(r.u32()).decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise FormatError("parameter name is not utf-8", offset=name_at) from exc
         if name in arrays:
             raise FormatError(f"duplicate parameter {name!r}", offset=name_at)
         ndim = r.u32()
         if ndim > 8:
             raise FormatError(f"implausible ndim {ndim}", offset=r.pos - 4)
         shape = tuple(r.u32() for _ in range(ndim))
-        size = int(np.prod(shape, dtype=np.int64)) if shape else 1
+        size = math.prod(shape)  # Python ints: a huge shape cannot wrap negative
         raw = r.read(8 * size)
         arrays[name] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
     if r.pos != len(blob):

@@ -107,9 +107,20 @@ def broad_view_scores(query_global: np.ndarray, gallery: Gallery) -> np.ndarray:
 
 
 def stage1_order(scores: np.ndarray) -> np.ndarray:
-    """Indices sorted by score descending, ties broken by ascending index."""
-    scores = np.asarray(scores)
-    return np.lexsort((np.arange(len(scores)), -scores))
+    """Indices sorted by score descending, ties broken by ascending index.
+
+    numpy's default (unstable, SIMD) argsort is exact when the sorted scores
+    hold no equal adjacent pair and no NaN: the order is then unique, so it
+    equals the stable one. Otherwise an unstable sort may place tied entries
+    (including 0.0 and -0.0) either way, so the stable `lexsort` decides.
+    NaNs sort last, so checking the last entry finds any.
+    """
+    neg = -np.asarray(scores)
+    order = np.argsort(neg)
+    ranked = neg[order]
+    if (ranked[1:] == ranked[:-1]).any() or np.isnan(ranked[-1:]).any():
+        return np.lexsort((np.arange(len(neg)), neg))
+    return order
 
 
 def select_top_k(scores: np.ndarray, k: int) -> CandidateSet:

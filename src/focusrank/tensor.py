@@ -12,7 +12,7 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from .errors import DimensionError, UsageError
+from .errors import DimensionError, InputError, UsageError
 
 _grad_enabled = True
 
@@ -379,7 +379,10 @@ def gelu(t: Tensor) -> Tensor:
 def normalize_rows(t: Tensor) -> Tensor:
     """Scale the last axis to unit L2 norm. Rows must be nonzero."""
     t = as_tensor(t)
-    return t * (t * t).sum(axis=-1, keepdims=True) ** -0.5
+    squared = (t * t).sum(axis=-1, keepdims=True)
+    if (squared.data == 0).any():
+        raise InputError("cannot normalize a row whose norm is zero")
+    return t * squared**-0.5
 
 
 def layer_norm(t: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:

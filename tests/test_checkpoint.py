@@ -1,7 +1,13 @@
 """Parameter checkpoint format: exact round-trips and corruption rejection."""
 
+import contextlib
+import struct
+import zlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from focusrank.checkpoint import load_parameters, save_parameters
 from focusrank.errors import FormatError
@@ -71,3 +77,42 @@ def test_every_header_byte_is_protected(tmp_path):
         path.write_bytes(bytes(corrupted))
         with pytest.raises(FormatError):
             load_parameters(path)
+
+
+def test_name_that_is_not_utf8_rejected(tmp_path):
+    path = tmp_path / "ckpt.bin"
+    save_parameters({"w": np.zeros(2)}, path)
+    blob = bytearray(path.read_bytes())
+    blob[20] = 0xFF  # the name byte, after the header and its u32 length
+    path.write_bytes(bytes(blob))
+    with pytest.raises(FormatError, match="utf-8"):
+        load_parameters(path)
+
+
+def test_shape_whose_size_overflows_int64_rejected(tmp_path):
+    # 2**31 * 2**31 * 2 wraps to a negative int64 element count.
+    path = tmp_path / "ckpt.bin"
+    save_parameters({"w": np.zeros((1, 1, 2))}, path)
+    blob = bytearray(path.read_bytes())
+    blob[25:37] = struct.pack("<3I", 2**31, 2**31, 2)
+    path.write_bytes(bytes(blob))
+    with pytest.raises(FormatError):
+        load_parameters(path)
+
+
+@settings(deadline=None, max_examples=400)
+@given(
+    st.lists(st.tuples(st.integers(0, 10**6), st.integers(1, 255)), min_size=1, max_size=3),
+    st.booleans(),
+)
+def test_mutated_file_loads_or_raises_format_error(tmp_path_factory, mutations, reseal):
+    path = tmp_path_factory.getbasetemp() / "fuzzed.bin"
+    save_parameters(_sample_params(), path)
+    blob = bytearray(path.read_bytes())
+    for at, flip in mutations:
+        blob[at % len(blob)] ^= flip
+    if reseal:  # a fresh header CRC lets a body mutation reach the record parser
+        blob[12:16] = struct.pack("<I", zlib.crc32(bytes(blob[:12])))
+    path.write_bytes(bytes(blob))
+    with contextlib.suppress(FormatError):
+        load_parameters(path)

@@ -1,5 +1,8 @@
 """Two-stage retrieval pipeline: scoring, selection, fusion, composition."""
 
+import importlib
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -101,6 +104,57 @@ class TestBroadViewScores:
     def test_width_mismatch_rejected(self):
         with pytest.raises(DimensionError):
             broad_view_scores(np.ones(5), make_gallery(c=8))
+
+
+SPECIAL_SCORES = np.array([np.nan, np.inf, -np.inf, 0.0, -0.0, 0.5, -0.5, 1.0])
+
+
+def stable_order(scores):
+    return np.lexsort((np.arange(len(scores)), -scores))
+
+
+class TestStage1Order:
+    @settings(deadline=None, max_examples=200)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(0, 600),
+        st.floats(0.0, 1.0),
+        st.sets(st.sampled_from(range(len(SPECIAL_SCORES))), min_size=1),
+    )
+    def test_equals_stable_lexsort(self, seed, n, share, pool):
+        # A pool of one value (NaN alone, say) gives repeats of it with no other tie.
+        rng = np.random.default_rng(seed)
+        scores = rng.normal(size=n)
+        special = rng.random(n) < share
+        scores[special] = rng.choice(SPECIAL_SCORES[sorted(pool)], size=int(special.sum()))
+        np.testing.assert_array_equal(stage1_order(scores), stable_order(scores))
+
+    def test_lexsort_runs_only_on_a_tie(self, monkeypatch):
+        scores = RNG.permutation(4096) / 4096.0
+        tied = scores.copy()
+        tied[7] = tied[3000]
+        expected = stable_order(scores), stable_order(tied)
+        calls = []
+        lexsort = np.lexsort
+
+        def counting(keys):
+            calls.append(len(keys[0]))
+            return lexsort(keys)
+
+        monkeypatch.setattr(np, "lexsort", counting)
+        np.testing.assert_array_equal(stage1_order(scores), expected[0])
+        assert calls == []
+        np.testing.assert_array_equal(stage1_order(tied), expected[1])
+        assert calls == [4096]
+
+
+def test_fusion_chunk_matches_eval_benchmark_op(monkeypatch):
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1]))
+    workloads = importlib.import_module("perfbench.workloads")
+    assert FUSION_CHUNK == workloads.Eval4096.sizes["full"]["chunk"], (
+        "pipeline.FUSION_CHUNK differs from the eval_4096 op size, so an "
+        "eval_4096 op is no longer one fusion batch"
+    )
 
 
 class TestSelectTopK:

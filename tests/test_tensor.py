@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from focusrank.errors import DimensionError, UsageError
+from focusrank.errors import DimensionError, InputError, UsageError
 from focusrank.tensor import (
     Tensor,
     broadcast_to,
@@ -194,6 +194,14 @@ def test_normalize_rows_unit_norm():
     x = rng.normal(size=(5, 8)) * np.logspace(-3, 3, 5)[:, None]
     norms = np.linalg.norm(normalize_rows(Tensor(x)).data, axis=1)
     np.testing.assert_allclose(norms, 1.0, atol=1e-9)
+
+
+def test_normalize_rows_rejects_zero_row():
+    # A zero row has no direction; scaling it by 0**-0.5 would give NaN.
+    x = np.random.default_rng(4).normal(size=(3, 8))
+    x[1] = 0.0
+    with pytest.raises(InputError):
+        normalize_rows(Tensor(x))
 
 
 def test_normalize_rows_scale_invariant():
