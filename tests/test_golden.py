@@ -1,4 +1,4 @@
-"""Golden outputs of the CLI `query` and `eval` verbs, compared byte for byte.
+"""Golden outputs of the CLI `train`, `query` and `eval` verbs, compared byte for byte.
 
 The fixtures under `tests/golden/` pin the ranking and metrics CSVs of a tiny
 run (`pair_count=20`), plus `query` on a gallery smaller than the default
@@ -8,11 +8,17 @@ checkpoint whose zero-initialised tensors (`*.bind.out_*`,
 all the same vector, so a fixture from such a model would pin nothing of
 the focused view.
 
+The training fixtures pin `training_log.csv` and the sha256 of `model.bin`
+after two epochs of `train` at `pair_count=20, batch_size=10`, with Gumbel
+noise, without it (`--deterministic`), with a temperature but no noise, and
+without query indicators.
+
 Regenerate the fixtures (only when a change is meant to alter the outputs):
 
     PYTHONPATH=src python tests/test_golden.py
 """
 
+import hashlib
 import math
 import re
 import sys
@@ -38,6 +44,13 @@ QUERY_CASES = [
     for indicators in ("true", "false")
 ]
 SMALL_DIRECTIONS = ("t2v", "v2t")
+TRAIN_SIZE = ("--set", f"pair_count={PAIR_COUNT}", "--set", "batch_size=10", "--set", "epochs=2")
+TRAIN_CASES = {
+    "default": (),
+    "deterministic": ("--deterministic",),
+    "deterministic_temp": ("--deterministic", "--set", "gumbel_temp=0.7"),
+    "no_indicators": ("--set", "use_query_indicators=false"),
+}
 
 
 def write_checkpoint(path: Path) -> Path:
@@ -77,6 +90,17 @@ def eval_output(out: Path, checkpoint: Path) -> bytes:
     return (out / "metrics.csv").read_bytes()
 
 
+def train_output(out: Path, case: str) -> tuple[bytes, str]:
+    """(training_log.csv bytes, sha256 of model.bin) of one tiny `train` run."""
+    assert execute(parse_args(["train", "--out", str(out), *TRAIN_SIZE, *TRAIN_CASES[case]])) == 0
+    model_digest = hashlib.sha256((out / "model.bin").read_bytes()).hexdigest()
+    return (out / "training_log.csv").read_bytes(), model_digest
+
+
+def train_fixtures(case: str) -> tuple[Path, Path]:
+    return GOLDEN / f"train_{case}_log.csv", GOLDEN / f"train_{case}_model.sha256"
+
+
 def query_fixture(direction: str, indicators: str) -> Path:
     suffix = "indicators" if indicators == "true" else "no_indicators"
     return GOLDEN / f"query_{direction}_{suffix}.csv"
@@ -114,6 +138,14 @@ def test_eval_metrics_match_golden(checkpoint, tmp_path, capsys):
     assert eval_output(tmp_path, checkpoint) == (GOLDEN / "eval_metrics.csv").read_bytes()
 
 
+@pytest.mark.parametrize("case", TRAIN_CASES)
+def test_train_matches_golden(tmp_path, case):
+    log_csv, model_digest = train_output(tmp_path, case)
+    log_fixture, digest_fixture = train_fixtures(case)
+    assert log_csv == log_fixture.read_bytes()
+    assert model_digest == digest_fixture.read_text().strip()
+
+
 def regenerate(work: Path) -> None:
     GOLDEN.mkdir(exist_ok=True)
     ckpt = write_checkpoint(work / "model.bin")
@@ -124,6 +156,11 @@ def regenerate(work: Path) -> None:
         blob = query_output(work / f"small_{direction}", ckpt, direction, "true", SMALL_PAIR_COUNT)
         small_query_fixture(direction).write_bytes(blob)
     (GOLDEN / "eval_metrics.csv").write_bytes(eval_output(work / "eval", ckpt))
+    for case in TRAIN_CASES:
+        log_csv, model_digest = train_output(work / f"train_{case}", case)
+        log_fixture, digest_fixture = train_fixtures(case)
+        log_fixture.write_bytes(log_csv)
+        digest_fixture.write_text(model_digest + "\n")
 
 
 if __name__ == "__main__":
