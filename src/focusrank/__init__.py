@@ -3,7 +3,7 @@
 from .config import RunConfig, default_config, load_config
 from .data import PairedDataset, SyntheticSpec, generate_synthetic_pairs
 from .encoders import EncodedItem, TextSequence, VideoClip
-from .losses import LossReport, combined_loss, contrastive_loss, focused_ce_loss
+from .losses import LossReport, combined_loss, contrastive_loss
 from .metrics import MetricsReport, compute_ranks, evaluate_two_stage, summarize
 from .model import RetrievalModel
 from .ops import ParameterSet, scaled_dot_attention

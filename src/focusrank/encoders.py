@@ -16,7 +16,7 @@ import numpy as np
 
 from .config import RunConfig
 from .errors import DimensionError, InputError
-from .ops import GROUP_BASE, ParameterSet, kaiming_normal, scaled_dot_attention
+from .ops import ParameterSet, kaiming_normal, scaled_dot_attention
 from .rng import RandomStream
 from .tensor import (
     Tensor,
@@ -24,7 +24,6 @@ from .tensor import (
     broadcast_to,
     concat,
     layer_norm,
-    no_grad,
     normalize_rows,
     take,
 )
@@ -86,50 +85,59 @@ def bind_query_indicators(indicators, tokens, out_w, out_b, key_mask=None) -> Te
     return indicators + (attended @ out_w + out_b)
 
 
-class _SelfAttentionLayer:
-    """Pre-normalized residual self-attention: x + attn(h Wq, h Wk, h Wv) Wo
-    with h = layer_norm(x). The normalization keeps the residual stream
-    bounded, which a 2-layer stack trained from scratch needs."""
+class _EncoderTrunk:
+    """L layers of (self-attention, indicator binding) over one side's tokens.
 
-    def __init__(self, params: ParameterSet, prefix: str, dim: int, rng: RandomStream):
+    Owns `{side}.indicators`, then per layer the pre-normalized residual
+    self-attention x + attn(h Wq, h Wk, h Wv) Wo with h = layer_norm(x)
+    (`{side}.layer{i}.self_attn.*`; the normalization keeps the residual
+    stream bounded, which a 2-layer stack trained from scratch needs), then
+    per layer the zero-initialized binding projection `{side}.layer{i}.bind.*`.
+    """
+
+    def __init__(self, params: ParameterSet, cfg: RunConfig, side: str, rng: RandomStream):
         self.params = params
-        self.prefix = prefix
-        for pname in ("wq", "wk", "wv", "wo"):
-            params.add(
-                f"{prefix}.{pname}",
-                kaiming_normal(rng.child(pname), (dim, dim), dim),
-                GROUP_BASE,
-            )
-        params.add(f"{prefix}.ln_gamma", np.ones(dim), GROUP_BASE)
-        params.add(f"{prefix}.ln_beta", np.zeros(dim), GROUP_BASE)
-
-    def __call__(self, x: Tensor, key_mask=None) -> Tensor:
-        p = self.params
-        h = layer_norm(x, p[f"{self.prefix}.ln_gamma"], p[f"{self.prefix}.ln_beta"])
-        q = h @ p[f"{self.prefix}.wq"]
-        k = h @ p[f"{self.prefix}.wk"]
-        v = h @ p[f"{self.prefix}.wv"]
-        return x + scaled_dot_attention(q, k, v, key_mask=key_mask) @ p[f"{self.prefix}.wo"]
-
-
-class _BindingLayer:
-    """Residual cross-attention from indicators onto tokens; identity at init."""
-
-    def __init__(self, params: ParameterSet, prefix: str, dim: int):
-        self.params = params
-        self.prefix = prefix
-        params.add(f"{prefix}.out_w", np.zeros((dim, dim)), GROUP_BASE)
-        params.add(f"{prefix}.out_b", np.zeros(dim), GROUP_BASE)
-
-    def __call__(self, indicators: Tensor, tokens: Tensor, key_mask=None) -> Tensor:
-        p = self.params
-        return bind_query_indicators(
-            indicators,
-            tokens,
-            p[f"{self.prefix}.out_w"],
-            p[f"{self.prefix}.out_b"],
-            key_mask=key_mask,
+        self.cfg = cfg
+        self.side = side
+        c = cfg.dim
+        params.add(
+            f"{side}.indicators",
+            kaiming_normal(rng.child("indicators"), (cfg.indicator_count, c), c),
         )
+        for i in range(cfg.layers):
+            sa_rng = rng.child("sa", i)
+            for pname in ("wq", "wk", "wv", "wo"):
+                params.add(
+                    f"{side}.layer{i}.self_attn.{pname}",
+                    kaiming_normal(sa_rng.child(pname), (c, c), c),
+                )
+            params.add(f"{side}.layer{i}.self_attn.ln_gamma", np.ones(c))
+            params.add(f"{side}.layer{i}.self_attn.ln_beta", np.zeros(c))
+        for i in range(cfg.layers):
+            params.add(f"{side}.layer{i}.bind.out_w", np.zeros((c, c)))
+            params.add(f"{side}.layer{i}.bind.out_b", np.zeros(c))
+
+    def __call__(self, x: Tensor, key_mask=None) -> tuple[Tensor, Tensor | None]:
+        """Run the stack over (B, S, C) tokens.
+
+        Returns (token states (B, S, C), indicators (B, m, C) or None without
+        query indicators).
+        """
+        p, cfg = self.params, self.cfg
+        indicators = p[f"{self.side}.indicators"].reshape(1, cfg.indicator_count, cfg.dim)
+        for i in range(cfg.layers):
+            sa = f"{self.side}.layer{i}.self_attn"
+            h = layer_norm(x, p[f"{sa}.ln_gamma"], p[f"{sa}.ln_beta"])
+            q = h @ p[f"{sa}.wq"]
+            k = h @ p[f"{sa}.wk"]
+            v = h @ p[f"{sa}.wv"]
+            x = x + scaled_dot_attention(q, k, v, key_mask=key_mask) @ p[f"{sa}.wo"]
+            if cfg.use_query_indicators:
+                bind = f"{self.side}.layer{i}.bind"
+                indicators = bind_query_indicators(
+                    indicators, x, p[f"{bind}.out_w"], p[f"{bind}.out_b"], key_mask=key_mask
+                )
+        return x, indicators if cfg.use_query_indicators else None
 
 
 class TextEncoder:
@@ -147,17 +155,7 @@ class TextEncoder:
             "text.position_embedding",
             rng.child("pos").normal((cfg.max_text_len, c), scale=0.02),
         )
-        params.add(
-            "text.indicators",
-            kaiming_normal(rng.child("indicators"), (cfg.indicator_count, c), c),
-        )
-        self.self_attn = [
-            _SelfAttentionLayer(params, f"text.layer{i}.self_attn", c, rng.child("sa", i))
-            for i in range(cfg.layers)
-        ]
-        self.binding = [
-            _BindingLayer(params, f"text.layer{i}.bind", c) for i in range(cfg.layers)
-        ]
+        self.trunk = _EncoderTrunk(params, cfg, "text", rng)
 
     def forward(self, tokens: np.ndarray, key_mask: np.ndarray | None = None):
         """Encode a (B, M) batch of token ids.
@@ -186,15 +184,8 @@ class TextEncoder:
         p = self.params
         m_len = tokens.shape[1]
         x = take(p["text.token_embedding"], tokens) + p["text.position_embedding"][:m_len]
-        indicators = p["text.indicators"].reshape(1, self.cfg.indicator_count, self.cfg.dim)
-        for attn, bind in zip(self.self_attn, self.binding):
-            x = attn(x, key_mask=key_mask)
-            if self.cfg.use_query_indicators:
-                indicators = bind(indicators, x, key_mask=key_mask)
-        if self.cfg.use_query_indicators:
-            indicators = broadcast_to(
-                indicators, (tokens.shape[0], self.cfg.indicator_count, self.cfg.dim)
-            )
+        x, indicators = self.trunk(x, key_mask=key_mask)
+        if indicators is not None:
             global_vec = normalize_rows(indicators[:, 0, :])
             focus = indicators[:, 1:, :]
         else:
@@ -230,17 +221,7 @@ class VideoEncoder:
             "video.patch_pos_embedding",
             rng.child("pos").normal((cfg.patch_count, c), scale=0.02),
         )
-        params.add(
-            "video.indicators",
-            kaiming_normal(rng.child("indicators"), (cfg.indicator_count, c), c),
-        )
-        self.self_attn = [
-            _SelfAttentionLayer(params, f"video.layer{i}.self_attn", c, rng.child("sa", i))
-            for i in range(cfg.layers)
-        ]
-        self.binding = [
-            _BindingLayer(params, f"video.layer{i}.bind", c) for i in range(cfg.layers)
-        ]
+        self.trunk = _EncoderTrunk(params, cfg, "video", rng)
 
     def forward(self, clips: np.ndarray):
         """Encode a (B, T, P^2, D) batch of patch-feature grids.
@@ -272,16 +253,9 @@ class VideoEncoder:
         x = x.reshape(b, t * n_patches, c)
         cls = broadcast_to(p["video.cls_token"].reshape(1, 1, c), (b, 1, c))
         x = concat([cls, x], axis=1)
-        indicators = p["video.indicators"].reshape(1, cfg.indicator_count, c)
-        for attn, bind in zip(self.self_attn, self.binding):
-            x = attn(x)
-            if cfg.use_query_indicators:
-                indicators = bind(indicators, x)
+        x, indicators = self.trunk(x)
         global_vec = normalize_rows(x[:, 0, :])
         patch_states = x[:, 1:, :].reshape(b, t, n_patches, c)
         locals_ = temporal_mean_pool(patch_states)
-        if cfg.use_query_indicators:
-            focus = broadcast_to(indicators, (b, cfg.indicator_count, c))[:, 1:, :]
-        else:
-            focus = None
+        focus = None if indicators is None else indicators[:, 1:, :]
         return global_vec, focus, locals_

@@ -155,10 +155,10 @@ def run_gradient_suite(seed: int = 0, eps: float = 1e-5) -> list[GradCheckResult
 
     # Focused cross-entropy.
     p = ParameterSet()
-    logits = p.add("logits", rng.child("ce").normal(3))
+    logits = p.add("logits", rng.child("ce").normal(3).reshape(1, 3))
     results.append(
         check_gradients(
-            lambda: losses.focused_ce_loss(logits, 1), p, eps, name="focused-ce"
+            lambda: losses.cross_entropy(logits, [1]), p, eps, name="focused-ce"
         )
     )
 
@@ -194,7 +194,7 @@ def run_gradient_suite(seed: int = 0, eps: float = 1e-5) -> list[GradCheckResult
     )
     results.append(
         check_gradients(
-            lambda: training_loss(model, batch, cfg, deterministic=True).combined_tensor,
+            lambda: training_loss(model, batch, cfg).combined_tensor,
             model.params,
             eps,
             name="combined-objective",

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, InputError, UsageError
+from .errors import ConfigError, DimensionError, InputError, UsageError
 from .tensor import Tensor, as_tensor, log_softmax, normalize_rows
 
 
@@ -26,12 +26,6 @@ class LossReport:
             np.isfinite(v)
             for v in (self.t2v, self.v2t, self.focus_t, self.focus_v, self.combined)
         )
-
-
-def _diag_mean(log_probs: Tensor) -> Tensor:
-    b = log_probs.shape[0]
-    eye = Tensor(np.eye(b))
-    return (log_probs * eye).sum() * (1.0 / b)
 
 
 def contrastive_loss(text_globals, video_globals, temperature, direction: str) -> Tensor:
@@ -56,29 +50,23 @@ def contrastive_loss(text_globals, video_globals, temperature, direction: str) -
     sims = text_globals @ video_globals.T
     if direction == "v2t":
         sims = sims.T
-    log_probs = log_softmax(sims / temperature, axis=-1)
-    return -_diag_mean(log_probs)
+    return cross_entropy(sims / temperature, np.arange(sims.shape[0]))
 
 
-def focused_ce_loss(logits, true_position: int) -> Tensor:
-    """-log softmax(logits)[true_position] for one candidate set."""
+def cross_entropy(logits, targets) -> Tensor:
+    """Mean over rows of -log softmax(logits[i])[targets[i]] for (B, k) logits."""
     logits = as_tensor(logits)
-    k = logits.shape[-1]
-    if not 0 <= true_position < k:
-        raise UsageError(f"true_position {true_position} out of range for k={k}")
-    return -log_softmax(logits, axis=-1)[true_position]
-
-
-def focused_ce_loss_batch(logits: Tensor, positions: np.ndarray) -> Tensor:
-    """Mean cross-entropy over (B, k) logits with per-row target positions."""
+    if logits.ndim != 2:
+        raise DimensionError(f"cross-entropy expects (B, k) logits, got {logits.shape}")
     b, k = logits.shape
-    positions = np.asarray(positions)
-    if positions.min() < 0 or positions.max() >= k:
-        raise UsageError("target position out of range")
+    targets = np.asarray(targets)
+    if targets.shape != (b,):
+        raise DimensionError(f"{targets.shape} targets for {b} logit rows")
+    if targets.min() < 0 or targets.max() >= k:
+        raise UsageError(f"target position out of range for k={k}")
     onehot = np.zeros((b, k))
-    onehot[np.arange(b), positions] = 1.0
-    log_probs = log_softmax(logits, axis=-1)
-    return -(log_probs * Tensor(onehot)).sum() * (1.0 / b)
+    onehot[np.arange(b), targets] = 1.0
+    return -(log_softmax(logits, axis=-1) * Tensor(onehot)).sum() * (1.0 / b)
 
 
 def combined_loss(t2v, v2t, focus_v, focus_t) -> Tensor:

@@ -109,9 +109,9 @@ def scaled_dot_attention(
 
     q: (..., m, d); k, v: (..., s, d). When `use_gumbel` is set, per-logit
     Gumbel(0, 1) noise from `rng` is added before normalizing and the logits
-    are divided by `gumbel_temp`; passing rng=None keeps the noise at zero
-    (deterministic mode). `key_mask` (..., s) marks valid keys with 1;
-    masked keys receive exactly zero attention weight.
+    are divided by `gumbel_temp`; passing rng=None keeps the noise at zero.
+    `key_mask` (..., s) marks valid keys with 1; masked keys receive exactly
+    zero attention weight.
     """
     q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
     if q.ndim < 2 or k.ndim < 2 or v.ndim < 2:

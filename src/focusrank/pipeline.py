@@ -180,33 +180,24 @@ class FusionNetwork:
         return (locals_ + idx).reshape(b, k_sel * n, c)
 
     def fuse(
-        self,
-        indicators: Tensor,
-        cand_tokens: Tensor,
-        rng: RandomStream | None = None,
-        deterministic: bool = True,
+        self, indicators: Tensor, cand_tokens: Tensor, rng: RandomStream | None = None
     ) -> Tensor:
         """Run the residual cross-attention blocks over the candidate tokens.
 
-        Gumbel noise perturbs the attention logits only when the config asks
-        for it and `deterministic` is off; inference always runs deterministic.
+        With `use_gumbel` set the attention logits are divided by
+        `gumbel_temp`, and Gumbel noise from `rng` perturbs them when a stream
+        is given. Inference passes no stream.
         """
         if cand_tokens.shape[-2] == 0:
             raise InputError("focused fusion needs at least one candidate token")
-        use_gumbel = self.cfg.use_gumbel
         for b in range(self.blocks):
-            noise_rng = None
-            if use_gumbel and not deterministic:
-                if rng is None:
-                    raise ConfigError("stochastic fusion requires a random stream")
-                noise_rng = rng.child("fusion-block", b)
             attended = scaled_dot_attention(
                 indicators,
                 cand_tokens,
                 cand_tokens,
-                use_gumbel=use_gumbel,
+                use_gumbel=self.cfg.use_gumbel,
                 gumbel_temp=self.cfg.gumbel_temp,
-                rng=noise_rng,
+                rng=None if rng is None else rng.child("fusion-block", b),
             )
             w = self.params[f"fusion.block{b}.out_w"]
             bias = self.params[f"fusion.block{b}.out_b"]

@@ -9,12 +9,7 @@ import numpy as np
 
 from .config import RunConfig
 from .errors import InputError, TrainingAbort
-from .losses import (
-    LossReport,
-    combined_loss,
-    contrastive_loss,
-    focused_ce_loss_batch,
-)
+from .losses import LossReport, combined_loss, contrastive_loss, cross_entropy
 from .model import RetrievalModel
 from .ops import GROUP_FUSION, ParameterSet
 from .pipeline import stage1_order
@@ -83,10 +78,11 @@ def training_loss(
     batch: Batch,
     cfg: RunConfig,
     rng: RandomStream | None = None,
-    deterministic: bool = False,
 ) -> LossBundle:
     """Forward pass of one step: both contrastive terms plus both focused
-    cross-entropy terms over injected in-batch candidate sets."""
+    cross-entropy terms over injected in-batch candidate sets. Fusion samples
+    Gumbel noise from `rng` when the config asks for it; without a stream it
+    adds none."""
     b = len(batch)
     if b < 2:
         raise InputError("training batch must have at least 2 pairs")
@@ -101,12 +97,8 @@ def training_loss(
 
     if cfg.use_query_indicators:
         sims = t_global.data @ v_global.data.T
-        l_focus_t, cal_t = _focused_direction(
-            model, t_focus, v_locals, sims, k_train, rng, deterministic, "t"
-        )
-        l_focus_v, cal_v = _focused_direction(
-            model, v_focus, t_locals, sims.T, k_train, rng, deterministic, "v"
-        )
+        l_focus_t, cal_t = _focused_direction(model, t_focus, v_locals, sims, k_train, rng, "t")
+        l_focus_v, cal_v = _focused_direction(model, v_focus, t_locals, sims.T, k_train, rng, "v")
         calibration = cal_t + cal_v
     else:
         l_focus_t = Tensor(0.0)
@@ -117,7 +109,7 @@ def training_loss(
     return LossBundle(l_t2v, l_v2t, l_focus_t, l_focus_v, combined, calibration)
 
 
-def _focused_direction(model, query_focus, cand_locals, sims, k_train, rng, deterministic, tag):
+def _focused_direction(model, query_focus, cand_locals, sims, k_train, rng, tag):
     b = sims.shape[0]
     cand_idx = np.empty((b, k_train), dtype=np.int64)
     positions = np.empty(b, dtype=np.int64)
@@ -126,17 +118,15 @@ def _focused_direction(model, query_focus, cand_locals, sims, k_train, rng, dete
     gathered = take(cand_locals, cand_idx)  # (B, k_train, n, C)
     tokens = model.fusion.candidate_tokens(gathered)
     noise_rng = rng.child("gumbel", tag) if rng is not None else None
-    fused = model.fusion.fuse(
-        query_focus, tokens, rng=noise_rng, deterministic=deterministic
-    )
+    fused = model.fusion.fuse(query_focus, tokens, rng=noise_rng)
     logits, deltas = model.fusion.project(fused)
-    focus = focused_ce_loss_batch(logits[:, :k_train], positions)
+    focus = cross_entropy(logits[:, :k_train], positions)
     # Calibration of the delta scale over detached logits and stage-1 scores:
     # cross-entropy of the composed candidate scores, gradient on the scale only.
     scale = model.fusion.params["fusion.delta_scale"]
     stage1 = Tensor(np.take_along_axis(sims, cand_idx, axis=1))
     composed = stage1 + scale * logits[:, :k_train].detach()
-    calibration = focused_ce_loss_batch(composed, positions)
+    calibration = cross_entropy(composed, positions)
     return focus, calibration
 
 
@@ -192,11 +182,11 @@ def train_step(
     batch: Batch,
     cfg: RunConfig,
     optimizer: AdamW,
-    rng: RandomStream,
-    deterministic: bool = False,
+    rng: RandomStream | None,
 ) -> LossReport:
-    """One optimizer update; aborts with diagnostics on a non-finite loss."""
-    bundle = training_loss(model, batch, cfg, rng=rng, deterministic=deterministic)
+    """One optimizer update; aborts with diagnostics on a non-finite loss.
+    `rng=None` runs fusion without Gumbel noise."""
+    bundle = training_loss(model, batch, cfg, rng=rng)
     report = bundle.report()
     if not report.finite():
         raise TrainingAbort(
@@ -254,7 +244,8 @@ def train_loop(
     deterministic: bool = False,
 ) -> list[StepLog]:
     """Seeded epochs of train_step; emits a checkpoint per epoch when out_dir
-    is given and returns the per-step loss log."""
+    is given and returns the per-step loss log. `deterministic` trains
+    without Gumbel noise: every step gets no random stream."""
     if len(dataset) == 0:
         raise InputError("cannot train on an empty dataset")
     stream = RandomStream(cfg.seed).child("train")
@@ -265,14 +256,8 @@ def train_loop(
     for epoch in range(cfg.epochs):
         order = shuffle_cohorts(dataset.groups, stream.child("shuffle", epoch))
         for step, batch in enumerate(iterate_batches(dataset, order, cfg.batch_size)):
-            report = train_step(
-                model,
-                batch,
-                cfg,
-                optimizer,
-                stream.child("step", epoch, step),
-                deterministic=deterministic,
-            )
+            step_rng = None if deterministic else stream.child("step", epoch, step)
+            report = train_step(model, batch, cfg, optimizer, step_rng)
             logs.append(StepLog(epoch, step, report))
         if out_dir is not None:
             model.save(f"{out_dir}/checkpoint_epoch_{epoch}.bin")

@@ -5,13 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from focusrank.errors import ConfigError, InputError, UsageError
-from focusrank.losses import (
-    combined_loss,
-    contrastive_loss,
-    focused_ce_loss,
-    focused_ce_loss_batch,
-)
+from focusrank.errors import ConfigError, DimensionError, InputError, UsageError
+from focusrank.losses import combined_loss, contrastive_loss, cross_entropy
 from focusrank.tensor import Tensor
 
 RNG = np.random.default_rng(41)
@@ -20,6 +15,15 @@ RNG = np.random.default_rng(41)
 def unit_rows(n, c, rng=RNG):
     x = rng.normal(size=(n, c))
     return x / np.linalg.norm(x, axis=1, keepdims=True)
+
+
+def ce_oracle(logits, targets):
+    """Row-by-row numpy evaluation of mean_i -log softmax(logits[i])[targets[i]]."""
+    total = 0.0
+    for row, target in zip(logits, targets):
+        shifted = row - row.max()
+        total += -(shifted[target] - math.log(np.exp(shifted).sum()))
+    return total / len(targets)
 
 
 def nce_oracle(sims, tau, axis):
@@ -114,36 +118,59 @@ class TestContrastiveLoss:
 
 
 class TestFocusedCeLoss:
+    """The focused loss is `cross_entropy` over (B, k) candidate rows."""
+
     def test_uniform_logits_log_k(self):
-        loss = focused_ce_loss(Tensor(np.zeros(10)), 3)
+        loss = cross_entropy(Tensor(np.zeros((1, 10))), [3])
         assert abs(float(loss.data) - 2.302585092994046) < 1e-12
 
     def test_saturated_true_logit(self):
-        logits = np.zeros(5)
-        logits[2] = 20.0
-        loss = focused_ce_loss(Tensor(logits), 2)
+        logits = np.zeros((1, 5))
+        logits[0, 2] = 20.0
+        loss = cross_entropy(Tensor(logits), [2])
         assert float(loss.data) <= 1e-8
 
     def test_matches_scalar_oracle(self):
-        logits = RNG.normal(size=5)
-        pos = 4
-        loss = focused_ce_loss(Tensor(logits), pos)
-        shifted = logits - logits.max()
-        expected = -(shifted[pos] - math.log(np.exp(shifted).sum()))
-        assert abs(float(loss.data) - expected) < 1e-12
+        logits = RNG.normal(size=(1, 5))
+        loss = cross_entropy(Tensor(logits), [4])
+        assert abs(float(loss.data) - ce_oracle(logits, [4])) < 1e-12
 
     def test_out_of_range_position_rejected(self):
         with pytest.raises(UsageError):
-            focused_ce_loss(Tensor(np.zeros(4)), 4)
+            cross_entropy(Tensor(np.zeros((1, 4))), [4])
         with pytest.raises(UsageError):
-            focused_ce_loss(Tensor(np.zeros(4)), -1)
+            cross_entropy(Tensor(np.zeros((1, 4))), [-1])
 
     def test_batch_version_is_mean_of_singles(self):
         logits = RNG.normal(size=(3, 5))
-        positions = np.array([0, 4, 2])
-        batch = focused_ce_loss_batch(Tensor(logits), positions)
-        singles = [float(focused_ce_loss(Tensor(l), p).data) for l, p in zip(logits, positions)]
+        targets = np.array([0, 4, 2])
+        batch = cross_entropy(Tensor(logits), targets)
+        singles = [
+            float(cross_entropy(Tensor(row[None]), [t]).data) for row, t in zip(logits, targets)
+        ]
         assert abs(float(batch.data) - np.mean(singles)) < 1e-12
+        assert abs(float(batch.data) - ce_oracle(logits, targets)) < 1e-12
+
+    def test_gradient_is_softmax_minus_onehot(self):
+        logits = Tensor(RNG.normal(size=(3, 5)), requires_grad=True)
+        targets = np.array([1, 1, 3])
+        cross_entropy(logits, targets).backward()
+        probs = np.exp(logits.data) / np.exp(logits.data).sum(axis=1, keepdims=True)
+        probs[np.arange(3), targets] -= 1.0
+        np.testing.assert_allclose(logits.grad, probs / 3, atol=1e-15)
+
+    def test_contrastive_is_cross_entropy_on_the_diagonal(self):
+        text, video = Tensor(unit_rows(4, 6)), Tensor(unit_rows(4, 6))
+        sims = text @ video.T
+        for direction, logits in (("t2v", sims), ("v2t", sims.T)):
+            got = contrastive_loss(text, video, 0.1, direction)
+            want = cross_entropy(logits / 0.1, np.arange(4))
+            assert float(got.data) == float(want.data)
+
+    @pytest.mark.parametrize("logits,targets", [((5,), [1]), ((2, 5), [1]), ((2, 5), [[0], [1]])])
+    def test_mis_shaped_input_rejected(self, logits, targets):
+        with pytest.raises(DimensionError):
+            cross_entropy(Tensor(np.zeros(logits)), targets)
 
 
 class TestCombinedLoss:

@@ -244,13 +244,15 @@ class TestFocusedFuse:
         with pytest.raises(InputError):
             focused_fuse(RNG.normal(size=(1, 3, 8)), np.zeros((1, 0, 2, 8)), net)
 
-    def test_stochastic_fusion_without_stream_rejected(self):
-        from focusrank.errors import ConfigError
-
-        net = make_net()  # default config samples Gumbel noise in training
+    def test_noise_only_with_a_stream(self):
+        net = make_net(randomize=True)  # default config samples Gumbel noise in training
         tokens = net.candidate_tokens(Tensor(RNG.normal(size=(1, 4, 3, 8))))
-        with pytest.raises(ConfigError):
-            net.fuse(Tensor(RNG.normal(size=(1, 3, 8))), tokens, deterministic=False)
+        ind = Tensor(RNG.normal(size=(1, 3, 8)))
+        plain = net.fuse(ind, tokens).data
+        np.testing.assert_array_equal(net.fuse(ind, tokens).data, plain)
+        noisy = net.fuse(ind, tokens, rng=RandomStream(3)).data
+        np.testing.assert_array_equal(net.fuse(ind, tokens, rng=RandomStream(3)).data, noisy)
+        assert not np.array_equal(noisy, plain)
 
 
 class TestProjectDeltas:
