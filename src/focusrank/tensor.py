@@ -15,6 +15,7 @@ import numpy as np
 from .errors import DimensionError, InputError, UsageError
 
 _grad_enabled = True
+_BASIC_KEYS = (int, np.integer, slice, type(None), type(Ellipsis))
 
 
 @contextmanager
@@ -186,6 +187,11 @@ class Tensor:
         return as_tensor(other) * self**-1.0
 
     def __getitem__(self, key):
+        """Basic indexing only: ints, slices, None and Ellipsis. Array and list
+        keys are rejected; `take` is the gather, since a repeated index needs
+        its scatter-add backward."""
+        if not all(isinstance(k, _BASIC_KEYS) for k in (key if isinstance(key, tuple) else (key,))):
+            raise UsageError(f"Tensor index {key!r} is not basic; gather with take()")
         out = _result(self.data[key], (self,))
         if out._parents:
 

@@ -98,6 +98,26 @@ class TestElementwiseGradients:
         idx = np.array([[0, 2], [2, 2]])
         check_op(lambda t: take(t, idx), (3, 4))
 
+    def test_take_counts_repeated_indices(self):
+        x = Tensor(np.arange(4.0), requires_grad=True)
+        take(x, np.array([0, 0, 2])).sum().backward()
+        np.testing.assert_array_equal(x.grad, [2.0, 0.0, 1.0, 0.0])
+
+    @pytest.mark.parametrize(
+        "key",
+        [
+            np.array([0, 0, 2]),
+            [0, 0, 2],
+            (slice(None), np.array([1, 1])),
+            np.array([True, False, True, True]),
+        ],
+    )
+    def test_array_index_rejected(self, key):
+        # `__getitem__` would route a repeated index's gradient only once.
+        x = Tensor(np.ones((4, 4)), requires_grad=True)
+        with pytest.raises(UsageError):
+            x[key]
+
     def test_concat(self):
         other = Tensor(RNG.normal(size=(2, 4)))
         check_op(lambda t: concat([t, other, t], axis=0), (2, 4))
