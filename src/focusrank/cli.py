@@ -84,8 +84,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="config override; ablate accepts comma lists to sweep")
         p.add_argument("--out", default="out", help="artifact directory")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
-        p.add_argument("--deterministic", action="store_true",
-                       help="disable gumbel noise during training as well")
+        if verb in ("train", "ablate"):
+            p.add_argument("--deterministic", action="store_true",
+                           help="train without gumbel noise")
         if verb == "ablate":
             p.add_argument("--components", action="store_true",
                            help="run the cumulative component rows instead of a key sweep")
@@ -101,7 +102,7 @@ def parse_args(argv) -> Command:
         overrides=overrides,
         out_dir=ns.out,
         seed=ns.seed,
-        deterministic=ns.deterministic,
+        deterministic=getattr(ns, "deterministic", False),
         components=getattr(ns, "components", False),
     )
 

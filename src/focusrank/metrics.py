@@ -23,9 +23,6 @@ class MetricsReport:
 
     CSV_HEADER = ("direction", "stage", "R@1", "R@5", "R@10", "MdR", "MnR")
 
-    def csv_row(self) -> tuple:
-        return (self.direction, self.stage, self.r1, self.r5, self.r10, self.mdr, self.mnr)
-
 
 def compute_ranks(ranked_ids: list[np.ndarray], truth_ids: list[int]) -> np.ndarray:
     """1-based rank of the true item in each query's final ordering."""

@@ -71,11 +71,17 @@ class TestParseArgs:
 
     def test_flags(self):
         cmd = parse_args(
-            ["eval", "--out", "artifacts", "--seed", "9", "--deterministic"]
+            ["train", "--out", "artifacts", "--seed", "9", "--deterministic"]
         )
         assert cmd.out_dir == "artifacts"
         assert cmd.seed == 9
         assert cmd.deterministic
+
+    @pytest.mark.parametrize("verb", ["eval", "query", "gradcheck"])
+    def test_deterministic_only_for_training_verbs(self, verb, capsys):
+        with pytest.raises(SystemExit):
+            parse_args([verb, "--deterministic"])
+        assert parse_args(["ablate", "--set", "k=2,3", "--deterministic"]).deterministic
 
 
 class TestExecute:
