@@ -38,10 +38,7 @@ def contrastive_loss(text_globals, video_globals, temperature, direction: str) -
         raise UsageError(f"unknown direction {direction!r}")
     text_globals = as_tensor(text_globals)
     video_globals = as_tensor(video_globals)
-    if isinstance(temperature, Tensor):
-        if float(temperature.data) <= 0:
-            raise ConfigError("temperature must be > 0")
-    elif temperature <= 0:
+    if not float(as_tensor(temperature).data) > 0:
         raise ConfigError("temperature must be > 0")
     if text_globals.shape[0] < 2:
         raise InputError("contrastive loss needs a batch of at least 2")
@@ -59,9 +56,11 @@ def cross_entropy(logits, targets) -> Tensor:
     if logits.ndim != 2:
         raise DimensionError(f"cross-entropy expects (B, k) logits, got {logits.shape}")
     b, k = logits.shape
+    if b == 0:
+        raise InputError("cross-entropy needs at least one row")
     targets = np.asarray(targets)
-    if targets.shape != (b,):
-        raise DimensionError(f"{targets.shape} targets for {b} logit rows")
+    if targets.shape != (b,) or targets.dtype.kind not in "iu":
+        raise DimensionError(f"need {b} integer targets, got {targets.dtype} {targets.shape}")
     if targets.min() < 0 or targets.max() >= k:
         raise UsageError(f"target position out of range for k={k}")
     onehot = np.zeros((b, k))

@@ -106,6 +106,12 @@ class TestContrastiveLoss:
         with pytest.raises(ConfigError):
             contrastive_loss(Tensor(batch), Tensor(batch), 0.0, "t2v")
 
+    @pytest.mark.parametrize("tau", [math.nan, Tensor(math.nan), Tensor(-1.0)])
+    def test_nan_or_negative_temperature_rejected(self, tau):
+        batch = unit_rows(2, 4)
+        with pytest.raises(ConfigError):
+            contrastive_loss(Tensor(batch), Tensor(batch), tau, "t2v")
+
     def test_batch_of_one_rejected(self):
         batch = unit_rows(1, 4)
         with pytest.raises(InputError):
@@ -167,10 +173,17 @@ class TestFocusedCeLoss:
             want = cross_entropy(logits / 0.1, np.arange(4))
             assert float(got.data) == float(want.data)
 
-    @pytest.mark.parametrize("logits,targets", [((5,), [1]), ((2, 5), [1]), ((2, 5), [[0], [1]])])
+    @pytest.mark.parametrize(
+        "logits,targets",
+        [((5,), [1]), ((2, 5), [1]), ((2, 5), [[0], [1]]), ((2, 5), [0.0, 1.0])],
+    )
     def test_mis_shaped_input_rejected(self, logits, targets):
         with pytest.raises(DimensionError):
             cross_entropy(Tensor(np.zeros(logits)), targets)
+
+    def test_empty_batch_rejected(self):
+        with pytest.raises(InputError):
+            cross_entropy(Tensor(np.zeros((0, 5))), [])
 
 
 class TestCombinedLoss:
