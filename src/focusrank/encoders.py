@@ -117,27 +117,34 @@ class _EncoderTrunk:
             params.add(f"{side}.layer{i}.bind.out_w", np.zeros((c, c)))
             params.add(f"{side}.layer{i}.bind.out_b", np.zeros(c))
 
-    def __call__(self, x: Tensor, key_mask=None) -> tuple[Tensor, Tensor | None]:
-        """Run the stack over (B, S, C) tokens.
+    def __call__(self, embed, inputs, key_mask=None) -> tuple[Tensor, Tensor | None]:
+        """Run the stack over the (B, S, C) tokens `embed(inputs)`.
 
         Returns (token states (B, S, C), indicators (B, m, C) or None without
-        query indicators).
+        query indicators). The tokens are built here, not passed in, because
+        a caller holds its call arguments until the call returns: passed-in
+        tokens would stay alive through every layer.
         """
         p, cfg = self.params, self.cfg
+        x = embed(inputs)
         indicators = p[f"{self.side}.indicators"].reshape(1, cfg.indicator_count, cfg.dim)
         for i in range(cfg.layers):
-            sa = f"{self.side}.layer{i}.self_attn"
-            h = layer_norm(x, p[f"{sa}.ln_gamma"], p[f"{sa}.ln_beta"])
-            q = h @ p[f"{sa}.wq"]
-            k = h @ p[f"{sa}.wk"]
-            v = h @ p[f"{sa}.wv"]
-            x = x + scaled_dot_attention(q, k, v, key_mask=key_mask) @ p[f"{sa}.wo"]
+            x = self._self_attention(x, f"{self.side}.layer{i}.self_attn", key_mask)
             if cfg.use_query_indicators:
                 bind = f"{self.side}.layer{i}.bind"
                 indicators = bind_query_indicators(
                     indicators, x, p[f"{bind}.out_w"], p[f"{bind}.out_b"], key_mask=key_mask
                 )
         return x, indicators if cfg.use_query_indicators else None
+
+    def _self_attention(self, x: Tensor, prefix: str, key_mask) -> Tensor:
+        # A call of its own, so the (B, S, C) temporaries are freed before binding.
+        p = self.params
+        h = layer_norm(x, p[f"{prefix}.ln_gamma"], p[f"{prefix}.ln_beta"])
+        q = h @ p[f"{prefix}.wq"]
+        k = h @ p[f"{prefix}.wk"]
+        v = h @ p[f"{prefix}.wv"]
+        return x + scaled_dot_attention(q, k, v, key_mask=key_mask) @ p[f"{prefix}.wo"]
 
 
 class TextEncoder:
@@ -181,10 +188,7 @@ class TextEncoder:
                 raise DimensionError(f"key mask {key_mask.shape} != token batch {tokens.shape}")
             if not (key_mask > 0).any(axis=1).all():
                 raise InputError("key mask row has no real token")
-        p = self.params
-        m_len = tokens.shape[1]
-        x = take(p["text.token_embedding"], tokens) + p["text.position_embedding"][:m_len]
-        x, indicators = self.trunk(x, key_mask=key_mask)
+        x, indicators = self.trunk(self._input_tokens, tokens, key_mask=key_mask)
         if indicators is not None:
             global_vec = normalize_rows(indicators[:, 0, :])
             focus = indicators[:, 1:, :]
@@ -197,6 +201,11 @@ class TextEncoder:
             global_vec = normalize_rows(pooled)
             focus = None
         return global_vec, focus, x
+
+    def _input_tokens(self, tokens: np.ndarray) -> Tensor:
+        """(B, M, C) token plus position embeddings."""
+        p, m_len = self.params, tokens.shape[1]
+        return take(p["text.token_embedding"], tokens) + p["text.position_embedding"][:m_len]
 
 
 class VideoEncoder:
@@ -244,18 +253,22 @@ class VideoEncoder:
             )
         if not np.isfinite(clips).all():
             raise InputError("clip batch holds NaN or infinite values")
-        p = self.params
-        c = cfg.dim
+        x, indicators = self.trunk(self._input_tokens, clips)
+        global_vec = normalize_rows(x[:, 0, :])
+        patch_states = x[:, 1:, :].reshape(b, t, n_patches, cfg.dim)
+        locals_ = temporal_mean_pool(patch_states)
+        focus = None if indicators is None else indicators[:, 1:, :]
+        return global_vec, focus, locals_
+
+    def _input_tokens(self, clips: np.ndarray) -> Tensor:
+        """(B, 1 + T*P^2, C): the global token, then the projected patches plus
+        type, frame and patch-position embeddings."""
+        p, c = self.params, self.cfg.dim
+        b, t, n_patches, _ = clips.shape
         x = Tensor(clips) @ p["video.input_w"] + p["video.input_b"]
         x = x + p["video.type_embedding"]
         x = x + p["video.frame_embedding"][:t].reshape(1, t, 1, c)
         x = x + p["video.patch_pos_embedding"].reshape(1, 1, n_patches, c)
         x = x.reshape(b, t * n_patches, c)
         cls = broadcast_to(p["video.cls_token"].reshape(1, 1, c), (b, 1, c))
-        x = concat([cls, x], axis=1)
-        x, indicators = self.trunk(x)
-        global_vec = normalize_rows(x[:, 0, :])
-        patch_states = x[:, 1:, :].reshape(b, t, n_patches, c)
-        locals_ = temporal_mean_pool(patch_states)
-        focus = None if indicators is None else indicators[:, 1:, :]
-        return global_vec, focus, locals_
+        return concat([cls, x], axis=1)
