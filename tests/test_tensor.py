@@ -98,11 +98,6 @@ class TestElementwiseGradients:
         idx = np.array([[0, 2], [2, 2]])
         check_op(lambda t: take(t, idx), (3, 4))
 
-    def test_take_counts_repeated_indices(self):
-        x = Tensor(np.arange(4.0), requires_grad=True)
-        take(x, np.array([0, 0, 2])).sum().backward()
-        np.testing.assert_array_equal(x.grad, [2.0, 0.0, 1.0, 0.0])
-
     @pytest.mark.parametrize(
         "key",
         [
