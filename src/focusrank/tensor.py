@@ -62,8 +62,13 @@ class Tensor:
 
     def _acc(self, g: np.ndarray) -> None:
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+            # A copy into the layout `zeros_like` would give, not of `g` itself:
+            # `g` may be a transposed view, and the layout of the gradient
+            # decides the summation order of the GEMMs that read it.
+            self.grad = np.empty_like(self.data)
+            np.copyto(self.grad, g)
+        else:
+            self.grad += g
 
     def detach(self) -> "Tensor":
         return Tensor(self.data)
@@ -312,8 +317,11 @@ def take(t: Tensor, indices, axis: int = 0) -> Tensor:
     if out._parents:
 
         def grad_fn(g):
+            # Row by row in index order: the sums of `np.add.at`, bit for bit,
+            # at a fraction of its per-element cost.
             full = np.zeros_like(t.data)
-            np.add.at(full, idx, g)
+            for row, piece in zip(idx.reshape(-1), g.reshape(idx.size, *t.data.shape[1:])):
+                full[row] += piece
             t._acc(full)
 
         out._grad_fn = grad_fn

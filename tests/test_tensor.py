@@ -98,6 +98,21 @@ class TestElementwiseGradients:
         idx = np.array([[0, 2], [2, 2]])
         check_op(lambda t: take(t, idx), (3, 4))
 
+    def test_take_backward_equals_add_at_bit_for_bit(self):
+        # Candidate rows as build_candidates gives them: the top items of one
+        # batch recur across rows, so one source row sums many pieces.
+        from focusrank.training import build_candidates
+
+        scores = RNG.normal(size=(6, 6))
+        idx = np.stack([build_candidates(scores[i], i, 4)[0] for i in range(6)])
+        assert np.bincount(idx.ravel()).max() > 2
+        t = Tensor(RNG.normal(size=(6, 3, 5)), requires_grad=True)
+        g = RNG.normal(size=(6, 4, 3, 5)) * np.logspace(-8, 8, 4)[:, None, None]
+        (take(t, idx) * Tensor(g)).sum().backward()
+        expected = np.zeros_like(t.data)
+        np.add.at(expected, idx, g)
+        assert np.array_equal(t.grad, expected)
+
     @pytest.mark.parametrize(
         "key",
         [
@@ -137,6 +152,17 @@ class TestBroadcastingBackward:
 
 
 class TestGraphMechanics:
+    @pytest.mark.parametrize("data_t,g_t", [(True, False), (False, True)])
+    def test_first_gradient_has_the_layout_of_zeros_like(self, data_t, g_t):
+        # The layout of a gradient decides the summation order of the GEMMs
+        # that read it, so it must not follow the layout of the first `g`.
+        base = RNG.normal(size=(4, 3))
+        x = Tensor(base.T if data_t else base.T.copy(), requires_grad=True)
+        g = RNG.normal(size=(4, 3))
+        x._acc(g.T if g_t else g.T.copy())
+        assert x.grad.strides == np.zeros_like(x.data).strides
+        assert np.array_equal(x.grad, g.T)
+
     def test_diamond_accumulates(self):
         x = Tensor(2.0, requires_grad=True)
         y = x * x + x * 3.0
