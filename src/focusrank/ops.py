@@ -9,7 +9,7 @@ import numpy as np
 
 from .errors import ConfigError, DimensionError
 from .rng import RandomStream
-from .tensor import Tensor, as_tensor, gelu, softmax
+from .tensor import Tensor, _result, _unbroadcast, as_tensor, gelu
 
 GROUP_BASE = "base"
 GROUP_FUSION = "fusion"
@@ -125,17 +125,45 @@ def scaled_dot_attention(
         )
     if use_gumbel and gumbel_temp <= 0:
         raise ConfigError("gumbel_temp must be > 0")
-    logits = (q @ k.swapaxes(-1, -2)) * (1.0 / math.sqrt(d))
+    # One graph node. The forward runs the arithmetic of the composed ops in
+    # their order, in place on one (..., m, s) array that ends up holding the
+    # weights: a fresh array per step costs page faults at batch scale.
+    scale = 1.0 / math.sqrt(d)
+    chain = scale  # d logits / d (q kᵀ), for the backward
+    w = q.data @ np.swapaxes(k.data, -1, -2)
+    w *= scale
     if key_mask is not None:
         mask = np.asarray(key_mask, dtype=np.float64)
-        bias = np.where(mask > 0, 0.0, -np.inf)
-        logits = logits + Tensor(np.expand_dims(bias, -2))
+        bias = np.expand_dims(np.where(mask > 0, 0.0, -np.inf), -2)
+        if np.broadcast_shapes(w.shape, bias.shape) == w.shape:
+            w += bias
+        else:
+            w = w + bias
     if use_gumbel:
         if rng is not None:
-            logits = logits + Tensor(rng.gumbel(logits.shape))
-        logits = logits * (1.0 / gumbel_temp)
-    weights = softmax(logits, axis=-1)
-    return weights @ v
+            w += rng.gumbel(w.shape)
+        w *= 1.0 / gumbel_temp
+        chain *= 1.0 / gumbel_temp
+    w -= np.max(w, axis=-1, keepdims=True)
+    np.exp(w, out=w)
+    w /= w.sum(axis=-1, keepdims=True)
+    out = _result(w @ v.data, (q, k, v))
+    if out._parents:
+
+        def grad_fn(g):
+            if v.requires_grad:
+                v._acc(_unbroadcast(np.swapaxes(w, -1, -2) @ g, v.data.shape))
+            gw = g @ np.swapaxes(v.data, -1, -2)
+            gw -= np.sum(gw * w, axis=-1, keepdims=True)
+            gw *= w
+            gw *= chain
+            if q.requires_grad:
+                q._acc(_unbroadcast(gw @ k.data, q.data.shape))
+            if k.requires_grad:
+                k._acc(_unbroadcast(np.swapaxes(gw, -1, -2) @ q.data, k.data.shape))
+
+        out._grad_fn = grad_fn
+    return out
 
 
 class Mlp:

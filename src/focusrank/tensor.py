@@ -4,6 +4,13 @@ Every operation produces a new `Tensor` that records its parents and a
 closure routing the output gradient back to them; `backward()` on a scalar
 walks the recorded graph once in reverse topological order. Only the ops
 this package needs are implemented; everything is eager numpy underneath.
+
+Composite ops on the training path are single nodes with a hand-written
+backward, which keeps the graph small: `log_softmax`, `gelu` and
+`layer_norm` here, and `ops.scaled_dot_attention`. The forward of
+`layer_norm` and of the attention runs the arithmetic of the same op
+composed from elementary nodes, in the same order, so both give equal
+outputs bit for bit; their gradients differ in the last bits.
 """
 
 from __future__ import annotations
@@ -163,7 +170,13 @@ class Tensor:
                     ga = g @ np.swapaxes(other.data, -1, -2)
                     self._acc(_unbroadcast(ga, self.data.shape))
                 if other.requires_grad:
-                    gb = np.swapaxes(self.data, -1, -2) @ g
+                    if other.data.ndim == 2 and self.data.ndim > 2:
+                        # A 2-d weight: fold the batch axes into the rows of
+                        # one GEMM instead of one product per batch and a sum.
+                        rows = self.data.reshape(-1, self.data.shape[-1])
+                        gb = rows.T @ g.reshape(-1, g.shape[-1])
+                    else:
+                        gb = np.swapaxes(self.data, -1, -2) @ g
                     other._acc(_unbroadcast(gb, other.data.shape))
 
             out._grad_fn = grad_fn
@@ -336,22 +349,6 @@ def broadcast_to(t: Tensor, shape) -> Tensor:
     return out
 
 
-def softmax(t: Tensor, axis: int = -1) -> Tensor:
-    """Numerically stable softmax along `axis` (fused forward/backward)."""
-    t = as_tensor(t)
-    shifted = t.data - np.max(t.data, axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    y = e / e.sum(axis=axis, keepdims=True)
-    out = _result(y, (t,))
-    if out._parents:
-
-        def grad_fn(g):
-            t._acc(y * (g - np.sum(g * y, axis=axis, keepdims=True)))
-
-        out._grad_fn = grad_fn
-    return out
-
-
 def log_softmax(t: Tensor, axis: int = -1) -> Tensor:
     t = as_tensor(t)
     shifted = t.data - np.max(t.data, axis=axis, keepdims=True)
@@ -400,8 +397,41 @@ def normalize_rows(t: Tensor) -> Tensor:
 
 
 def layer_norm(t: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
-    """Standardize the last axis to zero mean / unit variance, then affine."""
-    t = as_tensor(t)
-    centered = t - t.mean(axis=-1, keepdims=True)
-    var = (centered * centered).mean(axis=-1, keepdims=True)
-    return centered * (var + eps) ** -0.5 * gamma + beta
+    """Standardize the last axis to zero mean / unit variance, then the
+    per-feature affine map with (C,) `gamma` and `beta`.
+
+    One graph node. The forward runs the arithmetic of the composed ops in
+    their order, reusing its scratch array for the output.
+    """
+    t, gamma, beta = as_tensor(t), as_tensor(gamma), as_tensor(beta)
+    x = t.data
+    n = x.shape[-1]
+    if gamma.data.shape != (n,) or beta.data.shape != (n,):
+        raise DimensionError(
+            f"layer_norm gamma {gamma.data.shape} and beta {beta.data.shape} must be ({n},)"
+        )
+    xhat = x - x.sum(axis=-1, keepdims=True) * (1.0 / n)
+    y = xhat * xhat
+    inv = (y.sum(axis=-1, keepdims=True) * (1.0 / n) + eps) ** -0.5
+    xhat *= inv
+    np.multiply(xhat, gamma.data, out=y)
+    y += beta.data
+    out = _result(y, (t, gamma, beta))
+    if out._parents:
+
+        def grad_fn(g):
+            if gamma.requires_grad:
+                gamma._acc(_unbroadcast(g * xhat, gamma.data.shape))
+            if beta.requires_grad:
+                beta._acc(_unbroadcast(g, beta.data.shape))
+            if t.requires_grad:
+                gx = g * gamma.data
+                mean_gx = gx.sum(axis=-1, keepdims=True) * (1.0 / n)
+                mean_gx_xhat = (gx * xhat).sum(axis=-1, keepdims=True) * (1.0 / n)
+                gx -= mean_gx
+                gx -= xhat * mean_gx_xhat
+                gx *= inv
+                t._acc(gx)
+
+        out._grad_fn = grad_fn
+    return out

@@ -1,4 +1,7 @@
-"""Attention (with and without Gumbel noise), the MLP and the parameter registry."""
+"""Attention (with and without Gumbel noise), layer normalization, the MLP and
+the parameter registry."""
+
+import math
 
 import numpy as np
 import pytest
@@ -14,9 +17,54 @@ from focusrank.ops import (
     scaled_dot_attention,
 )
 from focusrank.rng import RandomStream
-from focusrank.tensor import Tensor, softmax
+from focusrank.tensor import Tensor, _result, layer_norm, no_grad
 
 RNG = np.random.default_rng(11)
+
+
+def softmax_rows(x):
+    e = np.exp(x - x.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+# Attention and layer normalization composed from separate graph nodes: the
+# reference the fused single-node versions must match bit for bit forward,
+# and within 1e-12 relative in their gradients.
+
+
+def composed_softmax(t):
+    shifted = t.data - np.max(t.data, axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    y = e / e.sum(axis=-1, keepdims=True)
+    out = _result(y, (t,))
+    if out._parents:
+        out._grad_fn = lambda g: t._acc(y * (g - np.sum(g * y, axis=-1, keepdims=True)))
+    return out
+
+
+def composed_attention(q, k, v, *, use_gumbel=False, gumbel_temp=1.0, rng=None, key_mask=None):
+    logits = (q @ k.swapaxes(-1, -2)) * (1.0 / math.sqrt(q.shape[-1]))
+    if key_mask is not None:
+        bias = np.where(np.asarray(key_mask, dtype=np.float64) > 0, 0.0, -np.inf)
+        logits = logits + Tensor(np.expand_dims(bias, -2))
+    if use_gumbel:
+        if rng is not None:
+            logits = logits + Tensor(rng.gumbel(logits.shape))
+        logits = logits * (1.0 / gumbel_temp)
+    return composed_softmax(logits) @ v
+
+
+def composed_layer_norm(t, gamma, beta, eps=1e-5):
+    centered = t - t.mean(axis=-1, keepdims=True)
+    var = (centered * centered).mean(axis=-1, keepdims=True)
+    return centered * (var + eps) ** -0.5 * gamma + beta
+
+
+def assert_grads_match(fused, composed, rel=1e-12):
+    assert len(fused) == len(composed) > 0
+    for a, b in zip(fused, composed):
+        assert a.shape == b.shape
+        assert np.abs(a - b).max() <= rel * np.abs(b).max()
 
 
 def brute_force_attention(q, k, v):
@@ -77,7 +125,7 @@ class TestScaledDotAttention:
         q, k, v = (Tensor(RNG.normal(size=(3, 4))) for _ in range(3))
         out = scaled_dot_attention(q, k, v, use_gumbel=True, gumbel_temp=0.5).data
         logits = (q.data @ k.data.T) / np.sqrt(4)
-        expected = softmax(Tensor(logits / 0.5)).data @ v.data
+        expected = softmax_rows(logits / 0.5) @ v.data
         np.testing.assert_allclose(out, expected, atol=1e-12)
 
     def test_gumbel_weights_sum_to_one(self):
@@ -104,8 +152,118 @@ class TestScaledDotAttention:
             rng=rng,
         ).data
         counts = np.bincount(weights.argmax(axis=1), minlength=3) / draws
-        expected = softmax(Tensor(logits)).data
+        expected = softmax_rows(logits)
         np.testing.assert_allclose(counts, expected, atol=0.02)
+
+
+# (q shape, k shape, v shape, key mask, gumbel temperature, noise seed)
+ATTENTION_CASES = {
+    "plain": ((2, 3, 4), (2, 5, 4), (2, 5, 3), None, None, None),
+    "masked-noisy-broadcast": (
+        (1, 3, 4), (2, 5, 4), (2, 5, 6), np.array([[1, 1, 0, 1, 1], [1, 1, 1, 1, 1]]), 0.7, 5
+    ),
+    "unbatched-temp": ((3, 4), (5, 4), (5, 2), None, 1.3, None),
+}
+
+
+def run_attention(attend, case, trained=""):
+    """(q, k, v) and the output of `attend` on one case; the tensors named in
+    `trained` require gradients."""
+    *shapes, mask, temp, seed = ATTENTION_CASES[case]
+    rng = np.random.default_rng(3)
+    inputs = [
+        Tensor(rng.normal(size=shape), requires_grad=name in trained)
+        for name, shape in zip("qkv", shapes)
+    ]
+    out = attend(
+        *inputs,
+        use_gumbel=temp is not None,
+        gumbel_temp=temp or 1.0,
+        rng=None if seed is None else RandomStream(seed).child("noise"),
+        key_mask=mask,
+    )
+    return inputs, out
+
+
+def backward_with_weights(out):
+    (out * Tensor(np.random.default_rng(4).normal(size=out.shape))).sum().backward()
+
+
+class TestFusedAttention:
+    @pytest.mark.parametrize("case", ATTENTION_CASES)
+    @pytest.mark.parametrize("trained", ["", "qkv"])
+    def test_forward_equals_composed_bit_for_bit(self, case, trained):
+        _, fused = run_attention(scaled_dot_attention, case, trained)
+        _, composed = run_attention(composed_attention, case, trained)
+        assert np.array_equal(fused.data, composed.data)
+
+    def test_forward_under_no_grad_is_unchanged(self):
+        _, recorded = run_attention(scaled_dot_attention, "masked-noisy-broadcast", "qkv")
+        with no_grad():
+            _, plain = run_attention(scaled_dot_attention, "masked-noisy-broadcast", "qkv")
+        assert np.array_equal(plain.data, recorded.data) and not plain.requires_grad
+
+    @pytest.mark.parametrize("case", ATTENTION_CASES)
+    @pytest.mark.parametrize("trained", ["qkv", "v", "q", "k"])
+    def test_gradients_match_composed(self, case, trained):
+        grads = []
+        for attend in (scaled_dot_attention, composed_attention):
+            inputs, out = run_attention(attend, case, trained)
+            backward_with_weights(out)
+            grads.append([t.grad for t in inputs if t.requires_grad])
+        assert_grads_match(*grads)
+
+    def test_self_attention_aliasing(self):
+        # q is k is v: three gradients accumulate into one tensor.
+        x_data = RNG.normal(size=(2, 4, 3))
+        mask = np.array([[1, 1, 1, 0], [1, 1, 1, 1]])
+        results = []
+        for attend in (scaled_dot_attention, composed_attention):
+            x = Tensor(x_data.copy(), requires_grad=True)
+            out = attend(x, x, x, key_mask=mask)
+            backward_with_weights(out)
+            results.append((out.data, x.grad))
+        (fused, fused_grad), (composed, composed_grad) = results
+        assert np.array_equal(fused, composed)
+        assert_grads_match([fused_grad], [composed_grad])
+
+
+class TestLayerNorm:
+    def make(self, requires_grad=True):
+        rng = np.random.default_rng(8)
+        x = Tensor(rng.normal(size=(2, 3, 8)) * 3.0 + 1.5, requires_grad=requires_grad)
+        gamma = Tensor(rng.normal(size=8), requires_grad=requires_grad)
+        beta = Tensor(rng.normal(size=8), requires_grad=requires_grad)
+        return x, gamma, beta
+
+    def test_forward_equals_composed_bit_for_bit(self):
+        args = self.make()
+        assert np.array_equal(layer_norm(*args).data, composed_layer_norm(*args).data)
+        with no_grad():
+            assert np.array_equal(layer_norm(*args).data, composed_layer_norm(*args).data)
+
+    def test_gradients_match_composed(self):
+        weight = RNG.normal(size=(2, 3, 8))
+        grads = []
+        for norm in (layer_norm, composed_layer_norm):
+            args = self.make()
+            (norm(*args) * Tensor(weight)).sum().backward()
+            grads.append([t.grad for t in args])
+        assert_grads_match(grads[0], grads[1])
+
+    def test_rows_are_standardized(self):
+        x, _, _ = self.make(requires_grad=False)
+        y = layer_norm(x, Tensor(np.ones(8)), Tensor(np.zeros(8))).data
+        np.testing.assert_allclose(y.mean(axis=-1), 0.0, atol=1e-12)
+        np.testing.assert_allclose(y.var(axis=-1), 1.0, rtol=1e-5)
+
+    @pytest.mark.parametrize("shape", [(4, 1, 1, 8), (5,), (2, 3, 8)])
+    def test_affine_other_than_per_feature_raises(self, shape):
+        x, gamma, beta = self.make(requires_grad=False)
+        with pytest.raises(DimensionError):
+            layer_norm(x, Tensor(np.ones(shape)), beta)
+        with pytest.raises(DimensionError):
+            layer_norm(x, gamma, Tensor(np.ones(shape)))
 
 
 @settings(deadline=None, max_examples=30)

@@ -264,9 +264,13 @@ class TestProjectDeltas:
         assert not np.allclose(logits, 0)
 
     def test_uniform_logits_give_uniform_distribution(self):
-        from focusrank.tensor import softmax
+        # Width-1 query 2.5 against ten unit keys: every logit is 2.5, and the
+        # identity values make the output row the attention weights.
+        from focusrank.ops import scaled_dot_attention
 
-        probs = softmax(Tensor(np.full(10, 2.5))).data
+        probs = scaled_dot_attention(
+            Tensor(np.full((1, 1), 2.5)), Tensor(np.ones((10, 1))), Tensor(np.eye(10))
+        ).data[0]
         np.testing.assert_allclose(probs, 0.1, atol=1e-15)
 
     def test_logits_match_mlp_oracle(self):

@@ -6,15 +6,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from focusrank.errors import DimensionError, InputError, UsageError
+from focusrank.ops import scaled_dot_attention
 from focusrank.tensor import (
     Tensor,
+    as_tensor,
     broadcast_to,
     concat,
     gelu,
     log_softmax,
     no_grad,
     normalize_rows,
-    softmax,
     take,
 )
 
@@ -35,6 +36,16 @@ def numeric_grad(f, x, eps=1e-6):
         flat[i] = orig
         gf[i] = (fp - fm) / (2 * eps)
     return g
+
+
+def attention_softmax(t):
+    """Softmax over the last axis of a 2-d `t`, read off as the weights of
+    scaled_dot_attention(q, k, I): q holds 4t padded to width 16 and k the
+    first n rows of I16, so q kT / sqrt(16) is `t` exactly."""
+    t = as_tensor(t)
+    rows, n = t.shape
+    q = concat([t * 4.0, Tensor(np.zeros((rows, 16 - n)))], axis=1)
+    return scaled_dot_attention(q, Tensor(np.eye(n, 16)), Tensor(np.eye(n)))
 
 
 def check_op(op, shape, positive=False):
@@ -83,7 +94,7 @@ class TestElementwiseGradients:
         check_op(gelu, (7,))
 
     def test_softmax_grad(self):
-        check_op(lambda t: softmax(t, axis=-1), (3, 4))
+        check_op(attention_softmax, (3, 4))
 
     def test_log_softmax_grad(self):
         check_op(lambda t: log_softmax(t, axis=-1), (3, 4))
@@ -199,7 +210,7 @@ class TestGraphMechanics:
 @settings(deadline=None, max_examples=50)
 @given(st.lists(st.floats(-50, 50), min_size=1, max_size=8))
 def test_softmax_rows_are_distributions(values):
-    y = softmax(Tensor(np.array(values))).data
+    y = attention_softmax(np.array([values])).data
     assert np.all(y >= 0)
     assert abs(y.sum() - 1.0) < 1e-12
 
@@ -210,8 +221,8 @@ def test_softmax_rows_are_distributions(values):
     st.floats(-100, 100),
 )
 def test_softmax_shift_invariance(values, shift):
-    base = softmax(Tensor(np.array(values))).data
-    shifted = softmax(Tensor(np.array(values) + shift)).data
+    base = attention_softmax(np.array([values])).data
+    shifted = attention_softmax(np.array([values]) + shift).data
     np.testing.assert_allclose(shifted, base, atol=1e-12)
 
 
@@ -220,7 +231,7 @@ def test_operations_keep_finite_inputs_finite():
     for _ in range(20):
         x = Tensor(rng.normal(size=(4, 6)) * 100)
         outputs = [
-            softmax(x).data,
+            attention_softmax(x).data,
             log_softmax(x).data,
             gelu(x).data,
             (x * x).sum().data,
