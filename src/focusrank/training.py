@@ -193,9 +193,13 @@ def train_step(
             f"non-finite loss {report} on batch items {batch.item_ids.tolist()}"
         )
     model.params.zero_grad()
-    bundle.combined_tensor.backward()
+    # One backward pass for both terms: the calibration reaches only the delta
+    # scale, which the combined objective does not, so the sum's gradients are
+    # those of two separate passes.
+    objective = bundle.combined_tensor
     if bundle.scale_calibration is not None:
-        bundle.scale_calibration.backward()
+        objective = objective + bundle.scale_calibration
+    objective.backward()
     optimizer.step()
     model.params.zero_grad()
     return report

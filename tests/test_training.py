@@ -92,6 +92,28 @@ class TestTrainStep:
             reports.append(report)
         assert reports[0] == reports[1]
 
+    def test_one_backward_over_both_terms_equals_two(self):
+        # train_step runs one backward over combined + calibration. That is
+        # exact while the calibration reaches no tensor the combined
+        # objective reaches, which leaves the delta scale to it alone.
+        cfg = tiny_config()
+        model = RetrievalModel(cfg, seed=3)
+        model.params["fusion.delta_scale"].data = np.asarray(0.3)
+        batch = make_batch(cfg)
+        grads = []
+        for summed in (False, True):
+            bundle = training_loss(model, batch, cfg, rng=RandomStream(2).child("s"))
+            model.params.zero_grad()
+            if summed:
+                (bundle.combined_tensor + bundle.scale_calibration).backward()
+            else:
+                bundle.combined_tensor.backward()
+                bundle.scale_calibration.backward()
+            grads.append({n: g.copy() for n, g in model.params.gradients().items()})
+        for name, g in grads[0].items():
+            assert np.array_equal(g, grads[1][name]), name
+        assert grads[0]["fusion.delta_scale"] != 0
+
     def test_parameters_change_and_ce_reaches_mlp(self):
         cfg = tiny_config()
         model = RetrievalModel(cfg, seed=3)
