@@ -8,7 +8,7 @@ import numpy as np
 
 from .errors import UsageError
 from .ops import ParameterSet
-from .tensor import Tensor
+from .tensor import Tensor, layer_norm
 
 
 @dataclass
@@ -74,8 +74,9 @@ def check_gradients(
 def run_gradient_suite(seed: int = 0, eps: float = 1e-5) -> list[GradCheckResult]:
     """Gradient-check every differentiable operation on toy shapes.
 
-    Covers indicator binding, fused cross-attention, the MLP head, both
-    contrastive directions, the focused cross-entropy, and the combined
+    Covers indicator binding, fused cross-attention, masked attention with
+    Gumbel noise across broadcast batches, layer normalization, the MLP head,
+    both contrastive directions, the focused cross-entropy, and the combined
     training objective of a miniature end-to-end model (width 8, batch 2,
     3 re-rank candidates).
     """
@@ -122,6 +123,42 @@ def run_gradient_suite(seed: int = 0, eps: float = 1e-5) -> list[GradCheckResult
             p,
             eps,
             name="fusion-attention",
+        )
+    )
+
+    # Masked attention: one query batch against two key/value batches, one
+    # key masked, Gumbel noise from a stream that replays on every call.
+    p = ParameterSet()
+    q = p.add("q", kaiming_normal(rng.child("masked", "q"), (1, 2, 8), 8))
+    k = p.add("k", kaiming_normal(rng.child("masked", "k"), (2, 5, 8), 8))
+    v = p.add("v", kaiming_normal(rng.child("masked", "v"), (2, 5, 8), 8))
+    key_mask = np.array([[1, 1, 0, 1, 1], [1, 1, 1, 1, 1]])
+    noise = rng.child("masked", "noise")
+    results.append(
+        check_gradients(
+            lambda: sum_of_squares(
+                scaled_dot_attention(
+                    q, k, v, use_gumbel=True, gumbel_temp=0.7,
+                    rng=noise.child("draw"), key_mask=key_mask,
+                )
+            ),
+            p,
+            eps,
+            name="masked-attention",
+        )
+    )
+
+    # Layer normalization with a non-trivial affine map.
+    p = ParameterSet()
+    x = p.add("x", rng.child("ln", "x").normal((3, 8), scale=2.0))
+    gamma = p.add("gamma", 1.0 + rng.child("ln", "gamma").normal(8, scale=0.5))
+    beta = p.add("beta", rng.child("ln", "beta").normal(8, scale=0.5))
+    results.append(
+        check_gradients(
+            lambda: sum_of_squares(layer_norm(x, gamma, beta) * Tensor(np.arange(1.0, 9.0))),
+            p,
+            eps,
+            name="layer-norm",
         )
     )
 

@@ -1,6 +1,10 @@
 """CLI parsing and end-to-end command execution on tiny configurations."""
 
 import csv
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -126,6 +130,20 @@ class TestExecute:
         assert "pass combined-objective" in printed
         rows = read_csv(out / "gradcheck.csv")
         assert all(row[3] == "pass" for row in rows[1:])
+        assert {"layer-norm", "masked-attention"} <= {row[0] for row in rows[1:]}
+
+    def test_module_entry_point_runs_gradcheck(self, tmp_path):
+        # `python -m focusrank` from a checkout, without the installed script.
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        done = subprocess.run(
+            [sys.executable, "-m", "focusrank", "gradcheck", "--out", str(tmp_path)],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        rows = read_csv(tmp_path / "gradcheck.csv")
+        assert len(rows) > 1 and all(row[3] == "pass" for row in rows[1:])
 
     def test_ablate_sweep_one_row_per_value(self, tiny_cfg_path, tmp_path, capsys):
         out = tmp_path / "ab"
