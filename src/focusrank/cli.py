@@ -44,7 +44,6 @@ class Command:
     overrides: dict[str, str] = field(default_factory=dict)
     out_dir: str = "out"
     seed: int | None = None
-    deterministic: bool = False
     components: bool = False
 
 
@@ -84,9 +83,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="config override; ablate accepts comma lists to sweep")
         p.add_argument("--out", default="out", help="artifact directory")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
-        if verb in ("train", "ablate"):
-            p.add_argument("--deterministic", action="store_true",
-                           help="train without gumbel noise")
         if verb == "ablate":
             p.add_argument("--components", action="store_true",
                            help="run the cumulative component rows instead of a key sweep")
@@ -102,7 +98,6 @@ def parse_args(argv) -> Command:
         overrides=overrides,
         out_dir=ns.out,
         seed=ns.seed,
-        deterministic=getattr(ns, "deterministic", False),
         components=getattr(ns, "components", False),
     )
 
@@ -130,11 +125,11 @@ def _float(x) -> str:
     return repr(float(x))
 
 
-def _run_training(cfg: RunConfig, out_dir: Path, deterministic: bool) -> RetrievalModel:
+def _run_training(cfg: RunConfig, out_dir: Path) -> RetrievalModel:
     out_dir.mkdir(parents=True, exist_ok=True)
     dataset = generate_synthetic_pairs(spec_from_config(cfg))
     model = RetrievalModel(cfg)
-    logs = train_loop(dataset, model, cfg, out_dir=str(out_dir), deterministic=deterministic)
+    logs = train_loop(dataset, model, cfg, out_dir=str(out_dir))
     rows = [
         (s.epoch, s.step, _float(s.report.t2v), _float(s.report.v2t),
          _float(s.report.focus_t), _float(s.report.focus_v), _float(s.report.combined))
@@ -142,7 +137,6 @@ def _run_training(cfg: RunConfig, out_dir: Path, deterministic: bool) -> Retriev
     ]
     _write_csv(out_dir / "training_log.csv",
                ("epoch", "step", "l_t2v", "l_v2t", "l_focus_t", "l_focus_v", "combined"), rows)
-    model.save(out_dir / "model.bin")
     log.info("trained %d steps; final combined loss %.6f", len(logs), logs[-1].report.combined)
     return model
 
@@ -172,7 +166,7 @@ def execute(cmd: Command) -> int:
     out_dir = Path(cmd.out_dir)
     if cmd.verb == "train":
         cfg = _load(cmd)
-        _run_training(cfg, out_dir, cmd.deterministic)
+        _run_training(cfg, out_dir)
         return 0
 
     if cmd.verb == "eval":
@@ -254,7 +248,7 @@ def _ablate(cmd: Command, out_dir: Path) -> int:
         cfg = _load(sub_cmd, extra=extra)
         run_dir = out_dir / f"ablate_{swept_key}_{label}".replace("+", "")
         log.info("ablate %s=%s", swept_key, label)
-        model = _run_training(cfg, run_dir, cmd.deterministic)
+        model = _run_training(cfg, run_dir)
         reports = {(r.direction, r.stage): r for r in _evaluate(cfg, model)}
         t2v = reports[("t2v", "two-stage")]
         v2t = reports[("v2t", "two-stage")]

@@ -7,6 +7,7 @@ missing keys fall back to the documented defaults below. Lines starting with
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -39,10 +40,10 @@ class RunConfig:
     mlp_hidden: int = 128         # hidden width of the delta head
     fusion_blocks: int = 1        # focused-view cross-attention blocks B_f
     k: int = 10                   # re-ranked candidates per query
-    gumbel_temp: float = 1.0
+    gumbel_temp: float = 1.0      # fusion attention temperature (training and inference)
     use_query_indicators: bool = True
     use_stage1_scores: bool = True   # include stage-1 scores in composition
-    use_gumbel: bool = True          # gumbel noise in fusion attention (training)
+    use_gumbel: bool = True          # gumbel noise in fusion attention (training only)
     # training
     batch_size: int = 20
     epochs: int = 5
@@ -50,7 +51,6 @@ class RunConfig:
     lr_base: float = 1e-6
     weight_decay: float = 0.2
     temperature: float = 0.01     # contrastive temperature tau (learnable via log)
-    k_train: int = 0              # 0 = auto: min(k, batch_size)
     seed: int = 0
     # synthetic data
     pair_count: int = 500
@@ -64,11 +64,6 @@ class RunConfig:
     query_index: int = 0
     query_direction: str = "t2v"
 
-    def resolved_k_train(self, batch: int | None = None) -> int:
-        b = self.batch_size if batch is None else batch
-        k_train = min(self.k, b) if self.k_train == 0 else self.k_train
-        return min(k_train, b)
-
     def resolved_coarse_clusters(self) -> int:
         if self.coarse_clusters == 0:
             return self.pair_count // self.cohort_size
@@ -79,6 +74,10 @@ class RunConfig:
             if not cond:
                 raise ConfigError(message)
 
+        for f in fields(self):
+            value = getattr(self, f.name)
+            require(not isinstance(value, float) or math.isfinite(value),
+                    f"{f.name} must be finite")
         require(self.dim >= 1, "dim must be >= 1")
         require(self.layers >= 1, "layers must be >= 1")
         require(2 <= self.indicator_count <= 6, "indicator_count must be in 2..6")
@@ -98,10 +97,6 @@ class RunConfig:
         require(self.lr_fusion > 0 and self.lr_base > 0, "learning rates must be > 0")
         require(self.weight_decay >= 0, "weight_decay must be >= 0")
         require(self.temperature > 0, "temperature must be > 0")
-        require(self.k_train >= 0, "k_train must be >= 0 (0 = auto)")
-        if self.k_train:
-            require(self.k_train <= self.batch_size, "k_train must be <= batch_size")
-            require(self.k_train <= self.k, "k_train must be <= k")
         require(self.pair_count >= 1, "pair_count must be >= 1")
         require(self.cohort_size >= 1, "cohort_size must be >= 1")
         require(self.pair_count % self.cohort_size == 0,

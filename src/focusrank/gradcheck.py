@@ -111,14 +111,14 @@ def run_gradient_suite(seed: int = 0, eps: float = 1e-5) -> list[GradCheckResult
         )
     )
 
-    # Fused cross-attention with the gumbel temperature path active.
+    # Fused cross-attention at a temperature other than 1.
     p = ParameterSet()
     q = p.add("q", kaiming_normal(rng.child("fuse", "q"), (3, 8), 8))
     kv = p.add("kv", kaiming_normal(rng.child("fuse", "kv"), (5, 8), 8))
     results.append(
         check_gradients(
             lambda: sum_of_squares(
-                scaled_dot_attention(q, kv, kv, use_gumbel=True, gumbel_temp=0.7)
+                scaled_dot_attention(q, kv, kv, temperature=0.7)
             ),
             p,
             eps,
@@ -138,7 +138,7 @@ def run_gradient_suite(seed: int = 0, eps: float = 1e-5) -> list[GradCheckResult
         check_gradients(
             lambda: sum_of_squares(
                 scaled_dot_attention(
-                    q, k, v, use_gumbel=True, gumbel_temp=0.7,
+                    q, k, v, temperature=0.7,
                     rng=noise.child("draw"), key_mask=key_mask,
                 )
             ),
@@ -213,7 +213,6 @@ def run_gradient_suite(seed: int = 0, eps: float = 1e-5) -> list[GradCheckResult
     cfg.mlp_hidden = 8
     cfg.latent_dim = 4
     cfg.k = 3
-    cfg.k_train = 2
     cfg.batch_size = 2
     cfg.validate()
     model = RetrievalModel(cfg, seed=seed)

@@ -100,18 +100,15 @@ def scaled_dot_attention(
     k,
     v,
     *,
-    use_gumbel: bool = False,
-    gumbel_temp: float = 1.0,
+    temperature: float = 1.0,
     rng: RandomStream | None = None,
     key_mask: np.ndarray | None = None,
 ) -> Tensor:
-    """softmax(q kᵀ / sqrt(d)) v, optionally with Gumbel-perturbed weights.
+    """softmax((q kᵀ / sqrt(d) + g) / temperature) v.
 
-    q: (..., m, d); k, v: (..., s, d). When `use_gumbel` is set, per-logit
-    Gumbel(0, 1) noise from `rng` is added before normalizing and the logits
-    are divided by `gumbel_temp`; passing rng=None keeps the noise at zero.
-    `key_mask` (..., s) marks valid keys with 1; masked keys receive exactly
-    zero attention weight.
+    q: (..., m, d); k, v: (..., s, d). g is per-logit Gumbel(0, 1) noise drawn
+    from `rng` when a stream is given, and zero otherwise. `key_mask` (..., s)
+    marks valid keys with 1; masked keys receive exactly zero attention weight.
     """
     q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
     if q.ndim < 2 or k.ndim < 2 or v.ndim < 2:
@@ -123,8 +120,8 @@ def scaled_dot_attention(
         raise DimensionError(
             f"key count {k.shape[-2]} != value count {v.shape[-2]}"
         )
-    if use_gumbel and gumbel_temp <= 0:
-        raise ConfigError("gumbel_temp must be > 0")
+    if not temperature > 0:
+        raise ConfigError("attention temperature must be > 0")
     # One graph node. The forward runs the arithmetic of the composed ops in
     # their order, in place on one (..., m, s) array that ends up holding the
     # weights: a fresh array per step costs page faults at batch scale.
@@ -139,11 +136,11 @@ def scaled_dot_attention(
             w += bias
         else:
             w = w + bias
-    if use_gumbel:
-        if rng is not None:
-            w += rng.gumbel(w.shape)
-        w *= 1.0 / gumbel_temp
-        chain *= 1.0 / gumbel_temp
+    if rng is not None:
+        w += rng.gumbel(w.shape)
+    if temperature != 1.0:  # multiplying by 1.0 is exact: skip it
+        w *= 1.0 / temperature
+        chain *= 1.0 / temperature
     w -= np.max(w, axis=-1, keepdims=True)
     np.exp(w, out=w)
     w /= w.sum(axis=-1, keepdims=True)

@@ -184,9 +184,9 @@ class FusionNetwork:
     ) -> Tensor:
         """Run the residual cross-attention blocks over the candidate tokens.
 
-        With `use_gumbel` set the attention logits are divided by
-        `gumbel_temp`, and Gumbel noise from `rng` perturbs them when a stream
-        is given. Inference passes no stream.
+        The attention logits are divided by `gumbel_temp`, in training and at
+        inference alike. Gumbel noise from `rng` perturbs them when a stream
+        is given; inference passes none.
         """
         if cand_tokens.shape[-2] == 0:
             raise InputError("focused fusion needs at least one candidate token")
@@ -195,8 +195,7 @@ class FusionNetwork:
                 indicators,
                 cand_tokens,
                 cand_tokens,
-                use_gumbel=self.cfg.use_gumbel,
-                gumbel_temp=self.cfg.gumbel_temp,
+                temperature=self.cfg.gumbel_temp,
                 rng=None if rng is None else rng.child("fusion-block", b),
             )
             w = self.params[f"fusion.block{b}.out_w"]

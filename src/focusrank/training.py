@@ -80,13 +80,15 @@ def training_loss(
     rng: RandomStream | None = None,
 ) -> LossBundle:
     """Forward pass of one step: both contrastive terms plus both focused
-    cross-entropy terms over injected in-batch candidate sets. Fusion samples
-    Gumbel noise from `rng` when the config asks for it; without a stream it
-    adds none."""
+    cross-entropy terms over injected in-batch candidate sets of min(k, B)
+    items. Fusion samples Gumbel noise from `rng` unless `cfg.use_gumbel` is
+    off; without a stream it adds none."""
     b = len(batch)
     if b < 2:
         raise InputError("training batch must have at least 2 pairs")
-    k_train = cfg.resolved_k_train(b)
+    if not cfg.use_gumbel:
+        rng = None
+    k_train = min(cfg.k, b)
 
     t_global, t_focus, t_locals = model.encode_text_batch(batch.texts)
     v_global, v_focus, v_locals = model.encode_video_batch(batch.videos)
@@ -245,11 +247,9 @@ def train_loop(
     model: RetrievalModel,
     cfg: RunConfig,
     out_dir=None,
-    deterministic: bool = False,
 ) -> list[StepLog]:
-    """Seeded epochs of train_step; emits a checkpoint per epoch when out_dir
-    is given and returns the per-step loss log. `deterministic` trains
-    without Gumbel noise: every step gets no random stream."""
+    """Seeded epochs of train_step; returns the per-step loss log and, when
+    out_dir is given, saves the trained parameters there as `model.bin`."""
     if len(dataset) == 0:
         raise InputError("cannot train on an empty dataset")
     stream = RandomStream(cfg.seed).child("train")
@@ -260,9 +260,8 @@ def train_loop(
     for epoch in range(cfg.epochs):
         order = shuffle_cohorts(dataset.groups, stream.child("shuffle", epoch))
         for step, batch in enumerate(iterate_batches(dataset, order, cfg.batch_size)):
-            step_rng = None if deterministic else stream.child("step", epoch, step)
-            report = train_step(model, batch, cfg, optimizer, step_rng)
+            report = train_step(model, batch, cfg, optimizer, stream.child("step", epoch, step))
             logs.append(StepLog(epoch, step, report))
-        if out_dir is not None:
-            model.save(f"{out_dir}/checkpoint_epoch_{epoch}.bin")
+    if out_dir is not None:
+        model.save(f"{out_dir}/model.bin")
     return logs

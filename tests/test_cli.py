@@ -74,18 +74,15 @@ class TestParseArgs:
             parse_args(["dance"])
 
     def test_flags(self):
-        cmd = parse_args(
-            ["train", "--out", "artifacts", "--seed", "9", "--deterministic"]
-        )
+        cmd = parse_args(["train", "--out", "artifacts", "--seed", "9"])
         assert cmd.out_dir == "artifacts"
         assert cmd.seed == 9
-        assert cmd.deterministic
 
-    @pytest.mark.parametrize("verb", ["eval", "query", "gradcheck"])
-    def test_deterministic_only_for_training_verbs(self, verb, capsys):
+    @pytest.mark.parametrize("verb", ["train", "ablate"])
+    def test_noise_switch_is_a_config_key_not_a_flag(self, verb, capsys):
+        # `--set use_gumbel=false` is the one way to train without noise.
         with pytest.raises(SystemExit):
             parse_args([verb, "--deterministic"])
-        assert parse_args(["ablate", "--set", "k=2,3", "--deterministic"]).deterministic
 
 
 class TestExecute:
@@ -93,8 +90,7 @@ class TestExecute:
         out = tmp_path / "run"
         code = execute(parse_args(["train", "--config", tiny_cfg_path, "--out", str(out)]))
         assert code == 0
-        assert (out / "model.bin").exists()
-        assert (out / "checkpoint_epoch_0.bin").exists()
+        assert sorted(p.name for p in out.iterdir()) == ["model.bin", "training_log.csv"]
         rows = read_csv(out / "training_log.csv")
         assert rows[0] == ["epoch", "step", "l_t2v", "l_v2t", "l_focus_t", "l_focus_v", "combined"]
         assert len(rows) == 3  # 12 pairs / batch 6 = 2 steps, plus header
@@ -155,6 +151,23 @@ class TestExecute:
         rows = read_csv(out / "ablation.csv")
         assert len(rows) == 3
         assert [r[1] for r in rows[1:]] == ["2", "3"]
+
+    def test_ablate_components_one_row_per_component(self, tiny_cfg_path, tmp_path, capsys):
+        out = tmp_path / "ab"
+        code = execute(
+            parse_args(["ablate", "--config", tiny_cfg_path, "--out", str(out), "--components"])
+        )
+        assert code == 0
+        rows = read_csv(out / "ablation.csv")
+        assert [r[:2] for r in rows[1:]] == [
+            ["components", label]
+            for label in ("baseline", "+indicators", "+stage1_scores", "+gumbel")
+        ]
+        # The +gumbel row differs from the row above it only by training noise,
+        # so the noise must reach the trained parameters.
+        stage1 = (out / "ablate_components_stage1_scores" / "model.bin").read_bytes()
+        gumbel = (out / "ablate_components_gumbel" / "model.bin").read_bytes()
+        assert stage1 != gumbel
 
     def test_ablate_requires_exactly_one_sweep(self, tiny_cfg_path, tmp_path):
         with pytest.raises(UsageError):

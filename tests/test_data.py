@@ -164,11 +164,15 @@ class TestConfig:
         with pytest.raises(ConfigError):
             apply_overrides(default_config(), {"temperature": "-1"})
 
-    def test_k_train_bounds(self):
-        cfg = default_config()
-        cfg.k_train = cfg.batch_size + 1
+    @pytest.mark.parametrize(
+        "key", ["temperature", "gumbel_temp", "lr_base", "lr_fusion", "weight_decay"]
+    )
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    def test_non_finite_float_rejected(self, key, value):
         with pytest.raises(ConfigError):
-            cfg.validate()
-        cfg = default_config()
-        assert cfg.resolved_k_train() == min(cfg.k, cfg.batch_size)
-        assert cfg.resolved_k_train(batch=3) == 3
+            apply_overrides(default_config(), {key: value})
+
+    def test_removed_keys_rejected(self):
+        # Training always uses min(k, batch) candidates; the knob is gone.
+        with pytest.raises(ConfigError):
+            apply_overrides(default_config(), {"k_train": "2"})

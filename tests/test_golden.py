@@ -10,8 +10,12 @@ the focused view.
 
 The training fixtures pin `training_log.csv` and the sha256 of `model.bin`
 after two epochs of `train` at `pair_count=20, batch_size=10`, with Gumbel
-noise, without it (`--deterministic`), with a temperature but no noise, and
-without query indicators.
+noise, without it (`use_gumbel=false`), with a fusion temperature but no
+noise, and without query indicators.
+
+`gumbel_temp` is the fusion attention temperature at inference too, whether
+or not training adds noise (`use_gumbel` switches the noise only); a test
+below pins that on the checkpoint.
 
 Regenerate the fixtures (only when a change is meant to alter the outputs):
 
@@ -47,8 +51,8 @@ SMALL_DIRECTIONS = ("t2v", "v2t")
 TRAIN_SIZE = ("--set", f"pair_count={PAIR_COUNT}", "--set", "batch_size=10", "--set", "epochs=2")
 TRAIN_CASES = {
     "default": (),
-    "deterministic": ("--deterministic",),
-    "deterministic_temp": ("--deterministic", "--set", "gumbel_temp=0.7"),
+    "deterministic": ("--set", "use_gumbel=false"),
+    "deterministic_temp": ("--set", "use_gumbel=false", "--set", "gumbel_temp=0.7"),
     "no_indicators": ("--set", "use_query_indicators=false"),
 }
 
@@ -119,6 +123,18 @@ def test_checkpoint_moves_the_focused_view(checkpoint, tmp_path):
     # Guards the fixtures' premise: the seeded model gives non-zero deltas.
     rows = query_output(tmp_path, checkpoint, "t2v", "true").decode().splitlines()[1:]
     assert any(float(row.split(",")[3]) != 0.0 for row in rows)
+
+
+def test_inference_uses_the_fusion_temperature(checkpoint, tmp_path, capsys):
+    # The temperature is part of the trained function; the noise switch is not.
+    def query_at(temp, noise):
+        out = tmp_path / f"{temp}_{noise}"
+        run_verb("query", out, checkpoint, query_index=3, gumbel_temp=temp, use_gumbel=noise)
+        return (out / "query_result.csv").read_bytes()
+
+    cooled = query_at("0.5", "true")
+    assert query_at("0.5", "false") == cooled
+    assert query_at("1.0", "true") != cooled
 
 
 @pytest.mark.parametrize("direction,indicators", QUERY_CASES)

@@ -42,15 +42,14 @@ def composed_softmax(t):
     return out
 
 
-def composed_attention(q, k, v, *, use_gumbel=False, gumbel_temp=1.0, rng=None, key_mask=None):
+def composed_attention(q, k, v, *, temperature=1.0, rng=None, key_mask=None):
     logits = (q @ k.swapaxes(-1, -2)) * (1.0 / math.sqrt(q.shape[-1]))
     if key_mask is not None:
         bias = np.where(np.asarray(key_mask, dtype=np.float64) > 0, 0.0, -np.inf)
         logits = logits + Tensor(np.expand_dims(bias, -2))
-    if use_gumbel:
-        if rng is not None:
-            logits = logits + Tensor(rng.gumbel(logits.shape))
-        logits = logits * (1.0 / gumbel_temp)
+    if rng is not None:
+        logits = logits + Tensor(rng.gumbel(logits.shape))
+    logits = logits * (1.0 / temperature)
     return composed_softmax(logits) @ v
 
 
@@ -118,12 +117,13 @@ class TestScaledDotAttention:
 
     def test_bad_gumbel_temp_raises(self):
         args = [Tensor(np.ones((1, 2)))] * 3
-        with pytest.raises(ConfigError):
-            scaled_dot_attention(*args, use_gumbel=True, gumbel_temp=0.0)
+        for temperature in (0.0, -1.0, math.nan):
+            with pytest.raises(ConfigError):
+                scaled_dot_attention(*args, temperature=temperature)
 
     def test_gumbel_deterministic_divides_by_temp(self):
         q, k, v = (Tensor(RNG.normal(size=(3, 4))) for _ in range(3))
-        out = scaled_dot_attention(q, k, v, use_gumbel=True, gumbel_temp=0.5).data
+        out = scaled_dot_attention(q, k, v, temperature=0.5).data
         logits = (q.data @ k.data.T) / np.sqrt(4)
         expected = softmax_rows(logits / 0.5) @ v.data
         np.testing.assert_allclose(out, expected, atol=1e-12)
@@ -133,7 +133,7 @@ class TestScaledDotAttention:
         q, k = Tensor(RNG.normal(size=(4, 3))), Tensor(RNG.normal(size=(6, 3)))
         rng = RandomStream(3).child("g")
         out = scaled_dot_attention(
-            q, k, Tensor(np.eye(6)), use_gumbel=True, gumbel_temp=0.3, rng=rng
+            q, k, Tensor(np.eye(6)), temperature=0.3, rng=rng
         ).data
         np.testing.assert_allclose(out.sum(axis=1), 1.0, atol=1e-12)
         assert np.all(out >= 0)
@@ -148,7 +148,6 @@ class TestScaledDotAttention:
             Tensor(np.ones((draws, 1))),
             Tensor(logits[:, None]),
             Tensor(np.eye(3)),
-            use_gumbel=True,
             rng=rng,
         ).data
         counts = np.bincount(weights.argmax(axis=1), minlength=3) / draws
@@ -179,8 +178,7 @@ def run_attention(attend, case, trained=""):
     ]
     out = attend(
         *inputs,
-        use_gumbel=temp is not None,
-        gumbel_temp=temp or 1.0,
+        temperature=temp or 1.0,
         rng=None if seed is None else RandomStream(seed).child("noise"),
         key_mask=mask,
     )

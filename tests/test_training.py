@@ -134,11 +134,26 @@ class TestTrainStep:
         assert "text.token_embedding" in changed
 
     def test_batch_of_two_candidates_cover_batch(self):
-        cfg = tiny_config(batch_size=2, k_train=2)
+        cfg = tiny_config(batch_size=2)
         model = RetrievalModel(cfg, seed=1)
         batch = make_batch(cfg, n=2)
         bundle = training_loss(model, batch, cfg)
         assert np.isfinite(float(bundle.combined_tensor.data))
+
+    @pytest.mark.parametrize("batch_size,width", [(2, 2), (3, 3), (4, 3), (6, 3)])
+    def test_candidate_rows_hold_min_k_and_batch(self, batch_size, width, monkeypatch):
+        cfg = tiny_config(batch_size=batch_size)  # k = 3
+        model = RetrievalModel(cfg, seed=1)
+        widths = []
+        candidate_tokens = model.fusion.candidate_tokens
+
+        def record(locals_):
+            widths.append(locals_.shape[1])
+            return candidate_tokens(locals_)
+
+        monkeypatch.setattr(model.fusion, "candidate_tokens", record)
+        training_loss(model, make_batch(cfg), cfg)
+        assert widths == [width, width]  # one row width per direction
 
     def test_loss_terms_permutation_equivariant(self):
         cfg = tiny_config(batch_size=6)
@@ -184,6 +199,10 @@ class TestTrainStep:
         noisy1 = training_loss(model, batch, cfg, rng=RandomStream(1).child("a")).report()
         noisy2 = training_loss(model, batch, cfg, rng=RandomStream(1).child("b")).report()
         assert noisy1.focus_t != noisy2.focus_t
+        # use_gumbel=false ignores the stream.
+        cfg.use_gumbel = False
+        quiet = training_loss(model, batch, cfg, rng=RandomStream(1).child("a")).report()
+        assert quiet == det1
 
 
 class TestAdamW:
@@ -243,13 +262,16 @@ class TestTrainLoop:
         for name, t in loop_model.params.items():
             assert np.array_equal(t.data, manual_model.params[name].data)
 
-    def test_checkpoints_written_per_epoch(self, tmp_path):
+    def test_out_dir_gets_the_trained_model_once(self, tmp_path):
         cfg = tiny_config(pair_count=8, cohort_size=2, batch_size=4, epochs=2)
         dataset = generate_synthetic_pairs(spec_from_config(cfg))
         model = RetrievalModel(cfg, seed=0)
         train_loop(dataset, model, cfg, out_dir=str(tmp_path))
-        assert (tmp_path / "checkpoint_epoch_0.bin").exists()
-        assert (tmp_path / "checkpoint_epoch_1.bin").exists()
+        assert [p.name for p in tmp_path.iterdir()] == ["model.bin"]
+        reloaded = RetrievalModel(cfg, seed=1)
+        reloaded.load(tmp_path / "model.bin")
+        for name, t in model.params.items():
+            assert np.array_equal(reloaded.params[name].data, t.data), name
 
     def test_trailing_singleton_batch_dropped(self):
         cfg = tiny_config(pair_count=9, cohort_size=3, batch_size=4, epochs=1)
