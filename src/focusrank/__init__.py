@@ -1,6 +1,6 @@
 """Two-stage text-video retrieval with focused cross-attention re-ranking."""
 
-from .config import RunConfig, default_config, load_config
+from .config import RunConfig, load_config
 from .data import PairedDataset, SyntheticSpec, generate_synthetic_pairs
 from .encoders import EncodedItem, TextSequence, VideoClip
 from .losses import LossReport, combined_loss, contrastive_loss

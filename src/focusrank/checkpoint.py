@@ -84,10 +84,14 @@ def load_parameters(path) -> dict[str, np.ndarray]:
         ndim = r.u32()
         if ndim > 8:
             raise FormatError(f"implausible ndim {ndim}", offset=r.pos - 4)
+        shape_at = r.pos
         shape = tuple(r.u32() for _ in range(ndim))
         size = math.prod(shape)  # Python ints: a huge shape cannot wrap negative
         raw = r.read(8 * size)
-        arrays[name] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
+        try:
+            arrays[name] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
+        except ValueError as exc:  # e.g. (0, 2**31, 2**31): empty, but too big for numpy
+            raise FormatError(f"shape {shape} is not representable", offset=shape_at) from exc
     if r.pos != len(blob):
         raise FormatError("trailing bytes after last record", offset=r.pos)
     return arrays

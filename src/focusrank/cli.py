@@ -14,7 +14,7 @@ import sys
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
-from .config import RunConfig, apply_overrides, default_config, load_config, parse_value
+from .config import RunConfig, apply_overrides, load_config, parse_value
 from .data import build_galleries, generate_synthetic_pairs, spec_from_config
 from .errors import FocusrankError, UsageError
 from .gradcheck import run_gradient_suite
@@ -43,7 +43,6 @@ class Command:
     config_path: str | None = None
     overrides: dict[str, str] = field(default_factory=dict)
     out_dir: str = "out"
-    seed: int | None = None
     components: bool = False
 
 
@@ -82,7 +81,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                        help="config override; ablate accepts comma lists to sweep")
         p.add_argument("--out", default="out", help="artifact directory")
-        p.add_argument("--seed", type=int, default=None, help="override the config seed")
         if verb == "ablate":
             p.add_argument("--components", action="store_true",
                            help="run the cumulative component rows instead of a key sweep")
@@ -97,20 +95,13 @@ def parse_args(argv) -> Command:
         config_path=ns.config,
         overrides=overrides,
         out_dir=ns.out,
-        seed=ns.seed,
         components=getattr(ns, "components", False),
     )
 
 
 def _load(cmd: Command, extra: dict[str, str] | None = None) -> RunConfig:
-    cfg = load_config(cmd.config_path) if cmd.config_path else default_config()
-    merged = dict(cmd.overrides)
-    if extra:
-        merged.update(extra)
-    apply_overrides(cfg, merged)
-    if cmd.seed is not None:
-        cfg.seed = cmd.seed
-    return cfg.validate()
+    cfg = load_config(cmd.config_path) if cmd.config_path else RunConfig()
+    return apply_overrides(cfg, {**cmd.overrides, **(extra or {})})
 
 
 def _write_csv(path: Path, header, rows) -> None:
@@ -230,22 +221,24 @@ def execute(cmd: Command) -> int:
 
 
 def _ablate(cmd: Command, out_dir: Path) -> int:
+    sweeps = {k: v for k, v in cmd.overrides.items() if "," in v}
     if cmd.components:
-        runs = [(label, extra) for label, extra in COMPONENT_ROWS]
+        if sweeps:
+            raise UsageError("--components runs its own rows; it takes no "
+                             f"--set sweep (got {', '.join(sweeps)})")
+        runs = COMPONENT_ROWS
         swept_key = "components"
+    elif len(sweeps) != 1:
+        raise UsageError("ablate needs exactly one --set key=v1,v2,... sweep "
+                         "(or --components)")
     else:
-        sweeps = {k: v for k, v in cmd.overrides.items() if "," in v}
-        if len(sweeps) != 1:
-            raise UsageError("ablate needs exactly one --set key=v1,v2,... sweep "
-                             "(or --components)")
         swept_key, raw = next(iter(sweeps.items()))
         runs = [(value, {swept_key: value}) for value in raw.split(",")]
 
+    base = replace(cmd, overrides={k: v for k, v in cmd.overrides.items() if k not in sweeps})
     rows = []
     for label, extra in runs:
-        base = {k: v for k, v in cmd.overrides.items() if "," not in v}
-        sub_cmd = replace(cmd, overrides=base)
-        cfg = _load(sub_cmd, extra=extra)
+        cfg = _load(base, extra=extra)
         run_dir = out_dir / f"ablate_{swept_key}_{label}".replace("+", "")
         log.info("ablate %s=%s", swept_key, label)
         model = _run_training(cfg, run_dir)

@@ -22,7 +22,7 @@ def _parse_bool(raw: str) -> bool:
     raise ValueError(f"expected true/false, got {raw!r}")
 
 
-@dataclass
+@dataclass(slots=True)
 class RunConfig:
     """Every tunable of the model, training loop, data generator and CLI."""
 
@@ -113,24 +113,19 @@ class RunConfig:
         return self
 
 
-_PARSERS = {bool: _parse_bool, int: int, float: float, str: str}
+# Field types are annotation strings under `from __future__ import annotations`.
+_PARSERS = {"bool": _parse_bool, "int": int, "float": float, "str": str}
 _FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
-_TYPE_LOOKUP = {"int": int, "float": float, "bool": bool, "str": str}
 
 
 def parse_value(key: str, raw: str):
     """Convert the raw string for `key` to its typed value."""
     if key not in _FIELD_TYPES:
         raise ConfigError(f"unknown config key: {key!r}")
-    typ = _TYPE_LOOKUP[_FIELD_TYPES[key]] if isinstance(_FIELD_TYPES[key], str) else _FIELD_TYPES[key]
     try:
-        return _PARSERS[typ](raw.strip())
+        return _PARSERS[_FIELD_TYPES[key]](raw.strip())
     except ValueError as exc:
         raise ConfigError(f"bad value for {key!r}: {exc}") from None
-
-
-def default_config() -> RunConfig:
-    return RunConfig()
 
 
 def load_config(path) -> RunConfig:

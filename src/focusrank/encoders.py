@@ -70,7 +70,7 @@ def temporal_mean_pool(features):
     return features.mean(axis=-3)
 
 
-def bind_query_indicators(indicators, tokens, out_w, out_b, key_mask=None) -> Tensor:
+def bind_query_indicators(indicators, tokens, out_w, out_b) -> Tensor:
     """One binding step: indicators + proj(attention(Q=indicators, K=V=tokens)).
 
     The output projection is expected to be zero at initialization, which
@@ -81,7 +81,7 @@ def bind_query_indicators(indicators, tokens, out_w, out_b, key_mask=None) -> Te
         raise DimensionError(
             f"indicator width {indicators.shape[-1]} != token width {tokens.shape[-1]}"
         )
-    attended = scaled_dot_attention(indicators, tokens, tokens, key_mask=key_mask)
+    attended = scaled_dot_attention(indicators, tokens, tokens)
     return indicators + (attended @ out_w + out_b)
 
 
@@ -117,7 +117,7 @@ class _EncoderTrunk:
             params.add(f"{side}.layer{i}.bind.out_w", np.zeros((c, c)))
             params.add(f"{side}.layer{i}.bind.out_b", np.zeros(c))
 
-    def __call__(self, embed, inputs, key_mask=None) -> tuple[Tensor, Tensor | None]:
+    def __call__(self, embed, inputs) -> tuple[Tensor, Tensor | None]:
         """Run the stack over the (B, S, C) tokens `embed(inputs)`.
 
         Returns (token states (B, S, C), indicators (B, m, C) or None without
@@ -129,22 +129,22 @@ class _EncoderTrunk:
         x = embed(inputs)
         indicators = p[f"{self.side}.indicators"].reshape(1, cfg.indicator_count, cfg.dim)
         for i in range(cfg.layers):
-            x = self._self_attention(x, f"{self.side}.layer{i}.self_attn", key_mask)
+            x = self._self_attention(x, f"{self.side}.layer{i}.self_attn")
             if cfg.use_query_indicators:
                 bind = f"{self.side}.layer{i}.bind"
                 indicators = bind_query_indicators(
-                    indicators, x, p[f"{bind}.out_w"], p[f"{bind}.out_b"], key_mask=key_mask
+                    indicators, x, p[f"{bind}.out_w"], p[f"{bind}.out_b"]
                 )
         return x, indicators if cfg.use_query_indicators else None
 
-    def _self_attention(self, x: Tensor, prefix: str, key_mask) -> Tensor:
+    def _self_attention(self, x: Tensor, prefix: str) -> Tensor:
         # A call of its own, so the (B, S, C) temporaries are freed before binding.
         p = self.params
         h = layer_norm(x, p[f"{prefix}.ln_gamma"], p[f"{prefix}.ln_beta"])
         q = h @ p[f"{prefix}.wq"]
         k = h @ p[f"{prefix}.wk"]
         v = h @ p[f"{prefix}.wv"]
-        return x + scaled_dot_attention(q, k, v, key_mask=key_mask) @ p[f"{prefix}.wo"]
+        return x + scaled_dot_attention(q, k, v) @ p[f"{prefix}.wo"]
 
 
 class TextEncoder:
@@ -164,14 +164,11 @@ class TextEncoder:
         )
         self.trunk = _EncoderTrunk(params, cfg, "text", rng)
 
-    def forward(self, tokens: np.ndarray, key_mask: np.ndarray | None = None):
+    def forward(self, tokens: np.ndarray):
         """Encode a (B, M) batch of token ids.
 
         Returns (global (B, C) unit rows, focus (B, m-1, C) or None, locals (B, M, C)).
-        A key mask of shape (B, M) marks real tokens with 1; masked positions
-        get zero attention weight everywhere, so outputs at real positions are
-        unaffected by padding content. Every row needs one real token: a fully
-        masked row would softmax over nothing but -inf.
+        Every token of every row is attended to: the batch holds no padding.
         """
         tokens = np.asarray(tokens, dtype=np.int64)
         if tokens.ndim != 2 or tokens.shape[1] == 0:
@@ -182,23 +179,12 @@ class TextEncoder:
             )
         if tokens.min() < 0 or tokens.max() >= self.cfg.vocab_size:
             raise InputError("token id outside vocabulary")
-        if key_mask is not None:
-            key_mask = np.asarray(key_mask, dtype=np.float64)
-            if key_mask.shape != tokens.shape:
-                raise DimensionError(f"key mask {key_mask.shape} != token batch {tokens.shape}")
-            if not (key_mask > 0).any(axis=1).all():
-                raise InputError("key mask row has no real token")
-        x, indicators = self.trunk(self._input_tokens, tokens, key_mask=key_mask)
+        x, indicators = self.trunk(self._input_tokens, tokens)
         if indicators is not None:
             global_vec = normalize_rows(indicators[:, 0, :])
             focus = indicators[:, 1:, :]
         else:
-            if key_mask is None:
-                pooled = x.mean(axis=1)
-            else:
-                mask = np.asarray(key_mask, dtype=np.float64)[:, :, None]
-                pooled = (x * mask).sum(axis=1) * (1.0 / mask.sum(axis=1))
-            global_vec = normalize_rows(pooled)
+            global_vec = normalize_rows(x.mean(axis=1))
             focus = None
         return global_vec, focus, x
 

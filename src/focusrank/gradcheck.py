@@ -6,9 +6,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import losses
+from .config import RunConfig
+from .encoders import bind_query_indicators
 from .errors import UsageError
-from .ops import ParameterSet
+from .model import RetrievalModel
+from .ops import Mlp, ParameterSet, kaiming_normal, scaled_dot_attention
+from .rng import RandomStream
 from .tensor import Tensor, layer_norm
+from .training import Batch, training_loss
 
 
 @dataclass
@@ -28,7 +34,6 @@ def check_gradients(
     loss_fn,
     params: ParameterSet,
     eps: float = 1e-5,
-    param_names: list[str] | None = None,
     name: str = "loss",
 ) -> GradCheckResult:
     """Compare tape gradients of `loss_fn()` against central finite differences.
@@ -45,10 +50,9 @@ def check_gradients(
         raise UsageError("loss_fn must return a scalar Tensor")
     loss.backward()
     analytic = params.gradients()
-    names = param_names if param_names is not None else params.names()
 
     per_param: dict[str, float] = {}
-    for pname in names:
+    for pname in params.names():
         tensor = params[pname]
         a = analytic[pname]
         worst = 0.0
@@ -74,22 +78,12 @@ def check_gradients(
 def run_gradient_suite(seed: int = 0, eps: float = 1e-5) -> list[GradCheckResult]:
     """Gradient-check every differentiable operation on toy shapes.
 
-    Covers indicator binding, fused cross-attention, masked attention with
-    Gumbel noise across broadcast batches, layer normalization, the MLP head,
+    Covers indicator binding, fused cross-attention, attention with Gumbel
+    noise across broadcast batches, layer normalization, the MLP head,
     both contrastive directions, the focused cross-entropy, and the combined
     training objective of a miniature end-to-end model (width 8, batch 2,
     3 re-rank candidates).
     """
-    # Local imports: the suite exercises higher-level modules that themselves
-    # depend on this one.
-    from . import losses
-    from .config import default_config
-    from .encoders import bind_query_indicators
-    from .model import RetrievalModel
-    from .ops import Mlp, kaiming_normal, scaled_dot_attention
-    from .rng import RandomStream
-    from .training import Batch, training_loss
-
     rng = RandomStream(seed).child("gradcheck")
     results = []
 
@@ -126,25 +120,21 @@ def run_gradient_suite(seed: int = 0, eps: float = 1e-5) -> list[GradCheckResult
         )
     )
 
-    # Masked attention: one query batch against two key/value batches, one
-    # key masked, Gumbel noise from a stream that replays on every call.
+    # Broadcast attention: one query batch against two key/value batches,
+    # Gumbel noise from a stream that replays on every call.
     p = ParameterSet()
-    q = p.add("q", kaiming_normal(rng.child("masked", "q"), (1, 2, 8), 8))
-    k = p.add("k", kaiming_normal(rng.child("masked", "k"), (2, 5, 8), 8))
-    v = p.add("v", kaiming_normal(rng.child("masked", "v"), (2, 5, 8), 8))
-    key_mask = np.array([[1, 1, 0, 1, 1], [1, 1, 1, 1, 1]])
-    noise = rng.child("masked", "noise")
+    q = p.add("q", kaiming_normal(rng.child("broadcast", "q"), (1, 2, 8), 8))
+    k = p.add("k", kaiming_normal(rng.child("broadcast", "k"), (2, 5, 8), 8))
+    v = p.add("v", kaiming_normal(rng.child("broadcast", "v"), (2, 5, 8), 8))
+    noise = rng.child("broadcast", "noise")
     results.append(
         check_gradients(
             lambda: sum_of_squares(
-                scaled_dot_attention(
-                    q, k, v, temperature=0.7,
-                    rng=noise.child("draw"), key_mask=key_mask,
-                )
+                scaled_dot_attention(q, k, v, temperature=0.7, rng=noise.child("draw"))
             ),
             p,
             eps,
-            name="masked-attention",
+            name="broadcast-attention",
         )
     )
 
@@ -200,22 +190,12 @@ def run_gradient_suite(seed: int = 0, eps: float = 1e-5) -> list[GradCheckResult
     )
 
     # Combined objective through the full miniature model.
-    cfg = default_config()
-    cfg.dim = 8
-    cfg.layers = 1
-    cfg.vocab_size = 16
-    cfg.text_len = 4
-    cfg.max_text_len = 4
-    cfg.patch_count = 4
-    cfg.patch_dim = 8
-    cfg.frame_count = 2
-    cfg.max_frames = 2
-    cfg.mlp_hidden = 8
-    cfg.latent_dim = 4
-    cfg.k = 3
-    cfg.batch_size = 2
-    cfg.validate()
-    model = RetrievalModel(cfg, seed=seed)
+    cfg = RunConfig(
+        dim=8, layers=1, vocab_size=16, text_len=4, max_text_len=4, patch_count=4,
+        patch_dim=8, frame_count=2, max_frames=2, mlp_hidden=8, latent_dim=4, k=3,
+        batch_size=2, seed=seed,
+    ).validate()
+    model = RetrievalModel(cfg)
     # Randomize the residual projections and delta scale so every gradient
     # path is exercised away from its zero-initialized point.
     for pname in model.params.names():

@@ -61,24 +61,25 @@ def summarize(ranks: np.ndarray, direction: str = "", stage: str = "") -> Metric
 def evaluate_two_stage(
     text_queries,
     video_gallery: Gallery,
-    video_queries=None,
-    text_gallery: Gallery | None = None,
+    video_queries,
+    text_gallery: Gallery,
     net=None,
     k: int = 10,
     mode: str = "two-stage",
     truth_t2v: list[int] | None = None,
     truth_v2t: list[int] | None = None,
 ) -> dict[str, MetricsReport]:
-    """Rank every query (stage-1 only, or the full two-stage path) and
-    summarize. The v2t direction is reported when a text gallery is supplied.
+    """Rank every query in both directions (stage-1 only, or the full
+    two-stage path) and summarize; returns the "t2v" and "v2t" reports.
 
     `text_queries` / `video_queries` are (globals, focus_indicators) array
     pairs; truth defaults to index-aligned pairing (query i's true item is
     gallery entry i's id).
     """
-    directions = [("t2v", text_queries, video_gallery, truth_t2v)]
-    if video_queries is not None and text_gallery is not None:
-        directions.append(("v2t", video_queries, text_gallery, truth_v2t))
+    directions = [
+        ("t2v", text_queries, video_gallery, truth_t2v),
+        ("v2t", video_queries, text_gallery, truth_v2t),
+    ]
     reports: dict[str, MetricsReport] = {}
     for direction, (globals_, focus), gallery, truth in directions:
         if truth is None:

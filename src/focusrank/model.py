@@ -9,21 +9,19 @@ from .checkpoint import load_parameters, save_parameters
 from .config import RunConfig
 from .encoders import EncodedItem, TextEncoder, TextSequence, VideoClip, VideoEncoder
 from .ops import ParameterSet
+from .pipeline import FusionNetwork
 from .rng import RandomStream
 from .tensor import Tensor, no_grad
 
 
 class RetrievalModel:
-    def __init__(self, cfg: RunConfig, seed: int | None = None):
+    def __init__(self, cfg: RunConfig):
         cfg.validate()
         self.cfg = cfg
         self.params = ParameterSet()
-        rng = RandomStream(cfg.seed if seed is None else seed).child("init")
+        rng = RandomStream(cfg.seed).child("init")
         self.text_encoder = TextEncoder(self.params, cfg, rng.child("text"))
         self.video_encoder = VideoEncoder(self.params, cfg, rng.child("video"))
-        # Imported here: pipeline depends on encoders for type annotations.
-        from .pipeline import FusionNetwork
-
         self.fusion = FusionNetwork(self.params, cfg, rng.child("fusion"))
         self.params.add("log_temperature", np.log(cfg.temperature))
 
@@ -31,8 +29,8 @@ class RetrievalModel:
     def temperature(self) -> Tensor:
         return self.params["log_temperature"].exp()
 
-    def encode_text_batch(self, tokens: np.ndarray, key_mask=None):
-        return self.text_encoder.forward(tokens, key_mask=key_mask)
+    def encode_text_batch(self, tokens: np.ndarray):
+        return self.text_encoder.forward(tokens)
 
     def encode_video_batch(self, clips: np.ndarray):
         return self.video_encoder.forward(clips)

@@ -102,13 +102,11 @@ def scaled_dot_attention(
     *,
     temperature: float = 1.0,
     rng: RandomStream | None = None,
-    key_mask: np.ndarray | None = None,
 ) -> Tensor:
     """softmax((q kᵀ / sqrt(d) + g) / temperature) v.
 
     q: (..., m, d); k, v: (..., s, d). g is per-logit Gumbel(0, 1) noise drawn
-    from `rng` when a stream is given, and zero otherwise. `key_mask` (..., s)
-    marks valid keys with 1; masked keys receive exactly zero attention weight.
+    from `rng` when a stream is given, and zero otherwise.
     """
     q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
     if q.ndim < 2 or k.ndim < 2 or v.ndim < 2:
@@ -129,13 +127,6 @@ def scaled_dot_attention(
     chain = scale  # d logits / d (q kᵀ), for the backward
     w = q.data @ np.swapaxes(k.data, -1, -2)
     w *= scale
-    if key_mask is not None:
-        mask = np.asarray(key_mask, dtype=np.float64)
-        bias = np.expand_dims(np.where(mask > 0, 0.0, -np.inf), -2)
-        if np.broadcast_shapes(w.shape, bias.shape) == w.shape:
-            w += bias
-        else:
-            w = w + bias
     if rng is not None:
         w += rng.gumbel(w.shape)
     if temperature != 1.0:  # multiplying by 1.0 is exact: skip it

@@ -320,10 +320,8 @@ def concat(tensors, axis: int = 0) -> Tensor:
     return out
 
 
-def take(t: Tensor, indices, axis: int = 0) -> Tensor:
+def take(t: Tensor, indices) -> Tensor:
     """Gather rows along axis 0 with an integer index array (scatter-add backward)."""
-    if axis != 0:
-        raise UsageError("take only supports axis=0")
     t = as_tensor(t)
     idx = np.asarray(indices)
     out = _result(t.data[idx], (t,))

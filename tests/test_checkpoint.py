@@ -100,6 +100,17 @@ def test_shape_whose_size_overflows_int64_rejected(tmp_path):
         load_parameters(path)
 
 
+def test_empty_shape_too_big_for_numpy_rejected(tmp_path):
+    # Zero elements, but numpy cannot represent 2**31 * 2**31 doubles.
+    path = tmp_path / "ckpt.bin"
+    save_parameters({"w": np.zeros((0, 1, 1))}, path)
+    blob = bytearray(path.read_bytes())
+    blob[25:37] = struct.pack("<3I", 0, 2**31, 2**31)
+    path.write_bytes(bytes(blob))
+    with pytest.raises(FormatError):
+        load_parameters(path)
+
+
 @settings(deadline=None, max_examples=400)
 @given(
     st.lists(st.tuples(st.integers(0, 10**6), st.integers(1, 255)), min_size=1, max_size=3),

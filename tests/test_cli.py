@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from focusrank.cli import Command, execute, parse_args
+from focusrank.cli import Command, execute, main, parse_args
 from focusrank.errors import ConfigError, UsageError
 
 TINY_CFG = """
@@ -74,9 +74,14 @@ class TestParseArgs:
             parse_args(["dance"])
 
     def test_flags(self):
-        cmd = parse_args(["train", "--out", "artifacts", "--seed", "9"])
+        cmd = parse_args(["train", "--out", "artifacts"])
         assert cmd.out_dir == "artifacts"
-        assert cmd.seed == 9
+
+    def test_seed_is_a_config_key_not_a_flag(self, capsys):
+        # `--set seed=N` is the one way to set the seed.
+        with pytest.raises(SystemExit) as exc:
+            main(["train", "--seed", "1"])
+        assert exc.value.code == 2
 
     @pytest.mark.parametrize("verb", ["train", "ablate"])
     def test_noise_switch_is_a_config_key_not_a_flag(self, verb, capsys):
@@ -126,7 +131,7 @@ class TestExecute:
         assert "pass combined-objective" in printed
         rows = read_csv(out / "gradcheck.csv")
         assert all(row[3] == "pass" for row in rows[1:])
-        assert {"layer-norm", "masked-attention"} <= {row[0] for row in rows[1:]}
+        assert {"layer-norm", "broadcast-attention"} <= {row[0] for row in rows[1:]}
 
     def test_module_entry_point_runs_gradcheck(self, tmp_path):
         # `python -m focusrank` from a checkout, without the installed script.
@@ -172,6 +177,14 @@ class TestExecute:
     def test_ablate_requires_exactly_one_sweep(self, tiny_cfg_path, tmp_path):
         with pytest.raises(UsageError):
             execute(parse_args(["ablate", "--config", tiny_cfg_path, "--out", str(tmp_path)]))
+
+    def test_ablate_components_rejects_a_sweep(self, tiny_cfg_path, tmp_path):
+        # The component rows would run at one k and drop the sweep; fail first.
+        out = tmp_path / "ab"
+        with pytest.raises(UsageError):
+            execute(parse_args(["ablate", "--config", tiny_cfg_path, "--out", str(out),
+                                "--components", "--set", "k=2,3"]))
+        assert not out.exists()
 
     def test_csv_outputs_byte_identical_across_runs(self, tiny_cfg_path, tmp_path):
         blobs = []

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from focusrank.config import RunConfig, apply_overrides, default_config, load_config
+from focusrank.config import RunConfig, apply_overrides, load_config
 from focusrank.data import PairedDataset, SyntheticSpec, generate_synthetic_pairs
 from focusrank.errors import ConfigError, InputError
 from focusrank.pipeline import Gallery
@@ -156,13 +156,13 @@ class TestConfig:
             load_config(path)
 
     def test_overrides_validate(self):
-        cfg = default_config()
+        cfg = RunConfig()
         apply_overrides(cfg, {"k": "5"})
         assert cfg.k == 5
         with pytest.raises(ConfigError):
-            apply_overrides(default_config(), {"banana": "1"})
+            apply_overrides(RunConfig(), {"banana": "1"})
         with pytest.raises(ConfigError):
-            apply_overrides(default_config(), {"temperature": "-1"})
+            apply_overrides(RunConfig(), {"temperature": "-1"})
 
     @pytest.mark.parametrize(
         "key", ["temperature", "gumbel_temp", "lr_base", "lr_fusion", "weight_decay"]
@@ -170,9 +170,15 @@ class TestConfig:
     @pytest.mark.parametrize("value", ["inf", "nan"])
     def test_non_finite_float_rejected(self, key, value):
         with pytest.raises(ConfigError):
-            apply_overrides(default_config(), {key: value})
+            apply_overrides(RunConfig(), {key: value})
 
     def test_removed_keys_rejected(self):
         # Training always uses min(k, batch) candidates; the knob is gone.
         with pytest.raises(ConfigError):
-            apply_overrides(default_config(), {"k_train": "2"})
+            apply_overrides(RunConfig(), {"k_train": "2"})
+
+    def test_unknown_attribute_rejected(self):
+        # A removed or misspelt key set in code fails instead of being ignored.
+        cfg = RunConfig()
+        with pytest.raises(AttributeError):
+            cfg.k_train = 2

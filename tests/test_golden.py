@@ -32,7 +32,7 @@ import numpy as np
 import pytest
 
 from focusrank.cli import execute, parse_args
-from focusrank.config import default_config
+from focusrank.config import RunConfig
 from focusrank.model import RetrievalModel
 from focusrank.rng import RandomStream
 
@@ -59,7 +59,7 @@ TRAIN_CASES = {
 
 def write_checkpoint(path: Path) -> Path:
     """Save a default-config model whose zero-initialised tensors are seeded."""
-    cfg = default_config()
+    cfg = RunConfig()
     cfg.pair_count = PAIR_COUNT
     model = RetrievalModel(cfg.validate())
     stream = RandomStream(CHECKPOINT_SEED).child("golden")

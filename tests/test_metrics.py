@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from focusrank.config import default_config
+from focusrank.config import RunConfig
 from focusrank.errors import InputError
 from focusrank.metrics import compute_ranks, evaluate_two_stage, summarize
 from focusrank.ops import ParameterSet
@@ -112,11 +112,11 @@ def test_rank_invariant_under_increasing_transform():
 
 
 def test_two_stage_evaluation_without_focus_rejected():
-    cfg = default_config()
+    cfg = RunConfig()
     cfg.dim, cfg.k, cfg.mlp_hidden = 8, 4, 16
     net = FusionNetwork(ParameterSet(), cfg.validate(), RandomStream(0))
     globals_ = RNG.normal(size=(6, 8))
     globals_ /= np.linalg.norm(globals_, axis=1, keepdims=True)
     gallery = Gallery(np.arange(6), globals_, RNG.normal(size=(6, 2, 8)))
     with pytest.raises(InputError):
-        evaluate_two_stage((globals_, None), gallery, net=net, k=4)
+        evaluate_two_stage((globals_, None), gallery, (globals_, None), gallery, net=net, k=4)

@@ -42,11 +42,8 @@ def composed_softmax(t):
     return out
 
 
-def composed_attention(q, k, v, *, temperature=1.0, rng=None, key_mask=None):
+def composed_attention(q, k, v, *, temperature=1.0, rng=None):
     logits = (q @ k.swapaxes(-1, -2)) * (1.0 / math.sqrt(q.shape[-1]))
-    if key_mask is not None:
-        bias = np.where(np.asarray(key_mask, dtype=np.float64) > 0, 0.0, -np.inf)
-        logits = logits + Tensor(np.expand_dims(bias, -2))
     if rng is not None:
         logits = logits + Tensor(rng.gumbel(logits.shape))
     logits = logits * (1.0 / temperature)
@@ -99,16 +96,6 @@ class TestScaledDotAttention:
         out = scaled_dot_attention(Tensor(q), Tensor(k), Tensor(v)).data
         np.testing.assert_allclose(out, brute_force_attention(q, k, v), atol=1e-12)
 
-    def test_key_mask_zeroes_masked_positions(self):
-        q = Tensor(RNG.normal(size=(2, 4)))
-        k = RNG.normal(size=(5, 4))
-        v = RNG.normal(size=(5, 4))
-        mask = np.array([1.0, 1.0, 0.0, 1.0, 0.0])
-        out = scaled_dot_attention(Tensor(q.data), Tensor(k), Tensor(v), key_mask=mask).data
-        keep = mask > 0
-        expected = brute_force_attention(q.data, k[keep], v[keep])
-        np.testing.assert_allclose(out, expected, atol=1e-12)
-
     def test_shape_mismatch_raises(self):
         with pytest.raises(DimensionError):
             scaled_dot_attention(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 4))), Tensor(np.ones((2, 4))))
@@ -155,22 +142,19 @@ class TestScaledDotAttention:
         np.testing.assert_allclose(counts, expected, atol=0.02)
 
 
-# (q shape, k shape, v shape, key mask, gumbel temperature, noise seed)
+# (q shape, k shape, v shape, gumbel temperature, noise seed)
 ATTENTION_CASES = {
-    "plain": ((2, 3, 4), (2, 5, 4), (2, 5, 3), None, None, None),
-    "masked-noisy-broadcast": (
-        (1, 3, 4), (2, 5, 4), (2, 5, 6), np.array([[1, 1, 0, 1, 1], [1, 1, 1, 1, 1]]), 0.7, 5
-    ),
-    "unbatched-temp": ((3, 4), (5, 4), (5, 2), None, 1.3, None),
-    "mask-adds-batch": ((3, 4), (5, 4), (5, 2), np.array([[1, 0, 1, 1, 1], [1, 1, 1, 1, 0]]),
-                        None, None),
+    "plain": ((2, 3, 4), (2, 5, 4), (2, 5, 3), None, None),
+    "noisy-broadcast": ((1, 3, 4), (2, 5, 4), (2, 5, 6), 0.7, 5),
+    "unbatched-temp": ((3, 4), (5, 4), (5, 2), 1.3, None),
+    "kv-add-batch": ((3, 4), (2, 5, 4), (2, 5, 2), None, None),
 }
 
 
 def run_attention(attend, case, trained=""):
     """(q, k, v) and the output of `attend` on one case; the tensors named in
     `trained` require gradients."""
-    *shapes, mask, temp, seed = ATTENTION_CASES[case]
+    *shapes, temp, seed = ATTENTION_CASES[case]
     rng = np.random.default_rng(3)
     inputs = [
         Tensor(rng.normal(size=shape), requires_grad=name in trained)
@@ -180,7 +164,6 @@ def run_attention(attend, case, trained=""):
         *inputs,
         temperature=temp or 1.0,
         rng=None if seed is None else RandomStream(seed).child("noise"),
-        key_mask=mask,
     )
     return inputs, out
 
@@ -210,11 +193,10 @@ class TestFusedAttention:
     def test_self_attention_aliasing(self):
         # q is k is v: three gradients accumulate into one tensor.
         x_data = RNG.normal(size=(2, 4, 3))
-        mask = np.array([[1, 1, 1, 0], [1, 1, 1, 1]])
         results = []
         for attend in (scaled_dot_attention, composed_attention):
             x = Tensor(x_data.copy(), requires_grad=True)
-            out = attend(x, x, x, key_mask=mask)
+            out = attend(x, x, x)
             backward_with_weights(out)
             results.append((out.data, x.grad))
         (fused, fused_grad), (composed, composed_grad) = results

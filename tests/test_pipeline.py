@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from focusrank.config import default_config
+from focusrank.config import RunConfig
 from focusrank.encoders import EncodedItem
 from focusrank.errors import DimensionError, InputError
 from focusrank import pipeline
@@ -43,7 +43,7 @@ def make_gallery(n=12, c=8, n_local=3, rng=RNG):
 
 def make_net(cfg=None, seed=0, randomize=False):
     if cfg is None:
-        cfg = default_config()
+        cfg = RunConfig()
         cfg.dim = 8
         cfg.indicator_count = 4
         cfg.k = 4
@@ -195,7 +195,7 @@ class TestFocusedFuse:
         np.testing.assert_array_equal(fused.data, ind)
 
     def test_single_candidate_single_token(self):
-        cfg = default_config()
+        cfg = RunConfig()
         cfg.dim = 8
         cfg.indicator_count = 4
         cfg.k = 1
@@ -213,7 +213,7 @@ class TestFocusedFuse:
         np.testing.assert_allclose(fused.data[0], expected, atol=1e-12)
 
     def test_matches_flattened_attention_oracle(self):
-        cfg = default_config()
+        cfg = RunConfig()
         cfg.dim = 8
         cfg.indicator_count = 3
         cfg.k = 2

@@ -1,9 +1,11 @@
 """Training step mechanics, the optimizer, and in-batch candidate building."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from focusrank.config import default_config
+from focusrank.config import RunConfig
 from focusrank.data import generate_synthetic_pairs, spec_from_config
 from focusrank.errors import TrainingAbort
 from focusrank.model import RetrievalModel
@@ -23,7 +25,7 @@ RNG = np.random.default_rng(71)
 
 
 def tiny_config(**overrides):
-    cfg = default_config()
+    cfg = RunConfig()
     cfg.dim = 16
     cfg.layers = 1
     cfg.vocab_size = 64
@@ -84,7 +86,7 @@ class TestTrainStep:
         cfg = tiny_config()
         reports = []
         for _ in range(2):
-            model = RetrievalModel(cfg, seed=3)
+            model = RetrievalModel(replace(cfg, seed=3))
             opt = AdamW(model.params, cfg.lr_base, cfg.lr_fusion, cfg.weight_decay)
             report = train_step(
                 model, make_batch(cfg), cfg, opt, RandomStream(7).child("step")
@@ -97,7 +99,7 @@ class TestTrainStep:
         # exact while the calibration reaches no tensor the combined
         # objective reaches, which leaves the delta scale to it alone.
         cfg = tiny_config()
-        model = RetrievalModel(cfg, seed=3)
+        model = RetrievalModel(replace(cfg, seed=3))
         model.params["fusion.delta_scale"].data = np.asarray(0.3)
         batch = make_batch(cfg)
         grads = []
@@ -116,7 +118,7 @@ class TestTrainStep:
 
     def test_parameters_change_and_ce_reaches_mlp(self):
         cfg = tiny_config()
-        model = RetrievalModel(cfg, seed=3)
+        model = RetrievalModel(replace(cfg, seed=3))
         before = {n: t.data.copy() for n, t in model.params.items()}
 
         bundle = training_loss(model, make_batch(cfg), cfg)
@@ -135,7 +137,7 @@ class TestTrainStep:
 
     def test_batch_of_two_candidates_cover_batch(self):
         cfg = tiny_config(batch_size=2)
-        model = RetrievalModel(cfg, seed=1)
+        model = RetrievalModel(replace(cfg, seed=1))
         batch = make_batch(cfg, n=2)
         bundle = training_loss(model, batch, cfg)
         assert np.isfinite(float(bundle.combined_tensor.data))
@@ -143,7 +145,7 @@ class TestTrainStep:
     @pytest.mark.parametrize("batch_size,width", [(2, 2), (3, 3), (4, 3), (6, 3)])
     def test_candidate_rows_hold_min_k_and_batch(self, batch_size, width, monkeypatch):
         cfg = tiny_config(batch_size=batch_size)  # k = 3
-        model = RetrievalModel(cfg, seed=1)
+        model = RetrievalModel(replace(cfg, seed=1))
         widths = []
         candidate_tokens = model.fusion.candidate_tokens
 
@@ -157,7 +159,7 @@ class TestTrainStep:
 
     def test_loss_terms_permutation_equivariant(self):
         cfg = tiny_config(batch_size=6)
-        model = RetrievalModel(cfg, seed=2)
+        model = RetrievalModel(replace(cfg, seed=2))
         # nonzero fusion weights so the focused path is nontrivial
         rng = np.random.default_rng(5)
         for name in model.params.names():
@@ -176,7 +178,7 @@ class TestTrainStep:
 
     def test_nonfinite_loss_aborts_with_diagnostics(self):
         cfg = tiny_config()
-        model = RetrievalModel(cfg, seed=3)
+        model = RetrievalModel(replace(cfg, seed=3))
         emb = model.params["text.token_embedding"]
         emb.data = np.full_like(emb.data, np.nan)
         opt = AdamW(model.params, cfg.lr_base, cfg.lr_fusion, cfg.weight_decay)
@@ -186,7 +188,7 @@ class TestTrainStep:
 
     def test_gumbel_noise_changes_loss_but_not_deterministic_mode(self):
         cfg = tiny_config()
-        model = RetrievalModel(cfg, seed=3)
+        model = RetrievalModel(replace(cfg, seed=3))
         rng = np.random.default_rng(5)
         for name in model.params.names():
             if name.endswith("out_w"):
@@ -208,7 +210,7 @@ class TestTrainStep:
 class TestAdamW:
     def test_group_rates_differ(self):
         cfg = tiny_config()
-        model = RetrievalModel(cfg, seed=0)
+        model = RetrievalModel(cfg)
         opt = AdamW(model.params, lr_base=0.0, lr_fusion=1.0, weight_decay=0.0)
         bundle = training_loss(model, make_batch(cfg), cfg)
         model.params.zero_grad()
@@ -221,7 +223,7 @@ class TestAdamW:
 
     def test_weight_decay_shrinks_unused_weights(self):
         cfg = tiny_config()
-        model = RetrievalModel(cfg, seed=0)
+        model = RetrievalModel(cfg)
         opt = AdamW(model.params, lr_base=0.1, lr_fusion=0.1, weight_decay=0.5)
         w = model.params["text.token_embedding"]
         w.grad = None  # no gradient: pure decay
@@ -231,7 +233,7 @@ class TestAdamW:
 
     def test_log_temperature_exempt_from_decay(self):
         cfg = tiny_config()
-        model = RetrievalModel(cfg, seed=0)
+        model = RetrievalModel(cfg)
         opt = AdamW(model.params, lr_base=0.1, lr_fusion=0.1, weight_decay=0.5)
         lt = model.params["log_temperature"]
         before = lt.data.copy()
@@ -244,11 +246,11 @@ class TestTrainLoop:
         cfg = tiny_config(pair_count=4, cohort_size=2, batch_size=4, epochs=1)
         dataset = generate_synthetic_pairs(spec_from_config(cfg))
 
-        loop_model = RetrievalModel(cfg, seed=cfg.seed)
+        loop_model = RetrievalModel(cfg)
         logs = train_loop(dataset, loop_model, cfg)
         assert len(logs) == 1
 
-        manual_model = RetrievalModel(cfg, seed=cfg.seed)
+        manual_model = RetrievalModel(cfg)
         opt = AdamW(manual_model.params, cfg.lr_base, cfg.lr_fusion, cfg.weight_decay)
         order = shuffle_cohorts(
             dataset.groups, RandomStream(cfg.seed).child("train").child("shuffle", 0)
@@ -265,10 +267,10 @@ class TestTrainLoop:
     def test_out_dir_gets_the_trained_model_once(self, tmp_path):
         cfg = tiny_config(pair_count=8, cohort_size=2, batch_size=4, epochs=2)
         dataset = generate_synthetic_pairs(spec_from_config(cfg))
-        model = RetrievalModel(cfg, seed=0)
+        model = RetrievalModel(cfg)
         train_loop(dataset, model, cfg, out_dir=str(tmp_path))
         assert [p.name for p in tmp_path.iterdir()] == ["model.bin"]
-        reloaded = RetrievalModel(cfg, seed=1)
+        reloaded = RetrievalModel(replace(cfg, seed=1))
         reloaded.load(tmp_path / "model.bin")
         for name, t in model.params.items():
             assert np.array_equal(reloaded.params[name].data, t.data), name
