@@ -11,11 +11,10 @@ import csv
 import logging
 import os
 import sys
-from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from .config import RunConfig, apply_overrides, load_config, parse_value
-from .data import build_galleries, generate_synthetic_pairs, spec_from_config
+from .data import build_galleries, generate_synthetic_pairs
 from .errors import FocusrankError, UsageError
 from .gradcheck import run_gradient_suite
 from .metrics import MetricsReport, evaluate_two_stage
@@ -35,15 +34,6 @@ COMPONENT_ROWS = (
     ("+stage1_scores", dict(use_query_indicators="true", use_stage1_scores="true", use_gumbel="false")),
     ("+gumbel", dict(use_query_indicators="true", use_stage1_scores="true", use_gumbel="true")),
 )
-
-
-@dataclass
-class Command:
-    verb: str
-    config_path: str | None = None
-    overrides: dict[str, str] = field(default_factory=dict)
-    out_dir: str = "out"
-    components: bool = False
 
 
 def _split_overrides(pairs: list[str], allow_sweep: bool) -> dict[str, str]:
@@ -87,21 +77,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def parse_args(argv) -> Command:
+def parse_args(argv) -> argparse.Namespace:
+    """Parse `argv` into argparse's namespace: `verb`, `config`, `out`, and
+    `set`, the `--set` overrides as a key -> raw value dict; ablate adds
+    `components`. Override keys and single values are checked here."""
     ns = build_parser().parse_args(argv)
-    overrides = _split_overrides(ns.set, allow_sweep=ns.verb == "ablate")
-    return Command(
-        verb=ns.verb,
-        config_path=ns.config,
-        overrides=overrides,
-        out_dir=ns.out,
-        components=getattr(ns, "components", False),
-    )
+    ns.set = _split_overrides(ns.set, allow_sweep=ns.verb == "ablate")
+    return ns
 
 
-def _load(cmd: Command, extra: dict[str, str] | None = None) -> RunConfig:
-    cfg = load_config(cmd.config_path) if cmd.config_path else RunConfig()
-    return apply_overrides(cfg, {**cmd.overrides, **(extra or {})})
+def _load(cmd: argparse.Namespace, overrides: dict[str, str]) -> RunConfig:
+    cfg = load_config(cmd.config) if cmd.config else RunConfig()
+    return apply_overrides(cfg, overrides)
 
 
 def _write_csv(path: Path, header, rows) -> None:
@@ -118,7 +105,7 @@ def _float(x) -> str:
 
 def _run_training(cfg: RunConfig, out_dir: Path) -> RetrievalModel:
     out_dir.mkdir(parents=True, exist_ok=True)
-    dataset = generate_synthetic_pairs(spec_from_config(cfg))
+    dataset = generate_synthetic_pairs(cfg)
     model = RetrievalModel(cfg)
     logs = train_loop(dataset, model, cfg, out_dir=str(out_dir))
     rows = [
@@ -133,7 +120,7 @@ def _run_training(cfg: RunConfig, out_dir: Path) -> RetrievalModel:
 
 
 def _evaluate(cfg: RunConfig, model: RetrievalModel) -> list[MetricsReport]:
-    dataset = generate_synthetic_pairs(spec_from_config(cfg))
+    dataset = generate_synthetic_pairs(cfg)
     text_q, video_q, video_gallery, text_gallery = build_galleries(model, dataset)
     reports = []
     for mode in ("broad-only", "two-stage"):
@@ -153,15 +140,17 @@ def _metrics_rows(reports: list[MetricsReport]):
     ]
 
 
-def execute(cmd: Command) -> int:
-    out_dir = Path(cmd.out_dir)
+def execute(cmd: argparse.Namespace) -> int:
+    out_dir = Path(cmd.out)
+    if cmd.verb == "ablate":
+        return _ablate(cmd, out_dir)
+
+    cfg = _load(cmd, cmd.set)
     if cmd.verb == "train":
-        cfg = _load(cmd)
         _run_training(cfg, out_dir)
         return 0
 
     if cmd.verb == "eval":
-        cfg = _load(cmd)
         model = RetrievalModel(cfg)
         if cfg.checkpoint:
             model.load(cfg.checkpoint)
@@ -173,11 +162,10 @@ def execute(cmd: Command) -> int:
         return 0
 
     if cmd.verb == "query":
-        cfg = _load(cmd)
         model = RetrievalModel(cfg)
         if cfg.checkpoint:
             model.load(cfg.checkpoint)
-        dataset = generate_synthetic_pairs(spec_from_config(cfg))
+        dataset = generate_synthetic_pairs(cfg)
         if cfg.query_index >= len(dataset):
             raise UsageError(f"query_index {cfg.query_index} outside dataset")
         text_q, video_q, video_gallery, text_gallery = build_galleries(model, dataset)
@@ -200,7 +188,6 @@ def execute(cmd: Command) -> int:
         return 0
 
     if cmd.verb == "gradcheck":
-        cfg = _load(cmd)
         results = run_gradient_suite(seed=cfg.seed)
         ok = True
         rows = []
@@ -214,18 +201,17 @@ def execute(cmd: Command) -> int:
                    ("check", "max_rel_error", "worst_param", "status"), rows)
         return 0 if ok else 1
 
-    if cmd.verb == "ablate":
-        return _ablate(cmd, out_dir)
-
     raise UsageError(f"unknown verb {cmd.verb!r}")
 
 
-def _ablate(cmd: Command, out_dir: Path) -> int:
-    sweeps = {k: v for k, v in cmd.overrides.items() if "," in v}
+def _ablate(cmd: argparse.Namespace, out_dir: Path) -> int:
+    sweeps = {k: v for k, v in cmd.set.items() if "," in v}
     if cmd.components:
-        if sweeps:
-            raise UsageError("--components runs its own rows; it takes no "
-                             f"--set sweep (got {', '.join(sweeps)})")
+        # The rows would drop a sweep, and their values would override a --set.
+        clashes = sorted(set(sweeps) | (set(cmd.set) & set(COMPONENT_ROWS[0][1])))
+        if clashes:
+            raise UsageError("--components runs its own rows; it takes no --set "
+                             f"sweep or component key (got {', '.join(clashes)})")
         runs = COMPONENT_ROWS
         swept_key = "components"
     elif len(sweeps) != 1:
@@ -235,10 +221,10 @@ def _ablate(cmd: Command, out_dir: Path) -> int:
         swept_key, raw = next(iter(sweeps.items()))
         runs = [(value, {swept_key: value}) for value in raw.split(",")]
 
-    base = replace(cmd, overrides={k: v for k, v in cmd.overrides.items() if k not in sweeps})
+    base = {k: v for k, v in cmd.set.items() if k not in sweeps}
     rows = []
     for label, extra in runs:
-        cfg = _load(base, extra=extra)
+        cfg = _load(cmd, {**base, **extra})
         run_dir = out_dir / f"ablate_{swept_key}_{label}".replace("+", "")
         log.info("ablate %s=%s", swept_key, label)
         model = _run_training(cfg, run_dir)

@@ -47,12 +47,6 @@ class ParameterSet:
         except KeyError:
             raise ConfigError(f"missing parameter: {name!r}") from None
 
-    def __contains__(self, name: str) -> bool:
-        return name in self._params
-
-    def __len__(self) -> int:
-        return len(self._params)
-
     def names(self) -> list[str]:
         return list(self._params)
 

@@ -203,17 +203,15 @@ class FusionNetwork:
             indicators = indicators + (attended @ w + bias)
         return indicators
 
-    def project(self, fused: Tensor) -> tuple[Tensor, Tensor]:
-        """Map (B, m-1, C) fused indicators to (B, k) logits and deltas = delta_scale * logits."""
+    def project(self, fused: Tensor) -> Tensor:
+        """Map (B, m-1, C) fused indicators to (B, k) delta-head logits, before `delta_scale`."""
         flat = fused.reshape(fused.shape[0], -1)
         expect = (self.cfg.indicator_count - 1) * self.cfg.dim
         if flat.shape[-1] != expect:
             raise ConfigError(
                 f"fused indicators width {flat.shape[-1]} != network input {expect}"
             )
-        logits = self.mlp(flat)
-        deltas = self.params["fusion.delta_scale"] * logits
-        return logits, deltas
+        return self.mlp(flat)
 
 
 def focused_fuse(
@@ -226,10 +224,9 @@ def focused_fuse(
     return net.fuse(Tensor(np.asarray(focus_indicators, dtype=np.float64)), tokens)
 
 
-def project_deltas(fused: Tensor, net: FusionNetwork) -> tuple[np.ndarray, np.ndarray]:
-    """Numpy (logits, deltas) of the delta head, both (Q, k), for inference."""
-    logits, deltas = net.project(fused)
-    return logits.data, deltas.data
+def project_deltas(fused: Tensor, net: FusionNetwork) -> np.ndarray:
+    """Numpy (Q, k) deltas for inference: `fusion.delta_scale` times `net.project`'s logits."""
+    return (net.params["fusion.delta_scale"] * net.project(fused)).data
 
 
 def compose_scores(
@@ -299,7 +296,7 @@ def rank_queries(
             broads = [broad_view_scores(q, gallery) for q in query_globals[start:stop]]
             cands = [select_top_k(broad, k) for broad in broads]
             cand_locals = gallery.locals_[[c.indices for c in cands]]
-            _, deltas = project_deltas(focused_fuse(query_focus[start:stop], cand_locals, net), net)
+            deltas = project_deltas(focused_fuse(query_focus[start:stop], cand_locals, net), net)
             results.extend(
                 compose_scores(c, d[: c.k], include_stage1=net.cfg.use_stage1_scores)
                 for c, d in zip(cands, deltas)

@@ -80,9 +80,6 @@ class Tensor:
     def detach(self) -> "Tensor":
         return Tensor(self.data)
 
-    def item(self) -> float:
-        return float(self.data)
-
     def __repr__(self) -> str:
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
@@ -185,24 +182,12 @@ class Tensor:
     def __neg__(self):
         return self * -1.0
 
-    def __radd__(self, other):
-        return self + other
-
     def __sub__(self, other):
         return self + (-as_tensor(other))
-
-    def __rsub__(self, other):
-        return as_tensor(other) + (-self)
-
-    def __rmul__(self, other):
-        return self * other
 
     def __truediv__(self, other):
         other = as_tensor(other)
         return self * other**-1.0
-
-    def __rtruediv__(self, other):
-        return as_tensor(other) * self**-1.0
 
     def __getitem__(self, key):
         """Basic indexing only: ints, slices, None and Ellipsis. Array and list
@@ -224,9 +209,7 @@ class Tensor:
     # -- shape manipulation ---------------------------------------------
 
     def reshape(self, *shape):
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
-        out = _result(self.data.reshape(shape), (self,))
+        out = _result(self.data.reshape(*shape), (self,))
         if out._parents:
 
             def grad_fn(g):
@@ -256,12 +239,9 @@ class Tensor:
         if out._parents:
 
             def grad_fn(g):
-                if axis is None:
-                    self._acc(np.broadcast_to(g, self.data.shape).copy())
-                    return
-                if not keepdims:
+                if axis is not None and not keepdims:
                     g = np.expand_dims(g, axis)
-                self._acc(np.broadcast_to(g, self.data.shape).copy())
+                self._acc(np.broadcast_to(g, self.data.shape))
 
             out._grad_fn = grad_fn
         return out

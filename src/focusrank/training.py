@@ -121,7 +121,7 @@ def _focused_direction(model, query_focus, cand_locals, sims, k_train, rng, tag)
     tokens = model.fusion.candidate_tokens(gathered)
     noise_rng = rng.child("gumbel", tag) if rng is not None else None
     fused = model.fusion.fuse(query_focus, tokens, rng=noise_rng)
-    logits, deltas = model.fusion.project(fused)
+    logits = model.fusion.project(fused)
     focus = cross_entropy(logits[:, :k_train], positions)
     # Calibration of the delta scale over detached logits and stage-1 scores:
     # cross-entropy of the composed candidate scores, gradient on the scale only.

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from focusrank.cli import Command, execute, main, parse_args
+from focusrank.cli import execute, main, parse_args
 from focusrank.errors import ConfigError, UsageError
 
 TINY_CFG = """
@@ -51,11 +51,12 @@ def read_csv(path):
 class TestParseArgs:
     def test_minimal_train(self):
         cmd = parse_args(["train", "--config", "run.cfg"])
-        assert cmd == Command(verb="train", config_path="run.cfg")
+        assert vars(cmd) == {"verb": "train", "config": "run.cfg", "set": {}, "out": "out"}
 
     def test_ablate_sweep_list(self):
         cmd = parse_args(["ablate", "--config", "run.cfg", "--set", "k=5,10,20"])
-        assert cmd.overrides == {"k": "5,10,20"}
+        assert cmd.set == {"k": "5,10,20"}
+        assert cmd.components is False
 
     def test_unknown_override_key_rejected(self):
         with pytest.raises(ConfigError):
@@ -75,7 +76,7 @@ class TestParseArgs:
 
     def test_flags(self):
         cmd = parse_args(["train", "--out", "artifacts"])
-        assert cmd.out_dir == "artifacts"
+        assert cmd.out == "artifacts"
 
     def test_seed_is_a_config_key_not_a_flag(self, capsys):
         # `--set seed=N` is the one way to set the seed.
@@ -133,18 +134,20 @@ class TestExecute:
         assert all(row[3] == "pass" for row in rows[1:])
         assert {"layer-norm", "broadcast-attention"} <= {row[0] for row in rows[1:]}
 
-    def test_module_entry_point_runs_gradcheck(self, tmp_path):
+    def test_module_entry_point_runs_train(self, tiny_cfg_path, tmp_path):
         # `python -m focusrank` from a checkout, without the installed script.
         src = str(Path(__file__).resolve().parent.parent / "src")
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        out = tmp_path / "run"
         done = subprocess.run(
-            [sys.executable, "-m", "focusrank", "gradcheck", "--out", str(tmp_path)],
+            [sys.executable, "-m", "focusrank", "train", "--config", tiny_cfg_path,
+             "--out", str(out)],
             env=env, capture_output=True, text=True, timeout=120,
         )
         assert done.returncode == 0, done.stderr
-        rows = read_csv(tmp_path / "gradcheck.csv")
-        assert len(rows) > 1 and all(row[3] == "pass" for row in rows[1:])
+        rows = read_csv(out / "training_log.csv")
+        assert rows[0][:2] == ["epoch", "step"] and len(rows) == 3
 
     def test_ablate_sweep_one_row_per_value(self, tiny_cfg_path, tmp_path, capsys):
         out = tmp_path / "ab"
@@ -184,6 +187,15 @@ class TestExecute:
         with pytest.raises(UsageError):
             execute(parse_args(["ablate", "--config", tiny_cfg_path, "--out", str(out),
                                 "--components", "--set", "k=2,3"]))
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key", ["use_query_indicators", "use_stage1_scores", "use_gumbel"])
+    def test_ablate_components_rejects_a_component_key(self, tiny_cfg_path, tmp_path, key):
+        # Each row sets these keys, so a single-value --set would be overridden.
+        out = tmp_path / "ab"
+        with pytest.raises(UsageError):
+            execute(parse_args(["ablate", "--config", tiny_cfg_path, "--out", str(out),
+                                "--components", "--set", f"{key}=false"]))
         assert not out.exists()
 
     def test_csv_outputs_byte_identical_across_runs(self, tiny_cfg_path, tmp_path):

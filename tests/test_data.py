@@ -4,15 +4,17 @@ import numpy as np
 import pytest
 
 from focusrank.config import RunConfig, apply_overrides, load_config
-from focusrank.data import PairedDataset, SyntheticSpec, generate_synthetic_pairs
+from focusrank.data import generate_synthetic_pairs
 from focusrank.errors import ConfigError, InputError
 from focusrank.pipeline import Gallery
 
 RNG = np.random.default_rng(61)
 
 
-def small_spec(**overrides):
-    spec = SyntheticSpec(
+def small_config(**overrides):
+    # Fields set after construction, as `apply_overrides` does, so that the
+    # generator's own validation is what rejects a bad combination.
+    cfg = RunConfig(
         pair_count=20,
         latent_dim=6,
         coarse_clusters=4,
@@ -27,31 +29,31 @@ def small_spec(**overrides):
         seed=0,
     )
     for key, value in overrides.items():
-        setattr(spec, key, value)
-    return spec
+        setattr(cfg, key, value)
+    return cfg
 
 
 class TestGenerator:
     def test_same_spec_bit_identical(self):
-        a = generate_synthetic_pairs(small_spec())
-        b = generate_synthetic_pairs(small_spec())
+        a = generate_synthetic_pairs(small_config())
+        b = generate_synthetic_pairs(small_config())
         assert np.array_equal(a.texts, b.texts)
         assert np.array_equal(a.videos, b.videos)
         assert np.array_equal(a.groups, b.groups)
 
     def test_different_seed_differs(self):
-        a = generate_synthetic_pairs(small_spec())
-        b = generate_synthetic_pairs(small_spec(seed=1))
+        a = generate_synthetic_pairs(small_config())
+        b = generate_synthetic_pairs(small_config(seed=1))
         assert not np.array_equal(a.videos, b.videos)
 
     def test_group_labels_partition_cohorts(self):
-        ds = generate_synthetic_pairs(small_spec())
+        ds = generate_synthetic_pairs(small_config())
         counts = np.bincount(ds.groups)
         assert np.all(counts == 5)
         assert len(counts) == 4
 
     def test_noiseless_items_pairwise_distinct(self):
-        ds = generate_synthetic_pairs(small_spec(noise_level=0.0))
+        ds = generate_synthetic_pairs(small_config(noise_level=0.0))
         n = len(ds)
         for i in range(n):
             for j in range(i + 1, n):
@@ -60,11 +62,11 @@ class TestGenerator:
                 )
 
     def test_cohort_of_one_has_no_hard_negatives(self):
-        ds = generate_synthetic_pairs(small_spec(cohort_size=1, coarse_clusters=20))
+        ds = generate_synthetic_pairs(small_config(cohort_size=1, coarse_clusters=20))
         assert len(np.unique(ds.groups)) == len(ds)
 
     def test_fine_token_distinguishes_cohort_members(self):
-        ds = generate_synthetic_pairs(small_spec())
+        ds = generate_synthetic_pairs(small_config())
         for cohort in range(4):
             members = np.nonzero(ds.groups == cohort)[0]
             fine_tokens = ds.texts[members, 2]
@@ -75,9 +77,24 @@ class TestGenerator:
 
     def test_invalid_spec_rejected(self):
         with pytest.raises(ConfigError):
-            generate_synthetic_pairs(small_spec(cohort_size=3))  # 20 % 3 != 0
+            generate_synthetic_pairs(small_config(cohort_size=3))  # 20 % 3 != 0
         with pytest.raises(ConfigError):
-            generate_synthetic_pairs(small_spec(coarse_clusters=5))  # 5*5 != 20
+            generate_synthetic_pairs(small_config(coarse_clusters=5))  # 5*5 != 20
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            dict(pair_count=257, cohort_size=1, coarse_clusters=0),  # > 256 coarse ids
+            dict(pair_count=17, cohort_size=17, coarse_clusters=0),  # > 16 fine tokens
+            dict(vocab_size=51),  # no room for filler ids
+        ],
+        ids=["clusters", "cohort", "vocab"],
+    )
+    def test_token_layout_limits_rejected(self, overrides):
+        cfg = small_config(**overrides)
+        cfg.validate()  # a valid RunConfig; only the token layout rejects it
+        with pytest.raises(ConfigError):
+            generate_synthetic_pairs(cfg)
 
 
 def make_gallery(n=6, c=8, n_local=3):
