@@ -11,8 +11,8 @@ the candidates. `compose_scores` re-sorts that k-block and appends the rest
 of the stage-1 order unchanged; broad-only ranking is the stage-1 order.
 
 `rank_queries` is the one inference ranking path: it ranks a batch of
-queries, fusing `FUSION_CHUNK` of them per call. A single query is a batch
-of one (`rank_full`).
+queries, scoring and fusing `FUSION_CHUNK` of them per call. A single
+query is a batch of one (`rank_full`).
 """
 
 from __future__ import annotations
@@ -93,27 +93,29 @@ class FinalScores:
         return gallery.ids[self.order]
 
 
-def broad_view_scores(query_global: np.ndarray, gallery: Gallery) -> np.ndarray:
-    """Stage-1 scores: dot product of the unit query global with every entry."""
-    if len(gallery) == 0:
-        raise InputError("cannot score an empty gallery")
-    query_global = np.asarray(query_global, dtype=np.float64)
-    if query_global.shape != (gallery.globals_.shape[1],):
-        raise DimensionError(
-            f"query width {query_global.shape} != gallery width {gallery.globals_.shape[1]}"
-        )
-    # Unit vectors keep the dot in [-1, 1]; clip away float residue.
-    return np.clip(gallery.globals_ @ query_global, -1.0, 1.0)
+def broad_view_scores(query_globals: np.ndarray, gallery: Gallery) -> np.ndarray:
+    """Stage-1 scores of (Q, C) unit query globals, (Q, N), or of one (C,) query, (N,).
+
+    One matrix product: a batch of one equals `gallery.globals_ @ q` bit for
+    bit, a larger batch to rounding. Equal gallery rows may score an ulp apart.
+    """
+    query_globals = np.asarray(query_globals, dtype=np.float64)
+    if query_globals.shape[-1:] != gallery.globals_.shape[1:]:
+        raise DimensionError(f"query {query_globals.shape} vs gallery {gallery.globals_.shape}")
+    scores = query_globals @ gallery.globals_.T
+    # Unit vectors keep the dot in [-1, 1]; clip away float residue in place.
+    return np.clip(scores, -1.0, 1.0, out=scores)
 
 
 def stage1_order(scores: np.ndarray) -> np.ndarray:
     """Indices sorted by score descending, ties broken by ascending index.
 
-    numpy's default (unstable, SIMD) argsort is exact when the sorted scores
-    hold no equal adjacent pair and no NaN: the order is then unique, so it
-    equals the stable one. Otherwise an unstable sort may place tied entries
-    (including 0.0 and -0.0) either way, so the stable `lexsort` decides.
-    NaNs sort last, so checking the last entry finds any.
+    Ties are equal computed scores: identical gallery rows that score an ulp
+    apart rank by score. numpy's default (unstable, SIMD) argsort is exact
+    when the sorted scores hold no equal adjacent pair and no NaN: the order
+    is then unique, so it equals the stable one. Otherwise an unstable sort
+    may place tied entries (0.0 and -0.0 too) either way, so the stable
+    `lexsort` decides. NaNs sort last, so checking the last entry finds any.
     """
     neg = -np.asarray(scores)
     order = np.argsort(neg)
@@ -266,11 +268,10 @@ def rank_queries(
 ) -> list[FinalScores]:
     """Rank (Q, C) query globals against one gallery, deterministically.
 
-    Each query's gallery is sorted once, by `select_top_k`. Broad-only mode,
-    or no network, keeps that stage-1 order. Two-stage mode needs the
-    (Q, m-1, C) focus indicators and re-ranks each top-k block. Stage-1
-    scores are one matrix-vector product per query, so they equal
-    `gallery.globals_ @ q` bit for bit.
+    Each chunk of `FUSION_CHUNK` queries is scored by one `broad_view_scores`
+    product, and each query's row is sorted once, by `select_top_k`. Broad-only
+    mode, or no network, keeps that stage-1 order. Two-stage mode needs the
+    (Q, m-1, C) focus indicators and re-ranks each top-k block.
     """
     if mode not in ("broad-only", "two-stage"):
         raise InputError(f"unknown mode {mode!r}")
@@ -278,27 +279,26 @@ def rank_queries(
     if query_globals.ndim != 2:
         raise DimensionError("query globals must be (Q, C)")
     _require_finite(query_globals, "query globals")
-    if mode == "broad-only" or net is None:
-        cands = [select_top_k(broad_view_scores(q, gallery), k) for q in query_globals]
-        return [FinalScores(c.order, c.scores, c.scores.copy(), np.zeros(len(c.scores)))
-                for c in cands]
-    if query_focus is None:
-        raise InputError("two-stage ranking needs query focus indicators")
-    query_focus = np.asarray(query_focus, dtype=np.float64)
-    if len(query_focus) != len(query_globals):
-        raise DimensionError("one set of focus indicators required per query")
-    _require_finite(query_focus, "query focus indicators")
+    two_stage = mode == "two-stage" and net is not None
+    if two_stage:
+        if query_focus is None:
+            raise InputError("two-stage ranking needs query focus indicators")
+        query_focus = np.asarray(query_focus, dtype=np.float64)
+        if len(query_focus) != len(query_globals):
+            raise DimensionError("one set of focus indicators required per query")
+        _require_finite(query_focus, "query focus indicators")
 
     results: list[FinalScores] = []
     with no_grad():
         for start in range(0, len(query_globals), FUSION_CHUNK):
-            stop = start + FUSION_CHUNK
-            broads = [broad_view_scores(q, gallery) for q in query_globals[start:stop]]
-            cands = [select_top_k(broad, k) for broad in broads]
-            cand_locals = gallery.locals_[[c.indices for c in cands]]
-            deltas = project_deltas(focused_fuse(query_focus[start:stop], cand_locals, net), net)
-            results.extend(
-                compose_scores(c, d[: c.k], include_stage1=net.cfg.use_stage1_scores)
-                for c, d in zip(cands, deltas)
-            )
+            rows = slice(start, start + FUSION_CHUNK)
+            cands = [select_top_k(s, k) for s in broad_view_scores(query_globals[rows], gallery)]
+            if two_stage:
+                cand_locals = gallery.locals_[[c.indices for c in cands]]
+                deltas = project_deltas(focused_fuse(query_focus[rows], cand_locals, net), net)
+                results += [compose_scores(c, d[: c.k], include_stage1=net.cfg.use_stage1_scores)
+                            for c, d in zip(cands, deltas)]
+            else:
+                results += [FinalScores(c.order, c.scores, c.scores.copy(), np.zeros_like(c.scores))
+                            for c in cands]
     return results

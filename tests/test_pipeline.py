@@ -104,6 +104,24 @@ class TestBroadViewScores:
     def test_width_mismatch_rejected(self):
         with pytest.raises(DimensionError):
             broad_view_scores(np.ones(5), make_gallery(c=8))
+        with pytest.raises(DimensionError):
+            broad_view_scores(np.ones((3, 9)), make_gallery(c=8))
+
+    def test_batch_matches_matrix_vector_products(self):
+        gallery = make_gallery(n=4096, c=64, n_local=1)
+        queries = unit_rows(FUSION_CHUNK, 64)
+        reference = np.array([gallery.globals_ @ q for q in queries])
+        for i in (0, FUSION_CHUNK - 1):
+            one = broad_view_scores(queries[i : i + 1], gallery)
+            assert np.array_equal(one, reference[i : i + 1])
+            assert np.array_equal(broad_view_scores(queries[i], gallery), reference[i])
+        batch = broad_view_scores(queries, gallery)
+        assert batch.shape == (FUSION_CHUNK, 4096)
+        np.testing.assert_allclose(batch, reference, rtol=0, atol=1e-15)
+
+    def test_batch_clipped_to_unit_interval(self):
+        gallery = Gallery(np.arange(3), 2 * np.eye(3), np.zeros((3, 1, 3)))
+        np.testing.assert_array_equal(broad_view_scores(-np.eye(3), gallery), -np.eye(3))
 
 
 SPECIAL_SCORES = np.array([np.nan, np.inf, -np.inf, 0.0, -0.0, 0.5, -0.5, 1.0])
@@ -385,26 +403,34 @@ class TestRankFull:
         assert np.array_equal(a.delta, b.delta)
 
 
+# One fusion chunk, and a batch crossing the chunk boundary (64 + 64 + 2).
+BATCH_SIZES = (FUSION_CHUNK, 2 * FUSION_CHUNK + 2)
+
+
 class TestRankQueries:
-    # One fusion chunk, and a batch crossing the chunk boundary (64 + 64 + 2).
-    @pytest.mark.parametrize("q", [FUSION_CHUNK, 2 * FUSION_CHUNK + 2])
-    def test_one_batch_matches_single_queries(self, q):
-        # The batched fusion matmul may sum in another order than a batch of
-        # one, so scores agree to rounding while orders are identical.
+    # Each batch size in each mode; the two-stage cases keep their original ids.
+    @pytest.mark.parametrize(
+        "q, mode",
+        [pytest.param(q, "two-stage", id=str(q)) for q in BATCH_SIZES]
+        + [pytest.param(q, "broad-only", id=f"{q}-broad-only") for q in BATCH_SIZES],
+    )
+    def test_one_batch_matches_single_queries(self, q, mode):
+        # The batched stage-1 and fusion matmuls may sum in another order than
+        # a batch of one, so scores agree to rounding while orders are identical.
         net = make_net(randomize=True)
         gallery = make_gallery(n=500)
         globals_ = unit_rows(q, 8)
         focus = RNG.normal(size=(q, 3, 8))
-        batched = rank_queries(globals_, focus, gallery, net, 4)
+        batched = rank_queries(globals_, focus, gallery, net, 4, mode)
         assert len(batched) == q
         for i, got in enumerate(batched):
-            (single,) = rank_queries(globals_[i : i + 1], focus[i : i + 1], gallery, net, 4)
+            (single,) = rank_queries(globals_[i : i + 1], focus[i : i + 1], gallery, net, 4, mode)
             np.testing.assert_array_equal(got.order, single.order)
             for name in ("final_score", "stage1_score", "delta"):
                 np.testing.assert_allclose(
                     getattr(got, name), getattr(single, name), rtol=0, atol=1e-12
                 )
-        assert any(np.any(f.delta != 0) for f in batched)
+        assert any(np.any(f.delta != 0) for f in batched) == (mode == "two-stage")
 
     @pytest.mark.parametrize("mode", ["broad-only", "two-stage"])
     def test_one_stage1_sort_per_query(self, mode, monkeypatch):
@@ -420,6 +446,29 @@ class TestRankQueries:
                               make_net(randomize=True), 4, mode)
         assert calls == [40] * 5
         assert len(finals) == 5
+
+    @pytest.mark.parametrize("mode", ["broad-only", "two-stage"])
+    def test_one_stage1_product_per_chunk(self, mode, monkeypatch):
+        rows = []
+
+        def counting(query_globals, gallery):
+            rows.append(len(np.atleast_2d(query_globals)))
+            return broad_view_scores(query_globals, gallery)
+
+        monkeypatch.setattr(pipeline, "broad_view_scores", counting)
+        q = 2 * FUSION_CHUNK + 2
+        finals = rank_queries(unit_rows(q, 8), RNG.normal(size=(q, 3, 8)), make_gallery(n=40),
+                              make_net(randomize=True), 4, mode)
+        assert rows == [FUSION_CHUNK, FUSION_CHUNK, 2]
+        assert len(finals) == q
+
+    @pytest.mark.parametrize("mode", ["broad-only", "two-stage"])
+    def test_wrong_query_width_rejected(self, mode):
+        # The width check runs before the stage-1 matmul, whose ValueError
+        # would not be a FocusrankError.
+        with pytest.raises(DimensionError):
+            rank_queries(unit_rows(3, 9), RNG.normal(size=(3, 3, 8)), make_gallery(c=8),
+                         make_net(randomize=True), 4, mode)
 
     def test_rank_full_is_a_batch_of_one(self):
         net = make_net(randomize=True)
