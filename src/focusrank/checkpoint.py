@@ -61,7 +61,10 @@ class _Reader:
 
 
 def load_parameters(path) -> dict[str, np.ndarray]:
-    blob = Path(path).read_bytes()
+    try:
+        blob = Path(path).read_bytes()
+    except OSError as exc:
+        raise FormatError(f"cannot read checkpoint {path}: {exc.strerror}") from None
     r = _Reader(blob)
     if r.read(4) != MAGIC:
         raise FormatError("bad magic; not a parameter checkpoint", offset=0)

@@ -180,11 +180,11 @@ def execute(cmd: argparse.Namespace) -> int:
         )
         rows = []
         for rank, idx in enumerate(final.order, start=1):
-            rows.append((rank, int(gallery.ids[idx]), _float(final.stage1_score[idx]),
+            rows.append((rank, int(idx), _float(final.stage1_score[idx]),
                          _float(final.delta[idx]), _float(final.final_score[idx])))
         _write_csv(out_dir / "query_result.csv",
                    ("rank", "id", "stage1_score", "delta", "final_score"), rows)
-        print(f"query {i} ({cfg.query_direction}): top id {gallery.ids[final.order[0]]}")
+        print(f"query {i} ({cfg.query_direction}): top id {final.order[0]}")
         return 0
 
     if cmd.verb == "gradcheck":
@@ -222,9 +222,10 @@ def _ablate(cmd: argparse.Namespace, out_dir: Path) -> int:
         runs = [(value, {swept_key: value}) for value in raw.split(",")]
 
     base = {k: v for k, v in cmd.set.items() if k not in sweeps}
+    # Every row's config is checked before the first row trains.
+    configs = [(label, _load(cmd, {**base, **extra})) for label, extra in runs]
     rows = []
-    for label, extra in runs:
-        cfg = _load(cmd, {**base, **extra})
+    for label, cfg in configs:
         run_dir = out_dir / f"ablate_{swept_key}_{label}".replace("+", "")
         log.info("ablate %s=%s", swept_key, label)
         model = _run_training(cfg, run_dir)

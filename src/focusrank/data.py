@@ -134,6 +134,5 @@ def encode_dataset(model: RetrievalModel, dataset: PairedDataset, chunk: int = 1
 def build_galleries(model: RetrievalModel, dataset: PairedDataset):
     """Encode the dataset into a video gallery (t2v) and text gallery (v2t),
     returning (text_queries, video_queries, video_gallery, text_gallery)."""
-    ids = np.arange(len(dataset), dtype=np.int64)
     (tg, tf, tl), (vg, vf, vl) = encode_dataset(model, dataset)
-    return (tg, tf), (vg, vf), Gallery(ids, vg, vl), Gallery(ids, tg, tl)
+    return (tg, tf), (vg, vf), Gallery(vg, vl), Gallery(tg, tl)

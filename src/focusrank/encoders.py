@@ -59,7 +59,6 @@ class EncodedItem:
 
     global_vec: np.ndarray        # (C,), unit L2 norm
     focus_indicators: np.ndarray  # (m-1, C); (0, C) without query indicators
-    locals_: np.ndarray           # (M, C) token states or (P^2, C) pooled patches
 
 
 def temporal_mean_pool(features):
@@ -160,7 +159,7 @@ class TextEncoder:
         )
         params.add(
             "text.position_embedding",
-            rng.child("pos").normal((cfg.max_text_len, c), scale=0.02),
+            rng.child("pos").normal((cfg.text_len, c), scale=0.02),
         )
         self.trunk = _EncoderTrunk(params, cfg, "text", rng)
 
@@ -173,9 +172,9 @@ class TextEncoder:
         tokens = np.asarray(tokens, dtype=np.int64)
         if tokens.ndim != 2 or tokens.shape[1] == 0:
             raise InputError("token batch must be (B, M) with M >= 1")
-        if tokens.shape[1] > self.cfg.max_text_len:
+        if tokens.shape[1] > self.cfg.text_len:
             raise InputError(
-                f"sequence length {tokens.shape[1]} exceeds max_text_len {self.cfg.max_text_len}"
+                f"sequence length {tokens.shape[1]} exceeds text_len {self.cfg.text_len}"
             )
         if tokens.min() < 0 or tokens.max() >= self.cfg.vocab_size:
             raise InputError("token id outside vocabulary")
@@ -210,7 +209,7 @@ class VideoEncoder:
         params.add("video.type_embedding", rng.child("type").normal((c,), scale=0.02))
         params.add(
             "video.frame_embedding",
-            rng.child("frame").normal((cfg.max_frames, c), scale=0.02),
+            rng.child("frame").normal((cfg.frame_count, c), scale=0.02),
         )
         params.add(
             "video.patch_pos_embedding",
@@ -231,8 +230,8 @@ class VideoEncoder:
         if t == 0:
             raise InputError("video clip has no frames")
         cfg = self.cfg
-        if t > cfg.max_frames:
-            raise InputError(f"frame count {t} exceeds max_frames {cfg.max_frames}")
+        if t > cfg.frame_count:
+            raise InputError(f"frame count {t} exceeds frame_count {cfg.frame_count}")
         if n_patches != cfg.patch_count or d != cfg.patch_dim:
             raise DimensionError(
                 f"clip patches {(n_patches, d)} != configured {(cfg.patch_count, cfg.patch_dim)}"

@@ -191,9 +191,8 @@ def run_gradient_suite(seed: int = 0, eps: float = 1e-5) -> list[GradCheckResult
 
     # Combined objective through the full miniature model.
     cfg = RunConfig(
-        dim=8, layers=1, vocab_size=16, text_len=4, max_text_len=4, patch_count=4,
-        patch_dim=8, frame_count=2, max_frames=2, mlp_hidden=8, latent_dim=4, k=3,
-        batch_size=2, seed=seed,
+        dim=8, layers=1, vocab_size=16, text_len=4, patch_count=4, patch_dim=8,
+        frame_count=2, mlp_hidden=8, latent_dim=4, k=3, batch_size=2, seed=seed,
     ).validate()
     model = RetrievalModel(cfg)
     # Randomize the residual projections and delta scale so every gradient

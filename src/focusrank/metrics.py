@@ -1,5 +1,7 @@
 """Retrieval metrics: recall at 1/5/10, median rank and mean rank, computed
-from final orderings for either retrieval direction and either stage."""
+from final orderings for either retrieval direction and either stage.
+
+An item's id is its gallery row index, so orderings and truth are indices."""
 
 from __future__ import annotations
 
@@ -25,7 +27,7 @@ class MetricsReport:
 
 
 def compute_ranks(ranked_ids: list[np.ndarray], truth_ids: list[int]) -> np.ndarray:
-    """1-based rank of the true item in each query's final ordering."""
+    """1-based rank of the true item in each query's final ordering of gallery indices."""
     if len(ranked_ids) != len(truth_ids):
         raise InputError("one truth id required per query")
     ranks = np.empty(len(truth_ids), dtype=np.int64)
@@ -69,13 +71,18 @@ def evaluate_two_stage(
     truth_t2v: list[int] | None = None,
     truth_v2t: list[int] | None = None,
 ) -> dict[str, MetricsReport]:
-    """Rank every query in both directions (stage-1 only, or the full
-    two-stage path) and summarize; returns the "t2v" and "v2t" reports.
+    """Rank every query in both directions and summarize; returns the "t2v"
+    and "v2t" reports, labelled with `mode`.
 
-    `text_queries` / `video_queries` are (globals, focus_indicators) array
-    pairs; truth defaults to index-aligned pairing (query i's true item is
-    gallery entry i's id).
+    `mode` is "broad-only" (stage 1 alone, `net` unused) or "two-stage"
+    (`net` re-ranks; without one, stage 1 alone). `text_queries` /
+    `video_queries` are (globals, focus_indicators) array pairs; truth
+    defaults to index-aligned pairing (query i's true item is gallery entry i).
     """
+    if mode not in ("broad-only", "two-stage"):
+        raise InputError(f"unknown mode {mode!r}")
+    if mode == "broad-only":
+        net = None
     directions = [
         ("t2v", text_queries, video_gallery, truth_t2v),
         ("v2t", video_queries, text_gallery, truth_v2t),
@@ -83,8 +90,8 @@ def evaluate_two_stage(
     reports: dict[str, MetricsReport] = {}
     for direction, (globals_, focus), gallery, truth in directions:
         if truth is None:
-            truth = gallery.ids[: len(globals_)].tolist()
-        finals = rank_queries(globals_, focus, gallery, net, k, mode)
-        ranks = compute_ranks([f.ranked_ids(gallery) for f in finals], truth)
+            truth = range(len(globals_))
+        finals = rank_queries(globals_, focus, gallery, net, k)
+        ranks = compute_ranks([f.order for f in finals], truth)
         reports[direction] = summarize(ranks, direction, mode)
     return reports

@@ -39,32 +39,24 @@ def _require_finite(values: np.ndarray, what: str) -> None:
 
 @dataclass
 class Gallery:
-    """Encoded candidates for one retrieval direction."""
+    """Encoded candidates for one retrieval direction; an entry's id is its row index."""
 
-    ids: np.ndarray       # (N,) unique int64
     globals_: np.ndarray  # (N, C) unit rows
     locals_: np.ndarray   # (N, n, C)
 
     def __post_init__(self):
-        self.ids = np.asarray(self.ids, dtype=np.int64)
         self.globals_ = np.asarray(self.globals_, dtype=np.float64)
         self.locals_ = np.asarray(self.locals_, dtype=np.float64)
-        if len(self.ids) == 0:
-            raise InputError("gallery must hold at least one entry")
-        if len(self.ids) != len(set(self.ids.tolist())):
-            raise InputError("gallery ids must be unique")
-        n = len(self.ids)
-        if self.globals_.shape[0] != n or self.locals_.shape[0] != n:
-            raise DimensionError("gallery arrays disagree on entry count")
         if self.globals_.ndim != 2 or self.locals_.ndim != 3:
             raise DimensionError("gallery needs (N, C) globals and (N, n, C) locals")
+        if len(self.globals_) == 0:
+            raise InputError("gallery must hold at least one entry")
+        if self.locals_.shape[0] != len(self.globals_):
+            raise DimensionError("gallery arrays disagree on entry count")
         if self.globals_.shape[1] != self.locals_.shape[2]:
             raise DimensionError("gallery globals and locals disagree on width")
         _require_finite(self.globals_, "gallery globals")
         _require_finite(self.locals_, "gallery locals")
-
-    def __len__(self) -> int:
-        return len(self.ids)
 
 
 @dataclass
@@ -88,9 +80,6 @@ class FinalScores:
     final_score: np.ndarray   # (N,) aligned to gallery order
     stage1_score: np.ndarray  # (N,)
     delta: np.ndarray         # (N,); zero outside the re-ranked block
-
-    def ranked_ids(self, gallery: Gallery) -> np.ndarray:
-        return gallery.ids[self.order]
 
 
 def broad_view_scores(query_globals: np.ndarray, gallery: Gallery) -> np.ndarray:
@@ -264,23 +253,19 @@ def rank_queries(
     gallery: Gallery,
     net: FusionNetwork | None,
     k: int,
-    mode: str = "two-stage",
 ) -> list[FinalScores]:
     """Rank (Q, C) query globals against one gallery, deterministically.
 
     Each chunk of `FUSION_CHUNK` queries is scored by one `broad_view_scores`
-    product, and each query's row is sorted once, by `select_top_k`. Broad-only
-    mode, or no network, keeps that stage-1 order. Two-stage mode needs the
-    (Q, m-1, C) focus indicators and re-ranks each top-k block.
+    product, and each query's row is sorted once, by `select_top_k`. Without
+    a network (`net=None`) that stage-1 order is the ranking: broad-only. With
+    one, the (Q, m-1, C) focus indicators re-rank each top-k block.
     """
-    if mode not in ("broad-only", "two-stage"):
-        raise InputError(f"unknown mode {mode!r}")
     query_globals = np.asarray(query_globals, dtype=np.float64)
     if query_globals.ndim != 2:
         raise DimensionError("query globals must be (Q, C)")
     _require_finite(query_globals, "query globals")
-    two_stage = mode == "two-stage" and net is not None
-    if two_stage:
+    if net is not None:
         if query_focus is None:
             raise InputError("two-stage ranking needs query focus indicators")
         query_focus = np.asarray(query_focus, dtype=np.float64)
@@ -293,7 +278,7 @@ def rank_queries(
         for start in range(0, len(query_globals), FUSION_CHUNK):
             rows = slice(start, start + FUSION_CHUNK)
             cands = [select_top_k(s, k) for s in broad_view_scores(query_globals[rows], gallery)]
-            if two_stage:
+            if net is not None:
                 cand_locals = gallery.locals_[[c.indices for c in cands]]
                 deltas = project_deltas(focused_fuse(query_focus[rows], cand_locals, net), net)
                 results += [compose_scores(c, d[: c.k], include_stage1=net.cfg.use_stage1_scores)

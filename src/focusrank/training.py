@@ -34,11 +34,11 @@ class LossBundle:
     """Loss tensors of one forward pass (kept for backward).
 
     `scale_calibration` lives outside the combined objective: it is the
-    cross-entropy of the composed scores (stage-1 + delta) over detached
-    inputs, so its gradient touches only the delta scale. The spec's focused
-    loss reads the raw logits and therefore leaves the scale without any
-    gradient; this term calibrates it toward values that make the composed
-    re-ranking put the true candidate first.
+    cross-entropy of the composed scores (stage-1 + delta, or the delta alone
+    without `use_stage1_scores`) over detached inputs, so its gradient touches
+    only the delta scale. The spec's focused loss reads the raw logits and
+    therefore leaves the scale without any gradient; this term calibrates it
+    toward values that make the composed re-ranking put the true candidate first.
     """
 
     t2v: Tensor
@@ -124,12 +124,19 @@ def _focused_direction(model, query_focus, cand_locals, sims, k_train, rng, tag)
     logits = model.fusion.project(fused)
     focus = cross_entropy(logits[:, :k_train], positions)
     # Calibration of the delta scale over detached logits and stage-1 scores:
-    # cross-entropy of the composed candidate scores, gradient on the scale only.
+    # cross-entropy of the candidate scores composed as `compose_scores` does,
+    # gradient on the scale only.
     scale = model.fusion.params["fusion.delta_scale"]
-    stage1 = Tensor(np.take_along_axis(sims, cand_idx, axis=1))
-    composed = stage1 + scale * logits[:, :k_train].detach()
+    composed = scale * logits[:, :k_train].detach()
+    if model.cfg.use_stage1_scores:
+        composed = Tensor(np.take_along_axis(sims, cand_idx, axis=1)) + composed
     calibration = cross_entropy(composed, positions)
     return focus, calibration
+
+
+# AdamW moment decay rates and denominator floor.
+ADAM_BETAS = (0.9, 0.999)
+ADAM_EPS = 1e-8
 
 
 class AdamW:
@@ -145,21 +152,17 @@ class AdamW:
         lr_base: float,
         lr_fusion: float,
         weight_decay: float = 0.2,
-        betas: tuple[float, float] = (0.9, 0.999),
-        eps: float = 1e-8,
     ):
         self.params = params
         self.rates = {"base": lr_base, "fusion": lr_fusion}
         self.weight_decay = weight_decay
-        self.betas = betas
-        self.eps = eps
         self.step_count = 0
         self._m = {name: np.zeros_like(t.data) for name, t in params.items()}
         self._v = {name: np.zeros_like(t.data) for name, t in params.items()}
 
     def step(self) -> None:
         self.step_count += 1
-        b1, b2 = self.betas
+        b1, b2 = ADAM_BETAS
         bias1 = 1.0 - b1**self.step_count
         bias2 = 1.0 - b2**self.step_count
         for name, tensor in self.params.items():
@@ -173,7 +176,7 @@ class AdamW:
             v *= b2
             v += (1 - b2) * g * g
             lr = self.rates[self.params.group(name)]
-            update = (m / bias1) / (np.sqrt(v / bias2) + self.eps)
+            update = (m / bias1) / (np.sqrt(v / bias2) + ADAM_EPS)
             if self.weight_decay and name != "log_temperature":
                 update = update + self.weight_decay * tensor.data
             tensor.data = tensor.data - lr * update

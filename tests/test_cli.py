@@ -18,11 +18,9 @@ dim: 16
 layers: 1
 vocab_size: 64
 text_len: 6
-max_text_len: 8
 patch_count: 4
 patch_dim: 16
 frame_count: 2
-max_frames: 4
 mlp_hidden: 16
 k: 3
 pair_count: 12
@@ -197,6 +195,24 @@ class TestExecute:
             execute(parse_args(["ablate", "--config", tiny_cfg_path, "--out", str(out),
                                 "--components", "--set", f"{key}=false"]))
         assert not out.exists()
+
+    def test_ablate_checks_every_row_before_training(self, tiny_cfg_path, tmp_path):
+        # k=0 is invalid; no row may train (and write its directory) first.
+        out = tmp_path / "ab"
+        with pytest.raises(ConfigError):
+            execute(parse_args(["ablate", "--config", tiny_cfg_path, "--out", str(out),
+                                "--set", "k=3,0"]))
+        assert not out.exists()
+
+    @pytest.mark.parametrize("verb", ["eval", "train"])
+    def test_missing_file_is_a_typed_error(self, tmp_path, capsys, verb):
+        missing = tmp_path / "missing"
+        source = (["--set", f"checkpoint={missing}.bin"] if verb == "eval"
+                  else ["--config", f"{missing}.cfg"])
+        code = main([verb, "--out", str(tmp_path / "out"), *source])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "missing" in err
 
     def test_csv_outputs_byte_identical_across_runs(self, tiny_cfg_path, tmp_path):
         blobs = []

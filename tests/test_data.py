@@ -100,13 +100,13 @@ class TestGenerator:
 def make_gallery(n=6, c=8, n_local=3):
     globals_ = RNG.normal(size=(n, c))
     globals_ /= np.linalg.norm(globals_, axis=1, keepdims=True)
-    return Gallery(np.arange(n) * 3 + 1, globals_, RNG.normal(size=(n, n_local, c)))
+    return Gallery(globals_, RNG.normal(size=(n, n_local, c)))
 
 
 class TestGalleryValidation:
     def test_empty_gallery_rejected_at_construction(self):
         with pytest.raises(InputError):
-            Gallery(np.array([], dtype=np.int64), np.zeros((0, 4)), np.zeros((0, 1, 4)))
+            Gallery(np.zeros((0, 4)), np.zeros((0, 1, 4)))
 
     @pytest.mark.parametrize("part", ["globals", "locals"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -115,7 +115,7 @@ class TestGalleryValidation:
         globals_, locals_ = gallery.globals_.copy(), gallery.locals_.copy()
         (globals_ if part == "globals" else locals_)[3, 1] = bad
         with pytest.raises(InputError):
-            Gallery(gallery.ids, globals_, locals_)
+            Gallery(globals_, locals_)
 
 
 class TestConfig:
@@ -190,9 +190,11 @@ class TestConfig:
             apply_overrides(RunConfig(), {key: value})
 
     def test_removed_keys_rejected(self):
-        # Training always uses min(k, batch) candidates; the knob is gone.
-        with pytest.raises(ConfigError):
-            apply_overrides(RunConfig(), {"k_train": "2"})
+        # Training always uses min(k, batch) candidates, and the generated
+        # text_len and frame_count bound the encoders' inputs; the knobs are gone.
+        for key in ("k_train", "max_text_len", "max_frames"):
+            with pytest.raises(ConfigError):
+                apply_overrides(RunConfig(), {key: "2"})
 
     def test_unknown_attribute_rejected(self):
         # A removed or misspelt key set in code fails instead of being ignored.

@@ -23,11 +23,9 @@ def tiny_config(**overrides):
     cfg.layers = 2
     cfg.vocab_size = 64
     cfg.text_len = 6
-    cfg.max_text_len = 10
     cfg.patch_count = 4
     cfg.patch_dim = 16
     cfg.frame_count = 2
-    cfg.max_frames = 8
     cfg.mlp_hidden = 16
     cfg.k = 3
     cfg.pair_count = 20
@@ -132,10 +130,22 @@ class TestTextEncoder:
     def test_global_unit_norm_and_focus_shape(self):
         cfg = tiny_config()
         model = RetrievalModel(cfg)
-        enc = model.encode_text(TextSequence(RNG.integers(0, cfg.vocab_size, 6)))
+        tokens = RNG.integers(0, cfg.vocab_size, 6)
+        enc = model.encode_text(TextSequence(tokens))
         assert abs(np.linalg.norm(enc.global_vec) - 1.0) < 1e-9
         assert enc.focus_indicators.shape == (cfg.indicator_count - 1, cfg.dim)
-        assert enc.locals_.shape == (6, cfg.dim)
+        assert model.encode_text_batch(tokens[None])[2].shape == (1, 6, cfg.dim)
+
+    def test_text_longer_than_text_len_rejected(self):
+        # The position table has text_len rows: the generated length is the bound.
+        cfg = tiny_config()
+        model = RetrievalModel(cfg)
+        assert model.params["text.position_embedding"].shape == (cfg.text_len, cfg.dim)
+        model.encode_text(TextSequence(np.arange(cfg.text_len)))
+        with pytest.raises(InputError):
+            model.encode_text(TextSequence(np.arange(cfg.text_len + 1)))
+        with pytest.raises(InputError):
+            model.encode_text_batch(np.zeros((2, cfg.text_len + 1), dtype=np.int64))
 
     def test_empty_sequence_rejected(self):
         with pytest.raises(InputError):
@@ -156,8 +166,10 @@ class TestVideoEncoder:
         a = model.encode_video(clip)
         b = model.encode_video(clip)
         assert np.array_equal(a.global_vec, b.global_vec)
-        assert np.array_equal(a.locals_, b.locals_)
         assert np.array_equal(a.focus_indicators, b.focus_indicators)
+        locals_a = model.encode_video_batch(clip.frames[None])[2].data
+        locals_b = model.encode_video_batch(clip.frames[None])[2].data
+        assert np.array_equal(locals_a, locals_b)
 
     def test_global_unit_norm(self):
         cfg = tiny_config(seed=5)
@@ -166,12 +178,22 @@ class TestVideoEncoder:
             enc = model.encode_video(VideoClip(RNG.normal(size=(2, 4, 16)) * 10))
             assert abs(np.linalg.norm(enc.global_vec) - 1.0) < 1e-9
 
-    @pytest.mark.parametrize("frames", [1, 2, 8])
+    @pytest.mark.parametrize("frames", [1, 2])
     def test_locals_row_count_is_patch_count(self, frames):
         cfg = tiny_config(seed=5)
         model = RetrievalModel(cfg)
-        enc = model.encode_video(VideoClip(RNG.normal(size=(frames, 4, 16))))
-        assert enc.locals_.shape == (cfg.patch_count, cfg.dim)
+        _, _, locals_ = model.encode_video_batch(RNG.normal(size=(1, frames, 4, 16)))
+        assert locals_.shape == (1, cfg.patch_count, cfg.dim)
+
+    def test_clip_longer_than_frame_count_rejected(self):
+        # The frame table has frame_count rows: the generated length is the bound.
+        cfg = tiny_config(seed=5)
+        model = RetrievalModel(cfg)
+        assert model.params["video.frame_embedding"].shape == (cfg.frame_count, cfg.dim)
+        with pytest.raises(InputError):
+            model.encode_video(VideoClip(RNG.normal(size=(cfg.frame_count + 1, 4, 16))))
+        with pytest.raises(InputError):
+            model.encode_video_batch(RNG.normal(size=(2, cfg.frame_count + 1, 4, 16)))
 
     def test_empty_clip_rejected(self):
         with pytest.raises(InputError):

@@ -117,6 +117,14 @@ def test_two_stage_evaluation_without_focus_rejected():
     net = FusionNetwork(ParameterSet(), cfg.validate(), RandomStream(0))
     globals_ = RNG.normal(size=(6, 8))
     globals_ /= np.linalg.norm(globals_, axis=1, keepdims=True)
-    gallery = Gallery(np.arange(6), globals_, RNG.normal(size=(6, 2, 8)))
+    gallery = Gallery(globals_, RNG.normal(size=(6, 2, 8)))
     with pytest.raises(InputError):
         evaluate_two_stage((globals_, None), gallery, (globals_, None), gallery, net=net, k=4)
+
+
+def test_unknown_mode_rejected():
+    globals_ = RNG.normal(size=(3, 8))
+    globals_ /= np.linalg.norm(globals_, axis=1, keepdims=True)
+    gallery = Gallery(globals_, RNG.normal(size=(3, 2, 8)))
+    with pytest.raises(InputError):
+        evaluate_two_stage((globals_, None), gallery, (globals_, None), gallery, mode="focused")

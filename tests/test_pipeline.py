@@ -38,7 +38,7 @@ def unit_rows(n, c, rng=RNG):
 
 
 def make_gallery(n=12, c=8, n_local=3, rng=RNG):
-    return Gallery(np.arange(n), unit_rows(n, c, rng), rng.normal(size=(n, n_local, c)))
+    return Gallery(unit_rows(n, c, rng), rng.normal(size=(n, n_local, c)))
 
 
 def make_net(cfg=None, seed=0, randomize=False):
@@ -78,7 +78,7 @@ def compose_oracle(scores, cand_indices, deltas, include_stage1=True):
 class TestBroadViewScores:
     def test_orthonormal_construction(self):
         globals_ = np.eye(6)
-        gallery = Gallery(np.arange(6), globals_, np.zeros((6, 2, 6)))
+        gallery = Gallery(globals_, np.zeros((6, 2, 6)))
         scores = broad_view_scores(globals_[3], gallery)
         np.testing.assert_array_equal(scores, [0, 0, 0, 1, 0, 0])
 
@@ -99,7 +99,7 @@ class TestBroadViewScores:
 
     def test_empty_gallery_rejected(self):
         with pytest.raises(InputError):
-            Gallery(np.array([], dtype=np.int64), np.zeros((0, 4)), np.zeros((0, 1, 4)))
+            Gallery(np.zeros((0, 4)), np.zeros((0, 1, 4)))
 
     def test_width_mismatch_rejected(self):
         with pytest.raises(DimensionError):
@@ -120,7 +120,7 @@ class TestBroadViewScores:
         np.testing.assert_allclose(batch, reference, rtol=0, atol=1e-15)
 
     def test_batch_clipped_to_unit_interval(self):
-        gallery = Gallery(np.arange(3), 2 * np.eye(3), np.zeros((3, 1, 3)))
+        gallery = Gallery(2 * np.eye(3), np.zeros((3, 1, 3)))
         np.testing.assert_array_equal(broad_view_scores(-np.eye(3), gallery), -np.eye(3))
 
 
@@ -369,7 +369,7 @@ class TestRankFull:
         net = make_net()  # zero out_w / delta_scale
         gallery = make_gallery(n=20)
         for _ in range(25):
-            q = EncodedItem(unit_rows(1, 8)[0], RNG.normal(size=(3, 8)), np.zeros((0, 8)))
+            q = EncodedItem(unit_rows(1, 8)[0], RNG.normal(size=(3, 8)))
             full = rank_full(q, gallery, net, 4)
             broad = stage1_order(broad_view_scores(q.global_vec, gallery))
             np.testing.assert_array_equal(full.order, broad)
@@ -377,7 +377,7 @@ class TestRankFull:
     def test_small_gallery_clamps_and_composes(self):
         net = make_net(randomize=True)
         gallery = make_gallery(n=3)  # N < k = 4
-        q = EncodedItem(unit_rows(1, 8)[0], RNG.normal(size=(3, 8)), np.zeros((0, 8)))
+        q = EncodedItem(unit_rows(1, 8)[0], RNG.normal(size=(3, 8)))
         final = rank_full(q, gallery, net, 4)
         scores = broad_view_scores(q.global_vec, gallery)
         cands = select_top_k(scores, 4)
@@ -395,7 +395,7 @@ class TestRankFull:
     def test_determinism_same_seed_bitwise(self):
         net = make_net(randomize=True)
         gallery = make_gallery(n=10)
-        q = EncodedItem(unit_rows(1, 8)[0], RNG.normal(size=(3, 8)), np.zeros((0, 8)))
+        q = EncodedItem(unit_rows(1, 8)[0], RNG.normal(size=(3, 8)))
         a = rank_full(q, gallery, net, 4)
         b = rank_full(q, gallery, net, 4)
         assert np.array_equal(a.order, b.order)
@@ -405,6 +405,11 @@ class TestRankFull:
 
 # One fusion chunk, and a batch crossing the chunk boundary (64 + 64 + 2).
 BATCH_SIZES = (FUSION_CHUNK, 2 * FUSION_CHUNK + 2)
+
+
+def net_for(mode):
+    """The network `rank_queries` gets in each mode: broad-only ranks without one."""
+    return make_net(randomize=True) if mode == "two-stage" else None
 
 
 class TestRankQueries:
@@ -417,14 +422,14 @@ class TestRankQueries:
     def test_one_batch_matches_single_queries(self, q, mode):
         # The batched stage-1 and fusion matmuls may sum in another order than
         # a batch of one, so scores agree to rounding while orders are identical.
-        net = make_net(randomize=True)
+        net = net_for(mode)
         gallery = make_gallery(n=500)
         globals_ = unit_rows(q, 8)
         focus = RNG.normal(size=(q, 3, 8))
-        batched = rank_queries(globals_, focus, gallery, net, 4, mode)
+        batched = rank_queries(globals_, focus, gallery, net, 4)
         assert len(batched) == q
         for i, got in enumerate(batched):
-            (single,) = rank_queries(globals_[i : i + 1], focus[i : i + 1], gallery, net, 4, mode)
+            (single,) = rank_queries(globals_[i : i + 1], focus[i : i + 1], gallery, net, 4)
             np.testing.assert_array_equal(got.order, single.order)
             for name in ("final_score", "stage1_score", "delta"):
                 np.testing.assert_allclose(
@@ -443,7 +448,7 @@ class TestRankQueries:
         monkeypatch.setattr(pipeline, "stage1_order", counting)
         gallery = make_gallery(n=40)
         finals = rank_queries(unit_rows(5, 8), RNG.normal(size=(5, 3, 8)), gallery,
-                              make_net(randomize=True), 4, mode)
+                              net_for(mode), 4)
         assert calls == [40] * 5
         assert len(finals) == 5
 
@@ -458,7 +463,7 @@ class TestRankQueries:
         monkeypatch.setattr(pipeline, "broad_view_scores", counting)
         q = 2 * FUSION_CHUNK + 2
         finals = rank_queries(unit_rows(q, 8), RNG.normal(size=(q, 3, 8)), make_gallery(n=40),
-                              make_net(randomize=True), 4, mode)
+                              net_for(mode), 4)
         assert rows == [FUSION_CHUNK, FUSION_CHUNK, 2]
         assert len(finals) == q
 
@@ -468,12 +473,12 @@ class TestRankQueries:
         # would not be a FocusrankError.
         with pytest.raises(DimensionError):
             rank_queries(unit_rows(3, 9), RNG.normal(size=(3, 3, 8)), make_gallery(c=8),
-                         make_net(randomize=True), 4, mode)
+                         net_for(mode), 4)
 
     def test_rank_full_is_a_batch_of_one(self):
         net = make_net(randomize=True)
         gallery = make_gallery(n=30)
-        q = EncodedItem(unit_rows(1, 8)[0], RNG.normal(size=(3, 8)), np.zeros((0, 8)))
+        q = EncodedItem(unit_rows(1, 8)[0], RNG.normal(size=(3, 8)))
         full = rank_full(q, gallery, net, 4)
         (batched,) = rank_queries(q.global_vec[None], q.focus_indicators[None], gallery, net, 4)
         assert np.array_equal(full.order, batched.order)
@@ -481,12 +486,11 @@ class TestRankQueries:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_query_globals_rejected(self, bad):
-        net = make_net(randomize=True)
         globals_ = unit_rows(3, 8)
         globals_[1, 2] = bad
         for mode in ("broad-only", "two-stage"):
             with pytest.raises(InputError):
-                rank_queries(globals_, RNG.normal(size=(3, 3, 8)), make_gallery(), net, 4, mode)
+                rank_queries(globals_, RNG.normal(size=(3, 3, 8)), make_gallery(), net_for(mode), 4)
 
     @pytest.mark.parametrize("bad", [np.nan, -np.inf])
     def test_non_finite_focus_indicators_rejected(self, bad):

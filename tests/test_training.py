@@ -30,11 +30,9 @@ def tiny_config(**overrides):
     cfg.layers = 1
     cfg.vocab_size = 64
     cfg.text_len = 6
-    cfg.max_text_len = 8
     cfg.patch_count = 4
     cfg.patch_dim = 16
     cfg.frame_count = 2
-    cfg.max_frames = 4
     cfg.mlp_hidden = 16
     cfg.k = 3
     cfg.pair_count = 12
@@ -115,6 +113,17 @@ class TestTrainStep:
         for name, g in grads[0].items():
             assert np.array_equal(g, grads[1][name]), name
         assert grads[0]["fusion.delta_scale"] != 0
+
+    def test_calibration_composes_like_inference_without_stage1(self):
+        # Inference ranks the block by scale * logits alone when stage-1 scores
+        # are off, so the calibration must leave them out too: at scale 0 every
+        # composed score is 0 and each direction's cross-entropy is ln(k_train).
+        cfg = tiny_config(seed=3, use_stage1_scores=False)
+        model = RetrievalModel(cfg)
+        model.params["fusion.delta_scale"].data = np.asarray(0.0)
+        bundle = training_loss(model, make_batch(cfg), cfg)
+        k_train = min(cfg.k, cfg.batch_size)
+        assert abs(float(bundle.scale_calibration.data) - 2 * np.log(k_train)) < 1e-12
 
     def test_parameters_change_and_ce_reaches_mlp(self):
         cfg = tiny_config()
