@@ -7,9 +7,10 @@ Layout (all integers little-endian):
     name_len u32 | name utf-8 | ndim u32 | dims u32 * ndim | data f64-le
 
 Round-trips are bit-exact. Loading validates the magic, version, header
-checksum, that names are utf-8, that no record runs past the end of the file
-and that the file ends exactly where the last record says it does. Any
-malformed file raises `FormatError`.
+checksum, that names are utf-8, that no record runs past the end of the file,
+that every value is finite and that the file ends exactly where the last
+record says it does. Any malformed file raises `FormatError`; a non-finite
+value is reported with its parameter name and the offset of its record.
 """
 
 from __future__ import annotations
@@ -92,9 +93,12 @@ def load_parameters(path) -> dict[str, np.ndarray]:
         size = math.prod(shape)  # Python ints: a huge shape cannot wrap negative
         raw = r.read(8 * size)
         try:
-            arrays[name] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
+            value = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
         except ValueError as exc:  # e.g. (0, 2**31, 2**31): empty, but too big for numpy
             raise FormatError(f"shape {shape} is not representable", offset=shape_at) from exc
+        if not np.isfinite(value).all():
+            raise FormatError(f"parameter {name!r} holds NaN or infinite values", offset=name_at)
+        arrays[name] = value
     if r.pos != len(blob):
         raise FormatError("trailing bytes after last record", offset=r.pos)
     return arrays

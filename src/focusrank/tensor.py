@@ -15,26 +15,35 @@ outputs bit for bit; their gradients differ in the last bits.
 
 from __future__ import annotations
 
+import threading
 from contextlib import contextmanager
 
 import numpy as np
 
 from .errors import DimensionError, InputError, UsageError
 
-_grad_enabled = True
 _BASIC_KEYS = (int, np.integer, slice, type(None), type(Ellipsis))
+
+
+class _GradMode(threading.local):
+    """Whether ops record a graph, kept per thread: a helper thread encoding
+    under `no_grad` leaves every other thread's mode as it was."""
+
+    enabled = True
+
+
+_grad_mode = _GradMode()
 
 
 @contextmanager
 def no_grad():
-    """Disable graph recording (inference mode)."""
-    global _grad_enabled
-    prev = _grad_enabled
-    _grad_enabled = False
+    """Disable graph recording (inference mode) in the calling thread."""
+    prev = _grad_mode.enabled
+    _grad_mode.enabled = False
     try:
         yield
     finally:
-        _grad_enabled = prev
+        _grad_mode.enabled = prev
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
@@ -272,7 +281,7 @@ def _result(data: np.ndarray, inputs: tuple) -> Tensor:
     out.data = data if data.dtype == np.float64 else data.astype(np.float64)
     out.grad = None
     out._grad_fn = None
-    if _grad_enabled:
+    if _grad_mode.enabled:
         parents = tuple(p for p in inputs if p.requires_grad)
     else:
         parents = ()

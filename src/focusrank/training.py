@@ -159,8 +159,15 @@ class AdamW:
         self.step_count = 0
         self._m = {name: np.zeros_like(t.data) for name, t in params.items()}
         self._v = {name: np.zeros_like(t.data) for name, t in params.items()}
+        # Two scratch arrays per parameter, so a step allocates nothing.
+        self._scratch = {
+            name: (np.empty_like(t.data), np.empty_like(t.data)) for name, t in params.items()
+        }
 
     def step(self) -> None:
+        """Update every parameter in place, in the operation order of
+        m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g*g,
+        update = (m/bias1) / (sqrt(v/bias2) + eps) + wd*data, data -= lr*update."""
         self.step_count += 1
         b1, b2 = ADAM_BETAS
         bias1 = 1.0 - b1**self.step_count
@@ -171,15 +178,25 @@ class AdamW:
                 g = np.zeros_like(tensor.data)
             m = self._m[name]
             v = self._v[name]
+            a, update = self._scratch[name]
             m *= b1
-            m += (1 - b1) * g
+            np.multiply(1 - b1, g, out=a)
+            m += a
             v *= b2
-            v += (1 - b2) * g * g
+            np.multiply(1 - b2, g, out=a)
+            a *= g
+            v += a
             lr = self.rates[self.params.group(name)]
-            update = (m / bias1) / (np.sqrt(v / bias2) + ADAM_EPS)
+            np.divide(v, bias2, out=a)
+            np.sqrt(a, out=a)
+            a += ADAM_EPS
+            np.divide(m, bias1, out=update)
+            update /= a
             if self.weight_decay and name != "log_temperature":
-                update = update + self.weight_decay * tensor.data
-            tensor.data = tensor.data - lr * update
+                np.multiply(self.weight_decay, tensor.data, out=a)
+                update += a
+            update *= lr
+            tensor.data -= update
 
 
 def train_step(

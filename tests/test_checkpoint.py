@@ -111,6 +111,17 @@ def test_empty_shape_too_big_for_numpy_rejected(tmp_path):
         load_parameters(path)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_value_rejected(tmp_path, bad):
+    # A NaN delta_scale would turn every final score non-finite at ranking time.
+    path = tmp_path / "ckpt.bin"
+    save_parameters({"w": np.zeros(2), "fusion.delta_scale": np.array(bad)}, path)
+    record_at = 16 + (4 + 1 + 4 + 4 + 8 * 2)  # header, then the whole "w" record
+    with pytest.raises(FormatError, match="'fusion.delta_scale'") as info:
+        load_parameters(path)
+    assert info.value.offset == record_at
+
+
 @settings(deadline=None, max_examples=400)
 @given(
     st.lists(st.tuples(st.integers(0, 10**6), st.integers(1, 255)), min_size=1, max_size=3),

@@ -1,7 +1,9 @@
 """CLI parsing and end-to-end command execution on tiny configurations."""
 
 import csv
+import logging
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -121,6 +123,14 @@ class TestExecute:
         assert len(rows) == 13  # header + 12 gallery entries
         ranks = [int(r[0]) for r in rows[1:]]
         assert ranks == sorted(ranks)
+
+    @pytest.mark.parametrize("verb", ["eval", "query"])
+    def test_logs_encode_time_and_threads(self, tiny_cfg_path, tmp_path, caplog, verb):
+        caplog.set_level(logging.INFO, logger="focusrank")
+        code = execute(parse_args([verb, "--config", tiny_cfg_path, "--out", str(tmp_path)]))
+        assert code == 0
+        (message,) = [r.getMessage() for r in caplog.records if "encoded" in r.getMessage()]
+        assert re.fullmatch(r"encoded 12 pairs in \d+\.\d{3} s, threads=1", message)
 
     def test_gradcheck_passes(self, tmp_path, capsys):
         out = tmp_path / "g"

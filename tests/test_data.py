@@ -1,11 +1,16 @@
 """Synthetic data generation, gallery validation, and config parsing."""
 
+import os
+import sys
+import threading
+
 import numpy as np
 import pytest
 
 from focusrank.config import RunConfig, apply_overrides, load_config
-from focusrank.data import generate_synthetic_pairs
+from focusrank.data import ENCODE_BLOCK, build_galleries, encode_dataset, generate_synthetic_pairs
 from focusrank.errors import ConfigError, InputError
+from focusrank.model import RetrievalModel
 from focusrank.pipeline import Gallery
 
 RNG = np.random.default_rng(61)
@@ -95,6 +100,54 @@ class TestGenerator:
         cfg.validate()  # a valid RunConfig; only the token layout rejects it
         with pytest.raises(ConfigError):
             generate_synthetic_pairs(cfg)
+
+
+class TestEncodeDataset:
+    PAIRS = 40  # three blocks per side, the last one short
+
+    def setup_method(self):
+        assert self.PAIRS > 2 * ENCODE_BLOCK
+        cfg = small_config(pair_count=self.PAIRS, coarse_clusters=self.PAIRS // 5)
+        self.dataset = generate_synthetic_pairs(cfg)
+        self.model = RetrievalModel(cfg)
+
+    @staticmethod
+    def set_cores(monkeypatch, cores):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)), raising=False)
+
+    def test_output_bit_identical_on_any_core_count(self, monkeypatch):
+        threads = set()
+        for name in ("encode_text_batch", "encode_video_batch"):
+            def recording(items, encode=getattr(self.model, name)):
+                threads.add(threading.get_ident())
+                return encode(items)
+            monkeypatch.setattr(self.model, name, recording)
+
+        self.set_cores(monkeypatch, 1)
+        one = encode_dataset(self.model, self.dataset)
+        assert threads == {threading.get_ident()}
+
+        # More threads than this machine may have cores, switching often.
+        self.set_cores(monkeypatch, 4)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            many = encode_dataset(self.model, self.dataset)
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(threads) > 1
+        for side_one, side_many in zip(one, many, strict=True):
+            for a, b in zip(side_one, side_many, strict=True):
+                assert a.shape[0] == self.PAIRS
+                assert np.array_equal(a, b)
+
+    def test_error_in_a_late_block_raised_after_helpers_joined(self, monkeypatch):
+        self.dataset.videos[self.PAIRS - 3, 1, 2, 0] = np.nan
+        self.set_cores(monkeypatch, 4)
+        before = threading.active_count()
+        with pytest.raises(InputError, match="NaN"):
+            build_galleries(self.model, self.dataset)
+        assert threading.active_count() == before
 
 
 def make_gallery(n=6, c=8, n_local=3):

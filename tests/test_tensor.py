@@ -1,5 +1,7 @@
 """Core autodiff engine: op correctness, broadcasting, graph mechanics."""
 
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -190,6 +192,38 @@ class TestGraphMechanics:
         with no_grad():
             y = (x * 2).sum()
         assert not y.requires_grad and y._parents == ()
+
+    def test_no_grad_in_another_thread_leaves_this_one_recording(self):
+        x = Tensor(np.ones(3), requires_grad=True)
+        inside, release = threading.Event(), threading.Event()
+        helper_records = []
+
+        def helper():
+            with no_grad():
+                inside.set()
+                release.wait(timeout=10)
+                helper_records.append((x * 2).requires_grad)
+
+        thread = threading.Thread(target=helper)
+        thread.start()
+        assert inside.wait(timeout=10)
+        main_records = (x * 2).requires_grad
+        release.set()
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert main_records and helper_records == [False]
+        assert (x * 2).requires_grad
+
+    def test_no_grad_here_leaves_another_thread_recording(self):
+        x = Tensor(np.ones(3), requires_grad=True)
+        helper_records = []
+        with no_grad():
+            thread = threading.Thread(target=lambda: helper_records.append((x * 2).requires_grad))
+            thread.start()
+            thread.join(timeout=10)
+            assert not thread.is_alive()
+            assert not (x * 2).requires_grad
+        assert helper_records == [True]
 
     def test_detach(self):
         x = Tensor(np.ones(3), requires_grad=True)
