@@ -1,14 +1,16 @@
 """Two-stage retrieval: broad-view scoring, top-k selection, focused-view
 fusion and final score composition.
 
-A ranking is one stage-1 sort plus a permutation of its first k entries.
-Stage 1 sorts the whole gallery by dot product of unit-normalized globals
-(`select_top_k`, the only full sort). Stage 2 cross-attends the query's
-remaining indicators over the flattened local tokens of the top-k candidates
-(with per-slot index embeddings on keys and values), projects the fused
-indicators to k logits, and adds the scaled logits to the stage-1 scores of
-the candidates. `compose_scores` re-sorts that k-block and appends the rest
-of the stage-1 order unchanged; broad-only ranking is the stage-1 order.
+A ranking is one stage-1 order plus a permutation of its first k entries.
+Stage 1 scores a chunk of queries against the whole gallery by dot product
+of unit-normalized globals, and `select_top_k` orders every row of the chunk
+with one `stage1_order` call, the only sort over the gallery. Stage 2
+cross-attends the query's remaining indicators over the flattened local
+tokens of the top-k candidates (with per-slot index embeddings on keys and
+values), projects the fused indicators to k logits, and adds the scaled
+logits to the stage-1 scores of the candidates. `compose_scores` re-sorts
+that k-block and appends the rest of the stage-1 order unchanged; broad-only
+ranking is the stage-1 order.
 
 `rank_queries` is the one inference ranking path: it ranks a batch of
 queries, scoring and fusing `FUSION_CHUNK` of them per call. A single
@@ -61,15 +63,16 @@ class Gallery:
 
 @dataclass
 class CandidateSet:
-    """Stage-1 ranking of one query; its first k entries are the candidates."""
+    """Stage-1 ranking of one query, or one per row of a (Q, N) chunk; the
+    first k entries of a row's order are its candidates."""
 
-    order: np.ndarray   # (N,) gallery indices, score desc, ties by ascending index
-    scores: np.ndarray  # (N,) stage-1 scores, gallery-aligned
+    order: np.ndarray   # (N,) or (Q, N) gallery indices, score desc, ties by ascending index
+    scores: np.ndarray  # (N,) or (Q, N) stage-1 scores, gallery-aligned
     k: int              # re-ranked block size, min(requested k, N)
 
     @property
     def indices(self) -> np.ndarray:
-        return self.order[: self.k]
+        return self.order[..., : self.k]
 
 
 @dataclass
@@ -97,29 +100,56 @@ def broad_view_scores(query_globals: np.ndarray, gallery: Gallery) -> np.ndarray
 
 
 def stage1_order(scores: np.ndarray) -> np.ndarray:
-    """Indices sorted by score descending, ties broken by ascending index.
+    """Indices sorting each row of (N,) or (Q, N) scores descending, ties by
+    ascending index; one value sort for the whole array.
 
-    Ties are equal computed scores: identical gallery rows that score an ulp
-    apart rank by score. numpy's default (unstable, SIMD) argsort is exact
-    when the sorted scores hold no equal adjacent pair and no NaN: the order
-    is then unique, so it equals the stable one. Otherwise an unstable sort
-    may place tied entries (0.0 and -0.0 too) either way, so the stable
-    `lexsort` decides. NaNs sort last, so checking the last entry finds any.
+    Ties are equal computed scores (0.0 and -0.0 too): identical gallery rows
+    that score an ulp apart rank by score. Each key is `-score + 0.0`, which
+    turns -0.0 into 0.0, with its low `(N-1).bit_length()` bits replaced by the
+    entry's index, so one `np.sort` of the keys carries every row's order in
+    their low bits. Keys of finite scores are finite and pairwise distinct
+    (only index 0 can make a zero), so the sort returns them permuted.
+
+    Exactness rests on a per-row check, not on the packing: the row's exact
+    scores gathered in the new order must fall strictly. Then the indices are
+    distinct, so they are a permutation, and the unique one sorting the row;
+    it equals the stable order. Otherwise (a tie, two keys that differ only
+    in the replaced bits, or a non-finite score, whose packed key can be NaN)
+    the row is sorted by the stable `lexsort`. The result does not depend on
+    the numpy version; the speed does (a vectorised `np.sort` beats `argsort`).
     """
-    neg = -np.asarray(scores)
-    order = np.argsort(neg)
-    ranked = neg[order]
-    if (ranked[1:] == ranked[:-1]).any() or np.isnan(ranked[-1:]).any():
-        return np.lexsort((np.arange(len(neg)), neg))
-    return order
+    scores = np.asarray(scores, dtype=np.float64)
+    rows = np.atleast_2d(scores)
+    n = rows.shape[1]
+    low = (1 << max(n - 1, 0).bit_length()) - 1
+    keys = np.negative(rows)
+    keys += 0.0
+    packed = keys.view(np.int64)
+    packed &= ~low
+    packed |= np.arange(n)
+    keys.sort(axis=-1)
+    packed &= low
+    # Any NaN or inf makes its row's sum non-finite; an overflow only costs a fallback.
+    with np.errstate(invalid="ignore", over="ignore"):
+        finite = np.isfinite(rows.sum(axis=-1))
+    ranked = np.empty(n)
+    falling = np.empty(max(n - 1, 0), dtype=bool)
+    for row, order, exact in zip(rows, packed, finite):
+        if exact:
+            np.take(row, order, out=ranked)
+            if np.greater(ranked[:-1], ranked[1:], out=falling).all():
+                continue
+        order[:] = np.lexsort((np.arange(n), -row))
+    return packed.reshape(scores.shape)
 
 
 def select_top_k(scores: np.ndarray, k: int) -> CandidateSet:
-    """Sort the gallery once and mark its k best entries; k above N clamps to N."""
+    """Sort the (N,) or (Q, N) scores once and mark each row's k best entries;
+    k above N clamps to N."""
     if k < 1:
         raise InputError("k must be >= 1")
     scores = np.asarray(scores, dtype=np.float64)
-    return CandidateSet(stage1_order(scores), scores, min(k, len(scores)))
+    return CandidateSet(stage1_order(scores), scores, min(k, scores.shape[-1]))
 
 
 class FusionNetwork:
@@ -157,18 +187,21 @@ class FusionNetwork:
         )
         params.add("fusion.delta_scale", np.zeros(()), GROUP_FUSION)
 
+    def slot_embedding(self, k_sel: int) -> Tensor:
+        """(1, k', 1, C) index embeddings of the first k' candidate slots."""
+        if k_sel > self.k:
+            raise ConfigError(
+                f"candidate count {k_sel} incompatible with network k {self.k}"
+            )
+        return self.params["fusion.index_embedding"][:k_sel].reshape(1, k_sel, 1, self.cfg.dim)
+
     def candidate_tokens(self, locals_) -> Tensor:
         """Flatten (B, k', n, C) locals and add per-slot index embeddings."""
         locals_ = as_tensor(locals_)
         if locals_.ndim != 4:
             raise DimensionError("candidate locals must be (B, k', n, C)")
         b, k_sel, n, c = locals_.shape
-        if k_sel > self.k:
-            raise ConfigError(
-                f"candidate count {k_sel} incompatible with network k {self.k}"
-            )
-        idx = self.params["fusion.index_embedding"][:k_sel].reshape(1, k_sel, 1, c)
-        return (locals_ + idx).reshape(b, k_sel * n, c)
+        return (locals_ + self.slot_embedding(k_sel)).reshape(b, k_sel * n, c)
 
     def fuse(
         self, indicators: Tensor, cand_tokens: Tensor, rng: RandomStream | None = None
@@ -206,13 +239,23 @@ class FusionNetwork:
 
 
 def focused_fuse(
-    focus_indicators: np.ndarray, cand_locals: np.ndarray, net: FusionNetwork
+    focus_indicators: np.ndarray, gallery_locals: np.ndarray, cand_indices: np.ndarray,
+    net: FusionNetwork,
 ) -> Tensor:
     """Deterministic fusion of a batch: query q's (m-1, C) indicators attend
-    over the local tokens of its candidates, `cand_locals[q]` (k', n, C).
-    Returns (Q, m-1, C)."""
-    tokens = net.candidate_tokens(Tensor(cand_locals))
-    return net.fuse(Tensor(np.asarray(focus_indicators, dtype=np.float64)), tokens)
+    over the local tokens of its candidates, gallery entries `cand_indices[q]`.
+    Returns (Q, m-1, C).
+
+    The (Q, k', n, C) gather is a fresh array, so the slot embeddings are
+    added into it in place: the same sums as `FusionNetwork.candidate_tokens`,
+    in one candidate array instead of two."""
+    tokens = np.asarray(gallery_locals, dtype=np.float64)[cand_indices]
+    q, k_sel, n, c = tokens.shape
+    tokens += net.slot_embedding(k_sel).data
+    return net.fuse(
+        Tensor(np.asarray(focus_indicators, dtype=np.float64)),
+        Tensor(tokens.reshape(q, k_sel * n, c)),
+    )
 
 
 def project_deltas(fused: Tensor, net: FusionNetwork) -> np.ndarray:
@@ -257,7 +300,7 @@ def rank_queries(
     """Rank (Q, C) query globals against one gallery, deterministically.
 
     Each chunk of `FUSION_CHUNK` queries is scored by one `broad_view_scores`
-    product, and each query's row is sorted once, by `select_top_k`. Without
+    product and sorted by one `select_top_k` call, each row once. Without
     a network (`net=None`) that stage-1 order is the ranking: broad-only. With
     one, the (Q, m-1, C) focus indicators re-rank each top-k block.
     """
@@ -277,13 +320,14 @@ def rank_queries(
     with no_grad():
         for start in range(0, len(query_globals), FUSION_CHUNK):
             rows = slice(start, start + FUSION_CHUNK)
-            cands = [select_top_k(s, k) for s in broad_view_scores(query_globals[rows], gallery)]
+            cands = select_top_k(broad_view_scores(query_globals[rows], gallery), k)
             if net is not None:
-                cand_locals = gallery.locals_[[c.indices for c in cands]]
-                deltas = project_deltas(focused_fuse(query_focus[rows], cand_locals, net), net)
-                results += [compose_scores(c, d[: c.k], include_stage1=net.cfg.use_stage1_scores)
-                            for c, d in zip(cands, deltas)]
+                fused = focused_fuse(query_focus[rows], gallery.locals_, cands.indices, net)
+                deltas = project_deltas(fused, net)[:, : cands.k]
+                results += [compose_scores(CandidateSet(order, scores, cands.k), d,
+                                           include_stage1=net.cfg.use_stage1_scores)
+                            for order, scores, d in zip(cands.order, cands.scores, deltas)]
             else:
-                results += [FinalScores(c.order, c.scores, c.scores.copy(), np.zeros_like(c.scores))
-                            for c in cands]
+                results += [FinalScores(order, scores, scores.copy(), np.zeros_like(scores))
+                            for order, scores in zip(cands.order, cands.scores)]
     return results

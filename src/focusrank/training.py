@@ -58,19 +58,20 @@ class LossBundle:
         )
 
 
-def build_candidates(scores: np.ndarray, true_index: int, k: int) -> tuple[np.ndarray, int]:
-    """Top-k in-batch candidates with the true item force-included.
+def build_candidates(sims: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Top-k in-batch candidates of each row of (B, B) similarities, with the
+    row's true item, its own index, force-included; one `stage1_order` call.
 
-    When the true item misses the top-k it replaces the lowest-ranked
-    candidate. Returns (candidate indices, position of the true item).
+    When the true item misses a row's top-k it replaces the lowest-ranked
+    candidate. Returns the (B, k) candidate indices and the (B,) position of
+    the true item in each row.
     """
-    top = stage1_order(scores)[:k]
-    where = np.nonzero(top == true_index)[0]
-    if where.size:
-        return top, int(where[0])
-    top = top.copy()
-    top[-1] = true_index
-    return top, k - 1
+    top = stage1_order(sims)[:, :k]
+    truth = np.arange(len(top))
+    hits = top == truth[:, None]
+    missed = ~hits.any(axis=1)
+    top[missed, -1] = truth[missed]
+    return top, np.where(missed, k - 1, hits.argmax(axis=1))
 
 
 def training_loss(
@@ -112,11 +113,7 @@ def training_loss(
 
 
 def _focused_direction(model, query_focus, cand_locals, sims, k_train, rng, tag):
-    b = sims.shape[0]
-    cand_idx = np.empty((b, k_train), dtype=np.int64)
-    positions = np.empty(b, dtype=np.int64)
-    for i in range(b):
-        cand_idx[i], positions[i] = build_candidates(sims[i], i, k_train)
+    cand_idx, positions = build_candidates(sims, k_train)
     gathered = take(cand_locals, cand_idx)  # (B, k_train, n, C)
     tokens = model.fusion.candidate_tokens(gathered)
     noise_rng = rng.child("gumbel", tag) if rng is not None else None

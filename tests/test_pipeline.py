@@ -2,10 +2,11 @@
 
 import importlib
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from focusrank.config import RunConfig
@@ -127,8 +128,22 @@ class TestBroadViewScores:
 SPECIAL_SCORES = np.array([np.nan, np.inf, -np.inf, 0.0, -0.0, 0.5, -0.5, 1.0])
 
 
+# SPECIAL_SCORES plus values whose packed sort keys share all but the index
+# bits with another's: the smallest subnormals beside the zeros, and 0.5's
+# one-ulp neighbours.
+EDGE_SCORES = np.concatenate(
+    [SPECIAL_SCORES, [5e-324, -5e-324, np.nextafter(0.5, 1.0), np.nextafter(0.5, 0.0)]]
+)
+
+
 def stable_order(scores):
     return np.lexsort((np.arange(len(scores)), -scores))
+
+
+def packed_keys_collide(row):
+    """Whether two of the row's `stage1_order` keys agree above the index bits."""
+    high = (-row + 0.0).view(np.int64) >> max(len(row) - 1, 0).bit_length()
+    return len(np.unique(high)) < len(row)
 
 
 class TestStage1Order:
@@ -146,6 +161,52 @@ class TestStage1Order:
         special = rng.random(n) < share
         scores[special] = rng.choice(SPECIAL_SCORES[sorted(pool)], size=int(special.sum()))
         np.testing.assert_array_equal(stage1_order(scores), stable_order(scores))
+
+    @settings(deadline=None, max_examples=150)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(0, 4),
+        st.sampled_from([0, 1, 2, 3, 40, 600, 4097]),
+        st.floats(0.0, 1.0),
+        st.sets(st.sampled_from(range(len(EDGE_SCORES))), min_size=1),
+        st.booleans(),
+    )
+    @example(seed=0, q=3, n=0, share=0.5, pool={0}, repeats=False)
+    @example(seed=1, q=0, n=4097, share=0.5, pool={0}, repeats=False)
+    @example(seed=2, q=1, n=1, share=0.0, pool={0}, repeats=False)
+    @example(seed=3, q=4, n=4097, share=0.01, pool={3, 4, 8, 9}, repeats=True)
+    def test_chunk_rows_equal_stable_lexsort(self, seed, q, n, share, pool, repeats):
+        rng = np.random.default_rng(seed)
+        scores = rng.normal(size=(q, n))
+        special = rng.random((q, n)) < share
+        scores[special] = rng.choice(EDGE_SCORES[sorted(pool)], size=int(special.sum()))
+        if repeats and n > 1:
+            # Duplicated gallery rows: some columns repeat others exactly, some one ulp up.
+            src, dst = rng.integers(0, n, size=(2, n // 8 + 1))
+            scores[:, dst] = scores[:, src]
+            src, dst = rng.integers(0, n, size=(2, n // 8 + 1))
+            scores[:, dst] = np.nextafter(scores[:, src], np.inf)
+        expected = [stable_order(row) for row in scores]
+        calls = []
+        lexsort = np.lexsort
+
+        def counting(keys):
+            calls.append(len(keys[0]))
+            return lexsort(keys)
+
+        with mock.patch.object(np, "lexsort", counting):
+            got = stage1_order(scores)
+        assert got.shape == scores.shape
+        for row, want in zip(got, expected):
+            np.testing.assert_array_equal(row, want)
+        # The stable sort runs on every row holding a tie (0.0 against -0.0
+        # too) or a non-finite score, and on no row whose packed keys differ
+        # above the index bits.
+        irregular = [not np.isfinite(row).all() for row in scores]
+        tied = sum(bad or len(np.unique(row)) < n for row, bad in zip(scores, irregular))
+        colliding = sum(bad or packed_keys_collide(row) for row, bad in zip(scores, irregular))
+        assert tied <= len(calls) <= colliding
+        assert calls == [n] * len(calls)
 
     def test_lexsort_runs_only_on_a_tie(self, monkeypatch):
         scores = RNG.permutation(4096) / 4096.0
@@ -209,7 +270,7 @@ class TestFocusedFuse:
         gallery = make_gallery()
         cands = select_top_k(broad_view_scores(unit_rows(1, 8)[0], gallery), 4)
         ind = RNG.normal(size=(1, 3, 8))
-        fused = focused_fuse(ind, gallery.locals_[cands.indices][None], net)
+        fused = focused_fuse(ind, gallery.locals_, cands.indices[None], net)
         np.testing.assert_array_equal(fused.data, ind)
 
     def test_single_candidate_single_token(self):
@@ -223,7 +284,7 @@ class TestFocusedFuse:
         net = make_net(cfg, randomize=True)
         local = RNG.normal(size=(1, 1, 8))
         ind = RNG.normal(size=(3, 8))
-        fused = focused_fuse(ind[None], local[None], net)
+        fused = focused_fuse(ind[None], local, np.zeros((1, 1), dtype=int), net)
         token = local[0, 0] + net.params["fusion.index_embedding"].data[0]
         w = net.params["fusion.block0.out_w"].data
         b = net.params["fusion.block0.out_b"].data
@@ -239,10 +300,12 @@ class TestFocusedFuse:
         cfg.gumbel_temp = 0.8
         cfg.validate()
         net = make_net(cfg, randomize=True)
-        # Two queries, each with its own k=2 candidates of n=3 tokens.
+        # Two queries, each with its own k=2 candidates of n=3 tokens: query q
+        # gets gallery entries 2q and 2q+1.
         cand_locals = RNG.normal(size=(2, 2, 3, 8))
         ind = RNG.normal(size=(2, 2, 8))
-        fused = focused_fuse(ind, cand_locals, net)  # deterministic: g = 0
+        gallery_locals, cand_indices = cand_locals.reshape(4, 3, 8), np.arange(4).reshape(2, 2)
+        fused = focused_fuse(ind, gallery_locals, cand_indices, net)  # deterministic: g = 0
 
         idx_emb = net.params["fusion.index_embedding"].data
         for q, locals_ in enumerate(cand_locals):
@@ -260,7 +323,8 @@ class TestFocusedFuse:
     def test_empty_candidates_rejected(self):
         net = make_net()
         with pytest.raises(InputError):
-            focused_fuse(RNG.normal(size=(1, 3, 8)), np.zeros((1, 0, 2, 8)), net)
+            focused_fuse(RNG.normal(size=(1, 3, 8)), np.zeros((1, 2, 8)),
+                         np.zeros((1, 0), dtype=int), net)
 
     def test_noise_only_with_a_stream(self):
         net = make_net(randomize=True)  # default config samples Gumbel noise in training
@@ -382,7 +446,7 @@ class TestRankFull:
         scores = broad_view_scores(q.global_vec, gallery)
         cands = select_top_k(scores, 4)
         assert cands.k == 3
-        fused = focused_fuse(q.focus_indicators[None], gallery.locals_[cands.indices][None], net)
+        fused = focused_fuse(q.focus_indicators[None], gallery.locals_, cands.indices[None], net)
         deltas = project_deltas(fused, net)
         expected = compose_oracle(scores, cands.indices.tolist(), deltas[0, :3].tolist())
         np.testing.assert_array_equal(final.order, expected)
@@ -438,19 +502,29 @@ class TestRankQueries:
         assert any(np.any(f.delta != 0) for f in batched) == (mode == "two-stage")
 
     @pytest.mark.parametrize("mode", ["broad-only", "two-stage"])
-    def test_one_stage1_sort_per_query(self, mode, monkeypatch):
-        calls = []
+    def test_one_stage1_sort_per_chunk(self, mode, monkeypatch):
+        shapes = []
 
         def counting(scores):
-            calls.append(len(scores))
+            shapes.append(np.shape(scores))
             return stage1_order(scores)
 
         monkeypatch.setattr(pipeline, "stage1_order", counting)
-        gallery = make_gallery(n=40)
-        finals = rank_queries(unit_rows(5, 8), RNG.normal(size=(5, 3, 8)), gallery,
+        q = 2 * FUSION_CHUNK + 2
+        finals = rank_queries(unit_rows(q, 8), RNG.normal(size=(q, 3, 8)), make_gallery(n=40),
                               net_for(mode), 4)
-        assert calls == [40] * 5
-        assert len(finals) == 5
+        assert shapes == [(FUSION_CHUNK, 40), (FUSION_CHUNK, 40), (2, 40)]
+        assert len(finals) == q
+
+    @pytest.mark.parametrize("mode", ["broad-only", "two-stage"])
+    def test_ranking_mutates_no_input(self, mode):
+        gallery = make_gallery(n=300)
+        globals_ = unit_rows(FUSION_CHUNK + 3, 8)
+        focus = RNG.normal(size=(FUSION_CHUNK + 3, 3, 8))
+        inputs = (gallery.locals_, gallery.globals_, globals_, focus)
+        before = [a.tobytes() for a in inputs]
+        rank_queries(globals_, focus, gallery, net_for(mode), 4)
+        assert [a.tobytes() for a in inputs] == before
 
     @pytest.mark.parametrize("mode", ["broad-only", "two-stage"])
     def test_one_stage1_product_per_chunk(self, mode, monkeypatch):

@@ -58,25 +58,25 @@ def make_batch(cfg, n=None, seed=0):
 
 
 class TestBuildCandidates:
+    # Every row scores the batch alike; row i's true item is entry i.
+    SIMS = np.tile([0.9, 0.5, 0.8, 0.1], (4, 1))
+
     def test_true_already_present(self):
-        scores = np.array([0.9, 0.5, 0.8, 0.1])
-        cands, pos = build_candidates(scores, true_index=2, k=2)
-        np.testing.assert_array_equal(cands, [0, 2])
-        assert pos == 1
+        cands, pos = build_candidates(self.SIMS, k=2)
+        np.testing.assert_array_equal(cands[[0, 2]], [[0, 2], [0, 2]])
+        np.testing.assert_array_equal(pos[[0, 2]], [0, 1])
 
     def test_true_injected_into_last_slot(self):
-        scores = np.array([0.9, 0.5, 0.8, 0.1])
-        cands, pos = build_candidates(scores, true_index=3, k=2)
-        np.testing.assert_array_equal(cands, [0, 3])
-        assert pos == 1
+        cands, pos = build_candidates(self.SIMS, k=2)
+        np.testing.assert_array_equal(cands[[1, 3]], [[0, 1], [0, 3]])
+        np.testing.assert_array_equal(pos[[1, 3]], [1, 1])
 
     def test_k_equals_batch_never_injects(self):
-        scores = RNG.normal(size=6)
+        sims = RNG.normal(size=(6, 6))
+        cands, pos = build_candidates(sims, k=6)
         for true_index in range(6):
-            cands, pos = build_candidates(scores, true_index, k=6)
-            assert true_index in cands
-            assert cands[pos] == true_index
-            assert len(set(cands.tolist())) == 6
+            np.testing.assert_array_equal(np.sort(cands[true_index]), np.arange(6))
+            assert cands[true_index, pos[true_index]] == true_index
 
 
 class TestTrainStep:
