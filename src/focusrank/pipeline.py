@@ -104,11 +104,12 @@ def stage1_order(scores: np.ndarray) -> np.ndarray:
     ascending index; one value sort for the whole array.
 
     Ties are equal computed scores (0.0 and -0.0 too): identical gallery rows
-    that score an ulp apart rank by score. Each key is `-score + 0.0`, which
-    turns -0.0 into 0.0, with its low `(N-1).bit_length()` bits replaced by the
-    entry's index, so one `np.sort` of the keys carries every row's order in
-    their low bits. Keys of finite scores are finite and pairwise distinct
-    (only index 0 can make a zero), so the sort returns them permuted.
+    that score an ulp apart rank by score. Each key is `0.0 - score`, which
+    is `-score + 0.0` (both zeros become 0.0), with its low
+    `(N-1).bit_length()` bits replaced by the entry's index, so one `np.sort`
+    of the keys carries every row's order in their low bits. Keys of finite
+    scores are finite and pairwise distinct (only index 0 can make a zero),
+    so the sort returns them permuted.
 
     Exactness rests on a per-row check, not on the packing: the row's exact
     scores gathered in the new order must fall strictly. Then the indices are
@@ -122,8 +123,7 @@ def stage1_order(scores: np.ndarray) -> np.ndarray:
     rows = np.atleast_2d(scores)
     n = rows.shape[1]
     low = (1 << max(n - 1, 0).bit_length()) - 1
-    keys = np.negative(rows)
-    keys += 0.0
+    keys = np.subtract(0.0, rows)
     packed = keys.view(np.int64)
     packed &= ~low
     packed |= np.arange(n)
@@ -247,9 +247,9 @@ def focused_fuse(
     Returns (Q, m-1, C).
 
     The (Q, k', n, C) gather is a fresh array, so the slot embeddings are
-    added into it in place: the same sums as `FusionNetwork.candidate_tokens`,
-    in one candidate array instead of two."""
-    tokens = np.asarray(gallery_locals, dtype=np.float64)[cand_indices]
+    added into it in place: the sums of `FusionNetwork.candidate_tokens`
+    without a second candidate array."""
+    tokens = gallery_locals[cand_indices]
     q, k_sel, n, c = tokens.shape
     tokens += net.slot_embedding(k_sel).data
     return net.fuse(
