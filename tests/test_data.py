@@ -1,5 +1,6 @@
 """Synthetic data generation, gallery validation, and config parsing."""
 
+import hashlib
 import os
 import sys
 import threading
@@ -100,6 +101,44 @@ class TestGenerator:
         cfg.validate()  # a valid RunConfig; only the token layout rejects it
         with pytest.raises(ConfigError):
             generate_synthetic_pairs(cfg)
+
+
+# sha256 of the generated texts, videos and groups (`tobytes()`), pinned from
+# the item-by-item generator that drew every stream from its own fresh Philox.
+# Any change to the generator must keep these bytes.
+GENERATOR_DIGESTS = {
+    "default": ({}, (
+        "bd406462e47ab074cbb98ec7169201d873fd809fb0c995c67b8e2a735f79a08a",
+        "d1aac88a8a33e92801b16a31850aa77dc5ec2e1c8edd5f70d467777afc9a3bb0",
+        "2ad296ae134c954e300bfe76c628b7a5a38a01226eef0c054020aa2008ad04f2",
+    )),
+    "several_blocks": ({"pair_count": 1024, "cohort_size": 16}, (
+        "d0a197036893fcf7607b8d17daf22d59295868a66aa698e1f07a5b918133979e",
+        "078db52c1db8485f1f14a94cc3be6b2804c2150c9b663ac2ad545f815aa4e189",
+        "6f9a04216ce84ed3a2ef19a2010723c498d866f2bb5d6eda67ea1bd16782bfd8",
+    )),
+    "noiseless": ({"noise_level": 0.0}, (
+        "bd406462e47ab074cbb98ec7169201d873fd809fb0c995c67b8e2a735f79a08a",
+        "5b7c53e8762ce897e26e2ab52b0c4a3b11147e5c28b636469b5213c4903268f1",
+        "2ad296ae134c954e300bfe76c628b7a5a38a01226eef0c054020aa2008ad04f2",
+    )),
+    "cohort_of_one": ({"pair_count": 200, "cohort_size": 1}, (
+        "db6a1a3a51dfc53d7569b3e052b9dc6ecfeb0f5d8287d67bd8eb27fe20aa36d8",
+        "abe8406d1215889a198d29a7be05c51b3f549e4e2f822d75b5edecc9d133c594",
+        "de663cfb3b82787ec7c32624aba8cd8de6555fc906b507971a2c2f3207b5fe52",
+    )),
+}
+
+
+@pytest.mark.parametrize("case", GENERATOR_DIGESTS)
+def test_generator_bytes_pinned(case):
+    overrides, digests = GENERATOR_DIGESTS[case]
+    cfg = RunConfig()
+    for key, value in overrides.items():
+        setattr(cfg, key, value)
+    ds = generate_synthetic_pairs(cfg)
+    got = tuple(hashlib.sha256(a.tobytes()).hexdigest() for a in (ds.texts, ds.videos, ds.groups))
+    assert got == digests
 
 
 class TestEncodeDataset:
