@@ -11,7 +11,10 @@ the focused view.
 The training fixtures pin `training_log.csv` and the sha256 of `model.bin`
 after two epochs of `train` at `pair_count=20, batch_size=10`, with Gumbel
 noise, without it (`use_gumbel=false`), with a fusion temperature but no
-noise, and without query indicators.
+noise, and without query indicators. Each training run is a fresh
+interpreter with one BLAS thread: how OpenBLAS splits a GEMM between threads
+sets its summation order, so with the default thread count the trained bits
+would follow the number of usable cores.
 
 `gumbel_temp` is the fusion attention temperature at inference too, whether
 or not training adds noise (`use_gumbel` switches the noise only); a test
@@ -24,7 +27,9 @@ Regenerate the fixtures (only when a change is meant to alter the outputs):
 
 import hashlib
 import math
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -37,6 +42,8 @@ from focusrank.model import RetrievalModel
 from focusrank.rng import RandomStream
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
+SRC = Path(__file__).resolve().parent.parent / "src"
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 PAIR_COUNT = 20
 SMALL_PAIR_COUNT = 5  # below the default k: the re-ranked block is the whole gallery
 CHECKPOINT_SEED = 7
@@ -95,8 +102,17 @@ def eval_output(out: Path, checkpoint: Path) -> bytes:
 
 
 def train_output(out: Path, case: str) -> tuple[bytes, str]:
-    """(training_log.csv bytes, sha256 of model.bin) of one tiny `train` run."""
-    assert execute(parse_args(["train", "--out", str(out), *TRAIN_SIZE, *TRAIN_CASES[case]])) == 0
+    """(training_log.csv bytes, sha256 of model.bin) of one tiny `train` run,
+    in a fresh interpreter with one BLAS thread."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p))
+    env.update(dict.fromkeys(BLAS_THREAD_VARS, "1"))
+    done = subprocess.run(
+        [sys.executable, "-m", "focusrank", "train", "--out", str(out), *TRAIN_SIZE,
+         *TRAIN_CASES[case]],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
     model_digest = hashlib.sha256((out / "model.bin").read_bytes()).hexdigest()
     return (out / "training_log.csv").read_bytes(), model_digest
 
