@@ -9,10 +9,13 @@ the fine detail occupies a single text token and a single (per-item random)
 spatial patch position, so broad global matching tends to confuse cohort
 members while local cross-attention can separate them.
 
-`encode_dataset` encodes a dataset in fixed-size blocks of items, pulled from
-one shared queue by the calling thread and one helper thread per further
-usable core, each writing its rows straight into preallocated gallery arrays.
-Graph recording is switched off per thread (`tensor.no_grad`), so helpers
+Generation and encoding both run in fixed-size blocks of items on one block
+pool (`_on_pool`): the calling thread and one helper thread per further
+usable core pull blocks from one shared queue, each writing its rows straight
+into preallocated arrays. Every generated item draws only from its own keyed
+Philox streams (`rng`), which give the same values on any thread and in any
+order, so the order in which blocks run does not show in the bytes. Graph
+recording is switched off per thread (`tensor.no_grad`), so encoding helpers
 never change the calling thread's grad mode.
 """
 
@@ -45,6 +48,9 @@ _FILLER_BASE = 50       # everything above is filler noise
 # Items per encoding block. Small blocks keep the per-thread working set, and
 # so each helper thread's malloc arena, small.
 ENCODE_BLOCK = 16
+# Items per generation block: a block's noise fills far outweigh a queue
+# hand-off, and a dataset of at most one block starts no helper thread.
+GENERATE_BLOCK = 64
 
 
 def spec_from_config(cfg: RunConfig) -> RunConfig:
@@ -87,44 +93,59 @@ def generate_synthetic_pairs(cfg: RunConfig) -> PairedDataset:
     fine latent added at one seeded patch position (constant over time), and
     gaussian noise scaled by `noise_level`. Every setting comes from `cfg`,
     checked by `spec_from_config`.
+
+    Each item draws only from its own keyed streams, so its bytes do not
+    depend on which thread renders it or when. The calling thread first
+    derives every item's streams and draws its filler tokens and needle
+    position: short Python steps that hold the GIL and would only contend on
+    other threads. The clips, whose cost is the GIL-free noise fills, are then
+    rendered in blocks of `GENERATE_BLOCK` items on the pool (`_on_pool`),
+    each straight into its row of the video array.
     """
+    start_time = time.perf_counter()
     clusters = spec_from_config(cfg).resolved_coarse_clusters()
     root = RandomStream(cfg.seed).child("dataset")
     coarse_latents = root.child("coarse").normal((clusters, cfg.latent_dim))
     fine_latents = root.child("fine").normal((cfg.cohort_size, cfg.latent_dim))
     proj_coarse = root.child("proj-coarse").normal((cfg.latent_dim, cfg.patch_dim))
     proj_fine = root.child("proj-fine").normal((cfg.latent_dim, cfg.patch_dim))
+    # One row product per vector, as each item once computed its own.
+    coarse_vecs = np.array([_unit(latent @ proj_coarse) for latent in coarse_latents])
+    fine_vecs = np.array([cfg.fine_scale * _unit(latent @ proj_fine) for latent in fine_latents])
 
     n = cfg.pair_count
+    items = np.arange(n, dtype=np.int64)
+    groups = items // cfg.cohort_size
     texts = np.zeros((n, cfg.text_len), dtype=np.int64)
-    videos = np.zeros((n, cfg.frame_count, cfg.patch_count, cfg.patch_dim))
-    groups = np.zeros(n, dtype=np.int64)
-
+    texts[:, 0] = _COARSE_LO + groups % 16
+    texts[:, 1] = _COARSE_HI + groups // 16
+    texts[:, 2] = _FINE_BASE + items % cfg.cohort_size
+    needles = np.zeros(n, dtype=np.int64)
+    noise_streams = []
     for item in range(n):
-        cluster = item // cfg.cohort_size
-        member = item % cfg.cohort_size
-        groups[item] = cluster
         item_rng = root.child("item", item)
-
-        tokens = texts[item]
-        tokens[0] = _COARSE_LO + cluster % 16
-        tokens[1] = _COARSE_HI + cluster // 16
-        tokens[2] = _FINE_BASE + member
-        tokens[3:] = item_rng.child("filler").integers(
+        texts[item, 3:] = item_rng.child("filler").rekeyed().integers(
             _FILLER_BASE, cfg.vocab_size, cfg.text_len - 3
         )
+        needles[item] = item_rng.child("needle").rekeyed().integers(0, cfg.patch_count)
+        noise_streams.append(item_rng.child("noise"))
 
-        coarse_vec = _unit(coarse_latents[cluster] @ proj_coarse)
-        fine_vec = _unit(fine_latents[member] @ proj_fine)
-        clip = np.broadcast_to(
-            coarse_vec, (cfg.frame_count, cfg.patch_count, cfg.patch_dim)
-        ).copy()
-        needle = int(item_rng.child("needle").integers(0, cfg.patch_count))
-        clip[:, needle, :] += cfg.fine_scale * fine_vec
-        if cfg.noise_level > 0:
-            clip += cfg.noise_level * item_rng.child("noise").normal(clip.shape)
-        videos[item] = clip
+    videos = np.zeros((n, cfg.frame_count, cfg.patch_count, cfg.patch_dim))
 
+    def render(start: int) -> None:
+        for item in range(start, min(start + GENERATE_BLOCK, n)):
+            clip = videos[item]
+            clip[...] = coarse_vecs[item // cfg.cohort_size]
+            clip[:, needles[item], :] += fine_vecs[item % cfg.cohort_size]
+            if cfg.noise_level > 0:
+                noise = noise_streams[item].rekeyed().normal(0.0, 1.0, clip.shape)
+                noise *= cfg.noise_level
+                clip += noise
+
+    threads = _on_pool(render, range(0, n, GENERATE_BLOCK))
+    log.info(
+        "generated %d pairs in %.3f s, threads=%d", n, time.perf_counter() - start_time, threads
+    )
     return PairedDataset(texts, videos, groups)
 
 
@@ -132,26 +153,44 @@ def encode_dataset(model: RetrievalModel, dataset: PairedDataset):
     """Encode every pair; returns numpy (globals, focus, locals) per side.
 
     The calling thread encodes each side's first block of `ENCODE_BLOCK`
-    items and allocates the side's output arrays from its shapes. It and one
-    helper thread per further usable core (CPU affinity, else CPU count) then
-    drain one queue of the other blocks, each under its own `no_grad` and
-    writing its rows in place. A block's arithmetic does not depend on its
-    thread, so the result is bit-identical on any number of cores. If a block
-    raises, the queue stops, every helper is joined and the first error is
-    re-raised.
+    items and allocates the side's output arrays from its shapes. The other
+    blocks then run on the pool (`_on_pool`), each under its own `no_grad`
+    and writing its rows in place. A block's arithmetic does not depend on
+    its thread, so the result is bit-identical on any number of cores.
     """
     start_time = time.perf_counter()
     n = len(dataset)
     sides = ((model.encode_text_batch, dataset.texts), (model.encode_video_batch, dataset.videos))
-    outputs, tasks = [], queue.SimpleQueue()
+    outputs, tasks = [], []
     for encode, items in sides:
         first = _encode_block(encode, items, 0)
         out = tuple(None if a is None else np.empty((n,) + a.shape[1:]) for a in first)
         _write_rows(out, 0, first)
         outputs.append(out)
-        for start in range(ENCODE_BLOCK, n, ENCODE_BLOCK):
-            tasks.put((encode, items, out, start))
+        tasks += [(encode, items, out, start) for start in range(ENCODE_BLOCK, n, ENCODE_BLOCK)]
 
+    def encode_rows(task) -> None:
+        encode, items, out, start = task
+        _write_rows(out, start, _encode_block(encode, items, start))
+
+    threads = _on_pool(encode_rows, tasks)
+    log.info(
+        "encoded %d pairs in %.3f s, threads=%d", n, time.perf_counter() - start_time, threads
+    )
+    return tuple(outputs)
+
+
+def _on_pool(work, tasks) -> int:
+    """Run `work(task)` for every task and return the number of threads used.
+
+    The calling thread and one helper thread per further usable core (CPU
+    affinity, else CPU count), but none beyond one per task after the first,
+    drain one queue of the tasks. If a task raises, the queue stops, every
+    helper is joined and the first error is re-raised.
+    """
+    pending = queue.SimpleQueue()
+    for task in tasks:
+        pending.put(task)
     if hasattr(os, "sched_getaffinity"):
         cores = len(os.sched_getaffinity(0))
     else:
@@ -162,17 +201,17 @@ def encode_dataset(model: RetrievalModel, dataset: PairedDataset):
         try:
             while not errors:
                 try:
-                    encode, items, out, start = tasks.get_nowait()
+                    task = pending.get_nowait()
                 except queue.Empty:
                     return
-                _write_rows(out, start, _encode_block(encode, items, start))
+                work(task)
         except BaseException as exc:  # re-raised in the calling thread below
             errors.append(exc)
 
     helpers = []
     try:
-        for _ in range(min(cores - 1, tasks.qsize())):
-            helper = threading.Thread(target=drain, name="focusrank-encode")
+        for _ in range(min(cores, len(tasks)) - 1):
+            helper = threading.Thread(target=drain, name="focusrank-pool")
             helper.start()
             helpers.append(helper)
         drain()
@@ -181,11 +220,7 @@ def encode_dataset(model: RetrievalModel, dataset: PairedDataset):
             helper.join()
     if errors:
         raise errors[0]
-    log.info(
-        "encoded %d pairs in %.3f s, threads=%d",
-        n, time.perf_counter() - start_time, 1 + len(helpers),
-    )
-    return tuple(outputs)
+    return 1 + len(helpers)
 
 
 def _encode_block(encode, items: np.ndarray, start: int) -> list:

@@ -8,8 +8,15 @@ import threading
 import numpy as np
 import pytest
 
+from focusrank import data
 from focusrank.config import RunConfig, apply_overrides, load_config
-from focusrank.data import ENCODE_BLOCK, build_galleries, encode_dataset, generate_synthetic_pairs
+from focusrank.data import (
+    ENCODE_BLOCK,
+    GENERATE_BLOCK,
+    build_galleries,
+    encode_dataset,
+    generate_synthetic_pairs,
+)
 from focusrank.errors import ConfigError, InputError
 from focusrank.model import RetrievalModel
 from focusrank.pipeline import Gallery
@@ -141,29 +148,42 @@ def test_generator_bytes_pinned(case):
     assert got == digests
 
 
-class TestEncodeDataset:
-    PAIRS = 40  # three blocks per side, the last one short
+class TestBlockPool:
+    """Encoding and generation share one block pool (`data._on_pool`)."""
+
+    # Pairs per case: three encoding blocks per side, the last one short; four
+    # generation blocks, the last one short.
+    PAIRS = {"encode": 40, "generate": 4 * GENERATE_BLOCK - 16}
 
     def setup_method(self):
-        assert self.PAIRS > 2 * ENCODE_BLOCK
-        cfg = small_config(pair_count=self.PAIRS, coarse_clusters=self.PAIRS // 5)
-        self.dataset = generate_synthetic_pairs(cfg)
-        self.model = RetrievalModel(cfg)
+        assert self.PAIRS["encode"] > 2 * ENCODE_BLOCK
+        assert self.PAIRS["generate"] > 3 * GENERATE_BLOCK
+
+    def run(self, case):
+        cfg = small_config(pair_count=self.PAIRS[case], coarse_clusters=self.PAIRS[case] // 5)
+        dataset = generate_synthetic_pairs(cfg)
+        if case == "generate":
+            return dataset.texts, dataset.videos, dataset.groups
+        return [a for side in encode_dataset(RetrievalModel(cfg), dataset) for a in side]
 
     @staticmethod
     def set_cores(monkeypatch, cores):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)), raising=False)
 
-    def test_output_bit_identical_on_any_core_count(self, monkeypatch):
+    @pytest.mark.parametrize("case", PAIRS)
+    def test_output_bit_identical_on_any_core_count(self, monkeypatch, case):
         threads = set()
-        for name in ("encode_text_batch", "encode_video_batch"):
-            def recording(items, encode=getattr(self.model, name)):
-                threads.add(threading.get_ident())
-                return encode(items)
-            monkeypatch.setattr(self.model, name, recording)
+        pool = data._on_pool
 
+        def recording_pool(work, tasks):
+            def recorded(task):
+                threads.add(threading.get_ident())
+                work(task)
+            return pool(recorded, tasks)
+
+        monkeypatch.setattr(data, "_on_pool", recording_pool)
         self.set_cores(monkeypatch, 1)
-        one = encode_dataset(self.model, self.dataset)
+        one = self.run(case)
         assert threads == {threading.get_ident()}
 
         # More threads than this machine may have cores, switching often.
@@ -171,21 +191,38 @@ class TestEncodeDataset:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
-            many = encode_dataset(self.model, self.dataset)
+            many = self.run(case)
         finally:
             sys.setswitchinterval(interval)
         assert len(threads) > 1
-        for side_one, side_many in zip(one, many, strict=True):
-            for a, b in zip(side_one, side_many, strict=True):
-                assert a.shape[0] == self.PAIRS
-                assert np.array_equal(a, b)
+        for a, b in zip(one, many, strict=True):
+            assert a.shape[0] == self.PAIRS[case]
+            assert np.array_equal(a, b)
 
-    def test_error_in_a_late_block_raised_after_helpers_joined(self, monkeypatch):
-        self.dataset.videos[self.PAIRS - 3, 1, 2, 0] = np.nan
+    @pytest.mark.parametrize("case", PAIRS)
+    def test_error_in_a_late_block_raised_after_helpers_joined(self, monkeypatch, case):
+        pairs = self.PAIRS[case]
+        cfg = small_config(pair_count=pairs, coarse_clusters=pairs // 5)
+        if case == "encode":
+            dataset = generate_synthetic_pairs(cfg)
+            dataset.videos[pairs - 3, 1, 2, 0] = np.nan  # the video encoder rejects it
+            fail = lambda: build_galleries(RetrievalModel(cfg), dataset)  # noqa: E731
+        else:
+            pool = data._on_pool
+
+            def failing_pool(work, tasks):
+                def work_or_fail(task):
+                    if task == tasks[-1]:
+                        raise InputError("NaN in the last block")
+                    work(task)
+                return pool(work_or_fail, tasks)
+
+            monkeypatch.setattr(data, "_on_pool", failing_pool)
+            fail = lambda: generate_synthetic_pairs(cfg)  # noqa: E731
         self.set_cores(monkeypatch, 4)
         before = threading.active_count()
         with pytest.raises(InputError, match="NaN"):
-            build_galleries(self.model, self.dataset)
+            fail()
         assert threading.active_count() == before
 
 
