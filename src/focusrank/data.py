@@ -45,12 +45,9 @@ _COARSE_HI = 18         # coarse id, high digit
 _FINE_BASE = 34         # fine detail token, one per cohort member
 _FILLER_BASE = 50       # everything above is filler noise
 
-# Items per encoding block. Small blocks keep the per-thread working set, and
-# so each helper thread's malloc arena, small.
-ENCODE_BLOCK = 16
-# Items per generation block: a block's noise fills far outweigh a queue
-# hand-off, and a dataset of at most one block starts no helper thread.
-GENERATE_BLOCK = 64
+# Items per block on the pool, generating or encoding. Small blocks keep an
+# encoding block's working set, and so each helper thread's malloc arena, small.
+BLOCK = 16
 
 
 def spec_from_config(cfg: RunConfig) -> RunConfig:
@@ -99,8 +96,8 @@ def generate_synthetic_pairs(cfg: RunConfig) -> PairedDataset:
     derives every item's streams and draws its filler tokens and needle
     position: short Python steps that hold the GIL and would only contend on
     other threads. The clips, whose cost is the GIL-free noise fills, are then
-    rendered in blocks of `GENERATE_BLOCK` items on the pool (`_on_pool`),
-    each straight into its row of the video array.
+    rendered in blocks of `BLOCK` items on the pool (`_on_pool`), each
+    straight into its row of the video array.
     """
     start_time = time.perf_counter()
     clusters = spec_from_config(cfg).resolved_coarse_clusters()
@@ -133,7 +130,7 @@ def generate_synthetic_pairs(cfg: RunConfig) -> PairedDataset:
     videos = np.zeros((n, cfg.frame_count, cfg.patch_count, cfg.patch_dim))
 
     def render(start: int) -> None:
-        for item in range(start, min(start + GENERATE_BLOCK, n)):
+        for item in range(start, min(start + BLOCK, n)):
             clip = videos[item]
             clip[...] = coarse_vecs[item // cfg.cohort_size]
             clip[:, needles[item], :] += fine_vecs[item % cfg.cohort_size]
@@ -142,7 +139,7 @@ def generate_synthetic_pairs(cfg: RunConfig) -> PairedDataset:
                 noise *= cfg.noise_level
                 clip += noise
 
-    threads = _on_pool(render, range(0, n, GENERATE_BLOCK))
+    threads = _on_pool(render, range(0, n, BLOCK))
     log.info(
         "generated %d pairs in %.3f s, threads=%d", n, time.perf_counter() - start_time, threads
     )
@@ -152,11 +149,11 @@ def generate_synthetic_pairs(cfg: RunConfig) -> PairedDataset:
 def encode_dataset(model: RetrievalModel, dataset: PairedDataset):
     """Encode every pair; returns numpy (globals, focus, locals) per side.
 
-    The calling thread encodes each side's first block of `ENCODE_BLOCK`
-    items and allocates the side's output arrays from its shapes. The other
-    blocks then run on the pool (`_on_pool`), each under its own `no_grad`
-    and writing its rows in place. A block's arithmetic does not depend on
-    its thread, so the result is bit-identical on any number of cores.
+    The calling thread encodes each side's first block of `BLOCK` items and
+    allocates the side's output arrays from its shapes. The other blocks then
+    run on the pool (`_on_pool`), each under its own `no_grad` and writing
+    its rows in place. A block's arithmetic does not depend on its thread, so
+    the result is bit-identical on any number of cores.
     """
     start_time = time.perf_counter()
     n = len(dataset)
@@ -167,7 +164,7 @@ def encode_dataset(model: RetrievalModel, dataset: PairedDataset):
         out = tuple(None if a is None else np.empty((n,) + a.shape[1:]) for a in first)
         _write_rows(out, 0, first)
         outputs.append(out)
-        tasks += [(encode, items, out, start) for start in range(ENCODE_BLOCK, n, ENCODE_BLOCK)]
+        tasks += [(encode, items, out, start) for start in range(BLOCK, n, BLOCK)]
 
     def encode_rows(task) -> None:
         encode, items, out, start = task
@@ -225,7 +222,7 @@ def _on_pool(work, tasks) -> int:
 
 def _encode_block(encode, items: np.ndarray, start: int) -> list:
     with no_grad():
-        parts = encode(items[start : start + ENCODE_BLOCK])
+        parts = encode(items[start : start + BLOCK])
     return [None if t is None else t.data for t in parts]
 
 

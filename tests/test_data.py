@@ -10,13 +10,7 @@ import pytest
 
 from focusrank import data
 from focusrank.config import RunConfig, apply_overrides, load_config
-from focusrank.data import (
-    ENCODE_BLOCK,
-    GENERATE_BLOCK,
-    build_galleries,
-    encode_dataset,
-    generate_synthetic_pairs,
-)
+from focusrank.data import BLOCK, build_galleries, encode_dataset, generate_synthetic_pairs
 from focusrank.errors import ConfigError, InputError
 from focusrank.model import RetrievalModel
 from focusrank.pipeline import Gallery
@@ -151,26 +145,24 @@ def test_generator_bytes_pinned(case):
 class TestBlockPool:
     """Encoding and generation share one block pool (`data._on_pool`)."""
 
-    # Pairs per case: three encoding blocks per side, the last one short; four
-    # generation blocks, the last one short.
-    PAIRS = {"encode": 40, "generate": 4 * GENERATE_BLOCK - 16}
+    PAIRS = 60  # four blocks (of each side), the last one short
+    CASES = ("encode", "generate")
 
     def setup_method(self):
-        assert self.PAIRS["encode"] > 2 * ENCODE_BLOCK
-        assert self.PAIRS["generate"] > 3 * GENERATE_BLOCK
+        assert self.PAIRS > 3 * BLOCK
+        self.cfg = small_config(pair_count=self.PAIRS, coarse_clusters=self.PAIRS // 5)
 
     def run(self, case):
-        cfg = small_config(pair_count=self.PAIRS[case], coarse_clusters=self.PAIRS[case] // 5)
-        dataset = generate_synthetic_pairs(cfg)
+        dataset = generate_synthetic_pairs(self.cfg)
         if case == "generate":
             return dataset.texts, dataset.videos, dataset.groups
-        return [a for side in encode_dataset(RetrievalModel(cfg), dataset) for a in side]
+        return [a for side in encode_dataset(RetrievalModel(self.cfg), dataset) for a in side]
 
     @staticmethod
     def set_cores(monkeypatch, cores):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)), raising=False)
 
-    @pytest.mark.parametrize("case", PAIRS)
+    @pytest.mark.parametrize("case", CASES)
     def test_output_bit_identical_on_any_core_count(self, monkeypatch, case):
         threads = set()
         pool = data._on_pool
@@ -196,17 +188,15 @@ class TestBlockPool:
             sys.setswitchinterval(interval)
         assert len(threads) > 1
         for a, b in zip(one, many, strict=True):
-            assert a.shape[0] == self.PAIRS[case]
+            assert a.shape[0] == self.PAIRS
             assert np.array_equal(a, b)
 
-    @pytest.mark.parametrize("case", PAIRS)
+    @pytest.mark.parametrize("case", CASES)
     def test_error_in_a_late_block_raised_after_helpers_joined(self, monkeypatch, case):
-        pairs = self.PAIRS[case]
-        cfg = small_config(pair_count=pairs, coarse_clusters=pairs // 5)
         if case == "encode":
-            dataset = generate_synthetic_pairs(cfg)
-            dataset.videos[pairs - 3, 1, 2, 0] = np.nan  # the video encoder rejects it
-            fail = lambda: build_galleries(RetrievalModel(cfg), dataset)  # noqa: E731
+            dataset = generate_synthetic_pairs(self.cfg)
+            dataset.videos[self.PAIRS - 3, 1, 2, 0] = np.nan  # the video encoder rejects it
+            fail = lambda: build_galleries(RetrievalModel(self.cfg), dataset)  # noqa: E731
         else:
             pool = data._on_pool
 
@@ -218,7 +208,7 @@ class TestBlockPool:
                 return pool(work_or_fail, tasks)
 
             monkeypatch.setattr(data, "_on_pool", failing_pool)
-            fail = lambda: generate_synthetic_pairs(cfg)  # noqa: E731
+            fail = lambda: generate_synthetic_pairs(self.cfg)  # noqa: E731
         self.set_cores(monkeypatch, 4)
         before = threading.active_count()
         with pytest.raises(InputError, match="NaN"):
