@@ -4,6 +4,7 @@ import hashlib
 import os
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -205,6 +206,7 @@ class TestBlockPool:
                     if task == tasks[-1]:
                         raise InputError("NaN in the last block")
                     work(task)
+                    time.sleep(0.05)  # other blocks still run when the error surfaces
                 return pool(work_or_fail, tasks)
 
             monkeypatch.setattr(data, "_on_pool", failing_pool)
