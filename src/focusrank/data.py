@@ -106,7 +106,7 @@ def generate_synthetic_pairs(cfg: RunConfig) -> PairedDataset:
     fine_latents = root.child("fine").normal((cfg.cohort_size, cfg.latent_dim))
     proj_coarse = root.child("proj-coarse").normal((cfg.latent_dim, cfg.patch_dim))
     proj_fine = root.child("proj-fine").normal((cfg.latent_dim, cfg.patch_dim))
-    # One row product per vector, as each item once computed its own.
+    # One row product per vector, not one GEMM, whose summation order may differ.
     coarse_vecs = np.array([_unit(latent @ proj_coarse) for latent in coarse_latents])
     fine_vecs = np.array([cfg.fine_scale * _unit(latent @ proj_fine) for latent in fine_latents])
 
