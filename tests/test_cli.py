@@ -129,8 +129,7 @@ class TestExecute:
         caplog.set_level(logging.INFO, logger="focusrank")
         code = execute(parse_args([verb, "--config", tiny_cfg_path, "--out", str(tmp_path)]))
         assert code == 0
-        messages = [r.getMessage() for r in caplog.records if r.name == "focusrank.data"]
-        generated, encoded = messages
+        generated, encoded = [r.getMessage() for r in caplog.records if r.name == "focusrank.data"]
         assert re.fullmatch(r"generated 12 pairs in \d+\.\d{3} s, threads=1", generated)
         assert re.fullmatch(r"encoded 12 pairs in \d+\.\d{3} s, threads=1", encoded)
 
