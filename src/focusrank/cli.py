@@ -15,11 +15,12 @@ from pathlib import Path
 
 from .config import RunConfig, apply_overrides, load_config, parse_value
 from .data import build_galleries, generate_synthetic_pairs
+from .encoders import TextSequence, VideoClip
 from .errors import FocusrankError, UsageError
 from .gradcheck import run_gradient_suite
 from .metrics import MetricsReport, evaluate_two_stage
 from .model import RetrievalModel
-from .pipeline import rank_queries
+from .pipeline import rank_full
 from .training import train_loop
 
 log = logging.getLogger("focusrank")
@@ -43,19 +44,15 @@ def _split_overrides(pairs: list[str], allow_sweep: bool) -> dict[str, str]:
             raise UsageError(f"--set expects key=value, got {pair!r}")
         key, value = pair.split("=", 1)
         key = key.strip()
-        # Validate the key (and single values) eagerly so typos fail at parse time.
-        if "," in value:
-            if not allow_sweep:
-                raise UsageError(
-                    f"comma list for {key!r} is only valid with the ablate verb"
-                )
-            for v in value.split(","):
-                parse_value(key, v)
-        else:
-            parse_value(key, value)
+        values = [v.strip() for v in value.split(",")]
+        if len(values) > 1 and not allow_sweep:
+            raise UsageError(f"comma list for {key!r} is only valid with the ablate verb")
+        # Validate the key and every value eagerly so typos fail at parse time.
+        for v in values:
+            parse_value(key, v)
         if key in overrides:
             raise UsageError(f"duplicate --set key {key!r}")
-        overrides[key] = value.strip()
+        overrides[key] = ",".join(values)
     return overrides
 
 
@@ -91,8 +88,15 @@ def _load(cmd: argparse.Namespace, overrides: dict[str, str]) -> RunConfig:
     return apply_overrides(cfg, overrides)
 
 
+def _make_out_dir(out_dir: Path) -> None:
+    """Create the artifact directory before any work, or fail as a usage error."""
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise UsageError(f"cannot use --out {out_dir}: {exc.strerror}") from None
+
+
 def _write_csv(path: Path, header, rows) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="\n") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
@@ -146,6 +150,9 @@ def execute(cmd: argparse.Namespace) -> int:
         return _ablate(cmd, out_dir)
 
     cfg = _load(cmd, cmd.set)
+    if cmd.verb == "query" and cfg.query_index >= cfg.pair_count:
+        raise UsageError(f"query_index {cfg.query_index} outside dataset of {cfg.pair_count} pairs")
+    _make_out_dir(out_dir)
     if cmd.verb == "train":
         _run_training(cfg, out_dir)
         return 0
@@ -162,22 +169,18 @@ def execute(cmd: argparse.Namespace) -> int:
         return 0
 
     if cmd.verb == "query":
+        i = cfg.query_index
         model = RetrievalModel(cfg)
         if cfg.checkpoint:
             model.load(cfg.checkpoint)
         dataset = generate_synthetic_pairs(cfg)
-        if cfg.query_index >= len(dataset):
-            raise UsageError(f"query_index {cfg.query_index} outside dataset")
-        text_q, video_q, video_gallery, text_gallery = build_galleries(model, dataset)
+        _, _, video_gallery, text_gallery = build_galleries(model, dataset)
         if cfg.query_direction == "t2v":
-            (globals_, focus), gallery = text_q, video_gallery
+            query, gallery = model.encode_text(TextSequence(dataset.texts[i])), video_gallery
         else:
-            (globals_, focus), gallery = video_q, text_gallery
-        i = cfg.query_index
+            query, gallery = model.encode_video(VideoClip(dataset.videos[i])), text_gallery
         net = model.fusion if cfg.use_query_indicators else None
-        (final,) = rank_queries(
-            globals_[i : i + 1], None if focus is None else focus[i : i + 1], gallery, net, cfg.k
-        )
+        final = rank_full(query, gallery, net, cfg.k)
         rows = []
         for rank, idx in enumerate(final.order, start=1):
             rows.append((rank, int(idx), _float(final.stage1_score[idx]),
@@ -224,6 +227,7 @@ def _ablate(cmd: argparse.Namespace, out_dir: Path) -> int:
     base = {k: v for k, v in cmd.set.items() if k not in sweeps}
     # Every row's config is checked before the first row trains.
     configs = [(label, _load(cmd, {**base, **extra})) for label, extra in runs]
+    _make_out_dir(out_dir)
     rows = []
     for label, cfg in configs:
         run_dir = out_dir / f"ablate_{swept_key}_{label}".replace("+", "")
@@ -247,11 +251,12 @@ def _ablate(cmd: argparse.Namespace, out_dir: Path) -> int:
 
 
 def main(argv=None) -> int:
-    logging.basicConfig(
-        level=os.environ.get("FOCUSRANK_LOG_LEVEL", "INFO").upper(),
-        format="%(levelname)s %(name)s: %(message)s",
-    )
+    level = os.environ.get("FOCUSRANK_LOG_LEVEL", "INFO").upper()
     try:
+        # basicConfig checks the level only when it installs the first handler.
+        if not isinstance(logging.getLevelName(level), int):
+            raise UsageError(f"FOCUSRANK_LOG_LEVEL {level!r} is not a log level")
+        logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
         cmd = parse_args(sys.argv[1:] if argv is None else argv)
     except FocusrankError as exc:
         print(f"error: {exc}", file=sys.stderr)

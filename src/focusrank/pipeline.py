@@ -12,6 +12,7 @@ logits to the stage-1 scores of the candidates. `compose_scores` re-sorts
 that k-block and appends the rest of the stage-1 order unchanged; broad-only
 ranking is the stage-1 order.
 
+`focused_fuse` is the one fusion path, in training and at inference alike.
 `rank_queries` is the one inference ranking path: it ranks a batch of
 queries, scoring and fusing `FUSION_CHUNK` of them per call. A single
 query is a batch of one (`rank_full`).
@@ -28,7 +29,7 @@ from .encoders import EncodedItem
 from .errors import ConfigError, DimensionError, InputError
 from .ops import GROUP_FUSION, Mlp, ParameterSet, kaiming_normal, scaled_dot_attention
 from .rng import RandomStream
-from .tensor import Tensor, as_tensor, no_grad
+from .tensor import Tensor, _grad_mode, as_tensor, no_grad, take
 
 # Queries fused per call: bounds the (chunk, k*n, C) candidate-token array for any Q.
 FUSION_CHUNK = 64
@@ -155,10 +156,11 @@ def select_top_k(scores: np.ndarray, k: int) -> CandidateSet:
 class FusionNetwork:
     """Focused-view fusion: cross-attention blocks plus the delta head.
 
-    Candidate locals are flattened to one key/value sequence of k*n tokens;
-    each token gets the index embedding of its candidate slot so the k output
-    logits can be candidate-specific. All parameters live in the `fusion`
-    learning-rate group. Residual output projections and the delta scale are
+    `candidate_tokens`, for training and inference alike, flattens candidate
+    locals to one key/value sequence of k*n tokens, each plus the index
+    embedding of its candidate slot so the k output logits can be
+    candidate-specific. All parameters live in the `fusion` learning-rate
+    group. Residual output projections and the delta scale are
     zero-initialized: the whole stage is a no-op on rankings at step 0.
     """
 
@@ -187,21 +189,24 @@ class FusionNetwork:
         )
         params.add("fusion.delta_scale", np.zeros(()), GROUP_FUSION)
 
-    def slot_embedding(self, k_sel: int) -> Tensor:
-        """(1, k', 1, C) index embeddings of the first k' candidate slots."""
+    def candidate_tokens(self, locals_, cand_indices) -> Tensor:
+        """(B, k'*n, C) tokens of rows `cand_indices[b]` of the (N, n, C) Tensor
+        or ndarray locals, each plus the index embedding of its slot. While a
+        graph is recorded the sum is a graph node, for the gradients; without
+        one (inference) the embedding is added in place into the fresh gather:
+        the same sums without a second (B, k', n, C) array and its page faults."""
+        tokens = take(locals_, cand_indices)
+        if tokens.ndim != 4:
+            raise DimensionError("candidate tokens need (N, n, C) locals and (B, k') indices")
+        b, k_sel, n, c = tokens.shape
         if k_sel > self.k:
-            raise ConfigError(
-                f"candidate count {k_sel} incompatible with network k {self.k}"
-            )
-        return self.params["fusion.index_embedding"][:k_sel].reshape(1, k_sel, 1, self.cfg.dim)
-
-    def candidate_tokens(self, locals_) -> Tensor:
-        """Flatten (B, k', n, C) locals and add per-slot index embeddings."""
-        locals_ = as_tensor(locals_)
-        if locals_.ndim != 4:
-            raise DimensionError("candidate locals must be (B, k', n, C)")
-        b, k_sel, n, c = locals_.shape
-        return (locals_ + self.slot_embedding(k_sel)).reshape(b, k_sel * n, c)
+            raise ConfigError(f"candidate count {k_sel} incompatible with network k {self.k}")
+        slots = self.params["fusion.index_embedding"][:k_sel].reshape(1, k_sel, 1, self.cfg.dim)
+        if _grad_mode.enabled:
+            tokens = tokens + slots
+        else:
+            tokens.data += slots.data
+        return tokens.reshape(b, k_sel * n, c)
 
     def fuse(
         self, indicators: Tensor, cand_tokens: Tensor, rng: RandomStream | None = None
@@ -239,23 +244,13 @@ class FusionNetwork:
 
 
 def focused_fuse(
-    focus_indicators: np.ndarray, gallery_locals: np.ndarray, cand_indices: np.ndarray,
-    net: FusionNetwork,
+    focus_indicators, locals_, cand_indices, net: FusionNetwork, rng: RandomStream | None = None
 ) -> Tensor:
-    """Deterministic fusion of a batch: query q's (m-1, C) indicators attend
-    over the local tokens of its candidates, gallery entries `cand_indices[q]`.
-    Returns (Q, m-1, C).
-
-    The (Q, k', n, C) gather is a fresh array, so the slot embeddings are
-    added into it in place: the sums of `FusionNetwork.candidate_tokens`
-    without a second candidate array."""
-    tokens = gallery_locals[cand_indices]
-    q, k_sel, n, c = tokens.shape
-    tokens += net.slot_embedding(k_sel).data
-    return net.fuse(
-        Tensor(np.asarray(focus_indicators, dtype=np.float64)),
-        Tensor(tokens.reshape(q, k_sel * n, c)),
-    )
+    """Query b's (m-1, C) focus indicators attend over the tokens of its
+    candidates, rows `cand_indices[b]` of the (N, n, C) locals: (B, m-1, C).
+    The one fusion entry point: training passes Tensor locals and a Gumbel
+    stream; `rank_queries` passes gallery ndarrays under `no_grad`, no stream."""
+    return net.fuse(as_tensor(focus_indicators), net.candidate_tokens(locals_, cand_indices), rng)
 
 
 def project_deltas(fused: Tensor, net: FusionNetwork) -> np.ndarray:
@@ -285,8 +280,9 @@ def compose_scores(
     return FinalScores(order, final_score, scores.copy(), delta_full)
 
 
-def rank_full(query: EncodedItem, gallery: Gallery, net: FusionNetwork, k: int) -> FinalScores:
-    """Full two-stage ranking of one query: `rank_queries` on a batch of one."""
+def rank_full(query: EncodedItem, gallery: Gallery, net: FusionNetwork | None,
+              k: int) -> FinalScores:
+    """`rank_queries` on a batch of one; broad-only when `net` is None."""
     return rank_queries(query.global_vec[None], query.focus_indicators[None], gallery, net, k)[0]
 
 

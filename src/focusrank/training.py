@@ -12,9 +12,9 @@ from .errors import InputError, TrainingAbort
 from .losses import LossReport, combined_loss, contrastive_loss, cross_entropy
 from .model import RetrievalModel
 from .ops import GROUP_FUSION, ParameterSet
-from .pipeline import stage1_order
+from .pipeline import focused_fuse, stage1_order
 from .rng import RandomStream
-from .tensor import Tensor, take
+from .tensor import Tensor
 
 
 @dataclass
@@ -114,10 +114,8 @@ def training_loss(
 
 def _focused_direction(model, query_focus, cand_locals, sims, k_train, rng, tag):
     cand_idx, positions = build_candidates(sims, k_train)
-    gathered = take(cand_locals, cand_idx)  # (B, k_train, n, C)
-    tokens = model.fusion.candidate_tokens(gathered)
     noise_rng = rng.child("gumbel", tag) if rng is not None else None
-    fused = model.fusion.fuse(query_focus, tokens, rng=noise_rng)
+    fused = focused_fuse(query_focus, cand_locals, cand_idx, model.fusion, noise_rng)
     logits = model.fusion.project(fused)
     focus = cross_entropy(logits[:, :k_train], positions)
     # Calibration of the delta scale over detached logits and stage-1 scores:

@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from focusrank import cli
 from focusrank.cli import execute, main, parse_args
 from focusrank.errors import ConfigError, UsageError
 
@@ -57,6 +58,10 @@ class TestParseArgs:
         cmd = parse_args(["ablate", "--config", "run.cfg", "--set", "k=5,10,20"])
         assert cmd.set == {"k": "5,10,20"}
         assert cmd.components is False
+
+    def test_sweep_values_stripped_once(self):
+        cmd = parse_args(["ablate", "--set", " k = 5, 10 ,20 "])
+        assert cmd.set == {"k": "5,10,20"}
 
     def test_unknown_override_key_rejected(self):
         with pytest.raises(ConfigError):
@@ -169,6 +174,15 @@ class TestExecute:
         assert len(rows) == 3
         assert [r[1] for r in rows[1:]] == ["2", "3"]
 
+    def test_ablate_sweep_labels_carry_no_spaces(self, tiny_cfg_path, tmp_path, capsys):
+        out = tmp_path / "ab"
+        code = execute(parse_args(["ablate", "--config", tiny_cfg_path, "--out", str(out),
+                                   "--set", "k=2, 3"]))
+        assert code == 0
+        assert [r[1] for r in read_csv(out / "ablation.csv")[1:]] == ["2", "3"]
+        assert sorted(p.name for p in out.iterdir()) == [
+            "ablate_k_2", "ablate_k_3", "ablation.csv"]
+
     def test_ablate_components_one_row_per_component(self, tiny_cfg_path, tmp_path, capsys):
         out = tmp_path / "ab"
         code = execute(
@@ -224,6 +238,42 @@ class TestExecute:
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and "missing" in err
+
+    @pytest.mark.parametrize("verb", ["train", "eval", "query", "ablate"])
+    def test_unusable_out_fails_before_any_work(self, tiny_cfg_path, tmp_path, capsys,
+                                                monkeypatch, verb):
+        def no_work(cfg):
+            raise AssertionError("pairs generated before --out was checked")
+
+        monkeypatch.setattr(cli, "generate_synthetic_pairs", no_work)
+        out = tmp_path / "taken"
+        out.write_text("a file, not a directory")
+        sweep = ["--set", "k=2,3"] if verb == "ablate" else []
+        code = main([verb, "--config", tiny_cfg_path, "--out", str(out), *sweep])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(out) in err
+        assert out.read_text() == "a file, not a directory"
+
+    def test_query_index_checked_before_any_work(self, tiny_cfg_path, tmp_path, capsys,
+                                                 monkeypatch):
+        def no_work(cfg):
+            raise AssertionError("pairs generated before query_index was checked")
+
+        monkeypatch.setattr(cli, "generate_synthetic_pairs", no_work)
+        code = main(["query", "--config", tiny_cfg_path, "--out", str(tmp_path / "q"),
+                     "--set", "query_index=12"])
+        assert code == 1
+        assert "query_index 12" in capsys.readouterr().err
+        assert not (tmp_path / "q").exists()
+
+    def test_unknown_log_level_is_a_usage_error(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("FOCUSRANK_LOG_LEVEL", "verbose")
+        code = main(["gradcheck", "--out", str(tmp_path / "g")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "VERBOSE" in err
+        assert not (tmp_path / "g").exists()
 
     def test_csv_outputs_byte_identical_across_runs(self, tiny_cfg_path, tmp_path):
         blobs = []

@@ -12,6 +12,7 @@ import pytest
 from focusrank import data
 from focusrank.config import RunConfig, apply_overrides, load_config
 from focusrank.data import BLOCK, build_galleries, encode_dataset, generate_synthetic_pairs
+from focusrank.encoders import TextSequence, VideoClip
 from focusrank.errors import ConfigError, InputError
 from focusrank.model import RetrievalModel
 from focusrank.pipeline import Gallery
@@ -216,6 +217,22 @@ class TestBlockPool:
         with pytest.raises(InputError, match="NaN"):
             fail()
         assert threading.active_count() == before
+
+
+def test_single_item_encoding_equals_its_batched_row():
+    """`encode_text`/`encode_video` of one item give its `build_galleries` row
+    bit for bit; the `query` verb encodes its one request this way."""
+    cfg = RunConfig(pair_count=20)
+    model = RetrievalModel(cfg)
+    dataset = generate_synthetic_pairs(cfg)
+    (tg, tf), (vg, vf), _, _ = build_galleries(model, dataset)
+    for i in range(cfg.pair_count):
+        for item, global_vec, focus in (
+            (model.encode_text(TextSequence(dataset.texts[i])), tg[i], tf[i]),
+            (model.encode_video(VideoClip(dataset.videos[i])), vg[i], vf[i]),
+        ):
+            assert item.global_vec.tobytes() == global_vec.tobytes()
+            assert item.focus_indicators.tobytes() == focus.tobytes()
 
 
 def make_gallery(n=6, c=8, n_local=3):

@@ -28,7 +28,7 @@ from focusrank.pipeline import (
     stage1_order,
 )
 from focusrank.rng import RandomStream
-from focusrank.tensor import Tensor
+from focusrank.tensor import Tensor, no_grad
 
 RNG = np.random.default_rng(31)
 
@@ -328,13 +328,33 @@ class TestFocusedFuse:
 
     def test_noise_only_with_a_stream(self):
         net = make_net(randomize=True)  # default config samples Gumbel noise in training
-        tokens = net.candidate_tokens(Tensor(RNG.normal(size=(1, 4, 3, 8))))
+        tokens = net.candidate_tokens(Tensor(RNG.normal(size=(4, 3, 8))), np.arange(4)[None])
         ind = Tensor(RNG.normal(size=(1, 3, 8)))
         plain = net.fuse(ind, tokens).data
         np.testing.assert_array_equal(net.fuse(ind, tokens).data, plain)
         noisy = net.fuse(ind, tokens, rng=RandomStream(3)).data
         np.testing.assert_array_equal(net.fuse(ind, tokens, rng=RandomStream(3)).data, noisy)
         assert not np.array_equal(noisy, plain)
+
+    def test_graph_and_inference_give_the_same_bits(self):
+        """Training's call (Tensor locals that need gradients, graph recorded)
+        and `rank_queries`' call (gallery ndarray under `no_grad`) fuse alike."""
+        net = make_net(randomize=True)
+        gallery = make_gallery(n=12)
+        cand_indices = np.array([[3, 0, 7, 11], [5, 1, 2, 9], [11, 10, 0, 4]])
+        focus = RNG.normal(size=(3, 3, 8))
+        before = gallery.locals_.tobytes()
+        with no_grad():
+            inference = focused_fuse(focus, gallery.locals_, cand_indices, net)
+        assert gallery.locals_.tobytes() == before
+        locals_ = Tensor(gallery.locals_.copy(), requires_grad=True)
+        training = focused_fuse(Tensor(focus, requires_grad=True), locals_, cand_indices, net)
+        assert training.data.tobytes() == inference.data.tobytes()
+        # The training call is a graph that reaches the slot embedding and the locals.
+        training.sum().backward()
+        assert np.abs(net.params["fusion.index_embedding"].grad).sum() > 0
+        assert np.abs(locals_.grad[cand_indices.reshape(-1)]).sum() > 0
+        assert not inference.requires_grad
 
 
 class TestProjectDeltas:

@@ -158,9 +158,9 @@ class TestTrainStep:
         widths = []
         candidate_tokens = model.fusion.candidate_tokens
 
-        def record(locals_):
-            widths.append(locals_.shape[1])
-            return candidate_tokens(locals_)
+        def record(locals_, cand_indices):
+            widths.append(cand_indices.shape[1])
+            return candidate_tokens(locals_, cand_indices)
 
         monkeypatch.setattr(model.fusion, "candidate_tokens", record)
         training_loss(model, make_batch(cfg), cfg)
