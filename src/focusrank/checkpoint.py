@@ -30,7 +30,12 @@ VERSION = 1
 
 
 def save_parameters(params: ParameterSet | dict[str, np.ndarray], path) -> None:
+    """Write `params` to `path`. A non-finite value raises `FormatError`
+    naming its parameter before any byte is written: loading would reject it."""
     arrays = params.state() if isinstance(params, ParameterSet) else dict(params)
+    for name, value in arrays.items():
+        if not np.isfinite(value).all():
+            raise FormatError(f"parameter {name!r} holds NaN or infinite values")
     chunks = []
     header = MAGIC + struct.pack("<II", VERSION, len(arrays))
     chunks.append(header + struct.pack("<I", zlib.crc32(header)))

@@ -89,11 +89,11 @@ def _load(cmd: argparse.Namespace, overrides: dict[str, str]) -> RunConfig:
 
 
 def _make_out_dir(out_dir: Path) -> None:
-    """Create the artifact directory before any work, or fail as a usage error."""
+    """Create an artifact directory before any work, or fail as a usage error."""
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
-        raise UsageError(f"cannot use --out {out_dir}: {exc.strerror}") from None
+        raise UsageError(f"cannot use output directory {out_dir}: {exc.strerror}") from None
 
 
 def _write_csv(path: Path, header, rows) -> None:
@@ -108,7 +108,6 @@ def _float(x) -> str:
 
 
 def _run_training(cfg: RunConfig, out_dir: Path) -> RetrievalModel:
-    out_dir.mkdir(parents=True, exist_ok=True)
     dataset = generate_synthetic_pairs(cfg)
     model = RetrievalModel(cfg)
     logs = train_loop(dataset, model, cfg, out_dir=str(out_dir))
@@ -228,9 +227,12 @@ def _ablate(cmd: argparse.Namespace, out_dir: Path) -> int:
     # Every row's config is checked before the first row trains.
     configs = [(label, _load(cmd, {**base, **extra})) for label, extra in runs]
     _make_out_dir(out_dir)
+    # So is every row's directory: a blocked one must not end the sweep midway.
+    run_dirs = [out_dir / f"ablate_{swept_key}_{label}".replace("+", "") for label, _ in configs]
+    for run_dir in run_dirs:
+        _make_out_dir(run_dir)
     rows = []
-    for label, cfg in configs:
-        run_dir = out_dir / f"ablate_{swept_key}_{label}".replace("+", "")
+    for (label, cfg), run_dir in zip(configs, run_dirs):
         log.info("ablate %s=%s", swept_key, label)
         model = _run_training(cfg, run_dir)
         reports = {(r.direction, r.stage): r for r in _evaluate(cfg, model)}

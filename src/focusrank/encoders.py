@@ -20,6 +20,7 @@ from .ops import ParameterSet, kaiming_normal, scaled_dot_attention
 from .rng import RandomStream
 from .tensor import (
     Tensor,
+    add_all,
     as_tensor,
     broadcast_to,
     concat,
@@ -250,10 +251,12 @@ class VideoEncoder:
         type, frame and patch-position embeddings."""
         p, c = self.params, self.cfg.dim
         b, t, n_patches, _ = clips.shape
-        x = Tensor(clips) @ p["video.input_w"] + p["video.input_b"]
-        x = x + p["video.type_embedding"]
-        x = x + p["video.frame_embedding"][:t].reshape(1, t, 1, c)
-        x = x + p["video.patch_pos_embedding"].reshape(1, 1, n_patches, c)
-        x = x.reshape(b, t * n_patches, c)
+        x = add_all(
+            Tensor(clips) @ p["video.input_w"],
+            p["video.input_b"],
+            p["video.type_embedding"],
+            p["video.frame_embedding"][:t].reshape(1, t, 1, c),
+            p["video.patch_pos_embedding"].reshape(1, 1, n_patches, c),
+        ).reshape(b, t * n_patches, c)
         cls = broadcast_to(p["video.cls_token"].reshape(1, 1, c), (b, 1, c))
         return concat([cls, x], axis=1)

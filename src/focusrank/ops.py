@@ -134,15 +134,15 @@ def scaled_dot_attention(
 
         def grad_fn(g):
             if v.requires_grad:
-                v._acc(_unbroadcast(np.swapaxes(w, -1, -2) @ g, v.data.shape))
+                v._acc(_unbroadcast(np.swapaxes(w, -1, -2) @ g, v.data.shape), fresh=True)
             gw = g @ np.swapaxes(v.data, -1, -2)
             gw -= np.sum(gw * w, axis=-1, keepdims=True)
             gw *= w
             gw *= chain
             if q.requires_grad:
-                q._acc(_unbroadcast(gw @ k.data, q.data.shape))
+                q._acc(_unbroadcast(gw @ k.data, q.data.shape), fresh=True)
             if k.requires_grad:
-                k._acc(_unbroadcast(np.swapaxes(gw, -1, -2) @ q.data, k.data.shape))
+                k._acc(_unbroadcast(np.swapaxes(gw, -1, -2) @ q.data, k.data.shape), fresh=True)
 
         out._grad_fn = grad_fn
     return out

@@ -5,6 +5,14 @@ closure routing the output gradient back to them; `backward()` on a scalar
 walks the recorded graph once in reverse topological order. Only the ops
 this package needs are implemented; everything is eager numpy underneath.
 
+A graph serves one backward. The walk releases each node once its closure
+has run: the node drops its gradient, closure and parents, which frees the
+arrays the closure saved. Only leaves (tensors built with
+`requires_grad=True`, such as parameters) keep their gradients; reaching a
+released node again raises `UsageError`. A closure hands `_acc` the
+gradient arrays it has just allocated, and the first one is stored, not
+copied, when it has the layout of `empty_like(data)`.
+
 Composite ops on the training path are single nodes with a hand-written
 backward, which keeps the graph small: `log_softmax`, `gelu` and
 `layer_norm` here, and `ops.scaled_dot_attention`. The forward of
@@ -46,6 +54,11 @@ def no_grad():
         _grad_mode.enabled = prev
 
 
+def _released(g):
+    """The closure of a node whose backward has run."""
+    raise UsageError("graph already released by backward")
+
+
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     """Sum `grad` back down to `shape` (the reverse of numpy broadcasting)."""
     while grad.ndim > len(shape):
@@ -76,15 +89,31 @@ class Tensor:
     def ndim(self) -> int:
         return self.data.ndim
 
-    def _acc(self, g: np.ndarray) -> None:
-        if self.grad is None:
-            # A copy into the layout `zeros_like` would give, not of `g` itself:
-            # `g` may be a transposed view, and the layout of the gradient
-            # decides the summation order of the GEMMs that read it.
+    def _acc(self, g: np.ndarray, fresh: bool = False) -> None:
+        """Add `g` into this tensor's gradient.
+
+        The first gradient takes the layout `zeros_like` would give, not that
+        of `g`: `g` may be a transposed view, and the layout of the gradient
+        decides the summation order of the GEMMs that read it. `fresh` says
+        that the caller has just allocated `g` and keeps no other reference
+        to it; then `g` itself becomes the gradient when that layout is
+        already its own (a C-contiguous array, like a C-contiguous `data`,
+        and of its shape). A view, or one `g` passed to two parents, is
+        never fresh.
+        """
+        if self.grad is not None:
+            self.grad += g
+        elif (
+            fresh
+            and isinstance(g, np.ndarray)  # not a numpy scalar from a 0-d product
+            and g.shape == self.data.shape
+            and g.flags.c_contiguous
+            and self.data.flags.c_contiguous
+        ):
+            self.grad = g
+        else:
             self.grad = np.empty_like(self.data)
             np.copyto(self.grad, g)
-        else:
-            self.grad += g
 
     def detach(self) -> "Tensor":
         return Tensor(self.data)
@@ -93,7 +122,14 @@ class Tensor:
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
     def backward(self) -> None:
-        """Accumulate gradients of this scalar into every reachable tensor."""
+        """Accumulate gradients of this scalar into every reachable leaf.
+
+        Releases the graph as it goes: once a node's closure has run, the
+        node drops its gradient, closure and parents. So one graph serves one
+        backward, intermediate gradients are not kept, and a second backward
+        that reaches a released node raises `UsageError` before any gradient
+        is accumulated.
+        """
         if self.data.shape != ():
             raise UsageError("backward() requires a scalar output")
         topo: list[Tensor] = []
@@ -106,15 +142,24 @@ class Tensor:
                 continue
             if id(node) in visited:
                 continue
+            if node._grad_fn is _released:
+                raise UsageError("graph already released by backward")
             visited.add(id(node))
             stack.append((node, True))
             for parent in node._parents:
                 if id(parent) not in visited:
                     stack.append((parent, False))
-        self._acc(np.ones_like(self.data))
-        for node in reversed(topo):
-            if node._grad_fn is not None and node.grad is not None:
-                node._grad_fn(node.grad)
+        self._acc(np.ones_like(self.data), fresh=True)
+        while topo:
+            node = topo.pop()
+            grad_fn = node._grad_fn
+            if grad_fn is None:
+                continue  # a leaf keeps its gradient
+            if node.grad is not None:
+                grad_fn(node.grad)
+            node.grad = None
+            node._grad_fn = _released
+            node._parents = ()
 
     # -- arithmetic ------------------------------------------------------
 
@@ -139,9 +184,9 @@ class Tensor:
 
             def grad_fn(g):
                 if self.requires_grad:
-                    self._acc(_unbroadcast(g * other.data, self.data.shape))
+                    self._acc(_unbroadcast(g * other.data, self.data.shape), fresh=True)
                 if other.requires_grad:
-                    other._acc(_unbroadcast(g * self.data, other.data.shape))
+                    other._acc(_unbroadcast(g * self.data, other.data.shape), fresh=True)
 
             out._grad_fn = grad_fn
         return out
@@ -153,7 +198,7 @@ class Tensor:
         if out._parents:
 
             def grad_fn(g):
-                self._acc(g * exponent * self.data ** (exponent - 1))
+                self._acc(g * exponent * self.data ** (exponent - 1), fresh=True)
 
             out._grad_fn = grad_fn
         return out
@@ -174,7 +219,7 @@ class Tensor:
             def grad_fn(g):
                 if self.requires_grad:
                     ga = g @ np.swapaxes(other.data, -1, -2)
-                    self._acc(_unbroadcast(ga, self.data.shape))
+                    self._acc(_unbroadcast(ga, self.data.shape), fresh=True)
                 if other.requires_grad:
                     if other.data.ndim == 2 and self.data.ndim > 2:
                         # A 2-d weight: fold the batch axes into the rows of
@@ -183,7 +228,7 @@ class Tensor:
                         gb = rows.T @ g.reshape(-1, g.shape[-1])
                     else:
                         gb = np.swapaxes(self.data, -1, -2) @ g
-                    other._acc(_unbroadcast(gb, other.data.shape))
+                    other._acc(_unbroadcast(gb, other.data.shape), fresh=True)
 
             out._grad_fn = grad_fn
         return out
@@ -210,7 +255,7 @@ class Tensor:
             def grad_fn(g):
                 full = np.zeros_like(self.data)
                 full[key] += g
-                self._acc(full)
+                self._acc(full, fresh=True)
 
             out._grad_fn = grad_fn
         return out
@@ -268,7 +313,7 @@ class Tensor:
         y = np.exp(self.data)
         out = _result(y, (self,))
         if out._parents:
-            out._grad_fn = lambda g: self._acc(g * y)
+            out._grad_fn = lambda g: self._acc(g * y, fresh=True)
         return out
 
 
@@ -309,6 +354,26 @@ def concat(tensors, axis: int = 0) -> Tensor:
     return out
 
 
+def add_all(*terms) -> Tensor:
+    """Sum tensors left to right as one node: the bits of the chain of `+`
+    nodes t0 + t1 + t2 + ..., summed into one array. Every term after the
+    second must broadcast to the shape of t0 + t1."""
+    terms = [as_tensor(t) for t in terms]
+    total = terms[0].data + terms[1].data
+    for t in terms[2:]:
+        total += t.data
+    out = _result(total, tuple(terms))
+    if out._parents:
+
+        def grad_fn(g):
+            for t in terms:
+                if t.requires_grad:
+                    t._acc(_unbroadcast(g, t.data.shape))
+
+        out._grad_fn = grad_fn
+    return out
+
+
 def take(t: Tensor, indices) -> Tensor:
     """Gather rows along axis 0 with an integer index array (scatter-add backward)."""
     t = as_tensor(t)
@@ -322,7 +387,7 @@ def take(t: Tensor, indices) -> Tensor:
             full = np.zeros_like(t.data)
             for row, piece in zip(idx.reshape(-1), g.reshape(idx.size, *t.data.shape[1:])):
                 full[row] += piece
-            t._acc(full)
+            t._acc(full, fresh=True)
 
         out._grad_fn = grad_fn
     return out
@@ -346,7 +411,7 @@ def log_softmax(t: Tensor, axis: int = -1) -> Tensor:
         sm = np.exp(y)
 
         def grad_fn(g):
-            t._acc(g - sm * np.sum(g, axis=axis, keepdims=True))
+            t._acc(g - sm * np.sum(g, axis=axis, keepdims=True), fresh=True)
 
         out._grad_fn = grad_fn
     return out
@@ -368,7 +433,7 @@ def gelu(t: Tensor) -> Tensor:
         def grad_fn(g):
             d_inner = _GELU_C * (1.0 + 3 * 0.044715 * x**2)
             dy = 0.5 * (1.0 + th) + 0.5 * x * (1.0 - th * th) * d_inner
-            t._acc(g * dy)
+            t._acc(g * dy, fresh=True)
 
         out._grad_fn = grad_fn
     return out
@@ -408,7 +473,7 @@ def layer_norm(t: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
 
         def grad_fn(g):
             if gamma.requires_grad:
-                gamma._acc(_unbroadcast(g * xhat, gamma.data.shape))
+                gamma._acc(_unbroadcast(g * xhat, gamma.data.shape), fresh=True)
             if beta.requires_grad:
                 beta._acc(_unbroadcast(g, beta.data.shape))
             if t.requires_grad:
@@ -418,7 +483,7 @@ def layer_norm(t: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
                 gx -= mean_gx
                 gx -= xhat * mean_gx_xhat
                 gx *= inv
-                t._acc(gx)
+                t._acc(gx, fresh=True)
 
         out._grad_fn = grad_fn
     return out

@@ -114,12 +114,23 @@ def test_empty_shape_too_big_for_numpy_rejected(tmp_path):
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_non_finite_value_rejected(tmp_path, bad):
     # A NaN delta_scale would turn every final score non-finite at ranking time.
+    # The saver refuses such a value, so it is written into the last record.
     path = tmp_path / "ckpt.bin"
-    save_parameters({"w": np.zeros(2), "fusion.delta_scale": np.array(bad)}, path)
+    save_parameters({"w": np.zeros(2), "fusion.delta_scale": np.array(0.0)}, path)
+    path.write_bytes(path.read_bytes()[:-8] + np.array(bad, dtype="<f8").tobytes())
     record_at = 16 + (4 + 1 + 4 + 4 + 8 * 2)  # header, then the whole "w" record
     with pytest.raises(FormatError, match="'fusion.delta_scale'") as info:
         load_parameters(path)
     assert info.value.offset == record_at
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_value_not_saved(tmp_path, bad):
+    # The loader would reject the file, so none is written.
+    path = tmp_path / "ckpt.bin"
+    with pytest.raises(FormatError, match="'w'"):
+        save_parameters({"b": np.zeros(2), "w": [1.0, bad]}, path)
+    assert not path.exists()
 
 
 @settings(deadline=None, max_examples=400)

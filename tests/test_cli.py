@@ -229,6 +229,22 @@ class TestExecute:
                                 "--set", "k=3,0"]))
         assert not out.exists()
 
+    def test_ablate_blocked_run_directory_fails_before_training(self, tiny_cfg_path, tmp_path,
+                                                                capsys, monkeypatch):
+        def no_work(cfg):
+            raise AssertionError("a row trained before every run directory was made")
+
+        monkeypatch.setattr(cli, "generate_synthetic_pairs", no_work)
+        out = tmp_path / "ab"
+        out.mkdir()
+        (out / "ablate_k_3").write_text("a file, not a directory")
+        code = main(["ablate", "--config", tiny_cfg_path, "--out", str(out), "--set", "k=2,3"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(out / "ablate_k_3") in err
+        assert (out / "ablate_k_3").read_text() == "a file, not a directory"
+        assert not (out / "ablation.csv").exists()
+
     @pytest.mark.parametrize("verb", ["eval", "train"])
     def test_missing_file_is_a_typed_error(self, tmp_path, capsys, verb):
         missing = tmp_path / "missing"

@@ -11,6 +11,7 @@ from focusrank.errors import DimensionError, InputError, UsageError
 from focusrank.ops import scaled_dot_attention
 from focusrank.tensor import (
     Tensor,
+    add_all,
     as_tensor,
     broadcast_to,
     concat,
@@ -182,6 +183,54 @@ class TestGraphMechanics:
         y.backward()
         assert float(x.grad) == pytest.approx(2 * 2.0 + 3.0)
 
+    def test_backward_releases_nodes_and_leaves_keep_gradients(self):
+        x = Tensor(np.ones(3), requires_grad=True)
+        h = x * 3.0
+        loss = h.sum()
+        loss.backward()
+        assert np.array_equal(x.grad, np.full(3, 3.0))
+        for node in (h, loss):
+            assert node.grad is None and node._parents == ()
+
+    def test_second_backward_through_a_released_graph_raises(self):
+        x = Tensor(RNG.normal(size=3), requires_grad=True)
+        loss = (x * x).sum()
+        loss.backward()
+        first = x.grad.copy()
+        with pytest.raises(UsageError, match="graph already released by backward"):
+            loss.backward()
+        assert np.array_equal(x.grad, first)
+
+    def test_new_graph_on_a_released_node_raises(self):
+        x = Tensor(RNG.normal(size=3), requires_grad=True)
+        h = x * 3.0
+        h.sum().backward()
+        first = x.grad.copy()
+        with pytest.raises(UsageError, match="graph already released by backward"):
+            (h * 2.0).sum().backward()
+        assert np.array_equal(x.grad, first)
+
+    def test_self_aliasing_gradients_are_unchanged(self):
+        # One tensor on both sides of an op takes two gradients. The expected
+        # arrays repeat the arithmetic of storing the first, then adding the
+        # second, whichever of them is handed over.
+        data, w = RNG.normal(size=(4, 4)), RNG.normal(size=(4, 4))
+        x = Tensor(data.copy(), requires_grad=True)
+        ((x * x) * Tensor(w)).sum().backward()
+        expected = w * data
+        expected += w * data
+        assert np.array_equal(x.grad, expected)
+
+        x = Tensor(data.copy(), requires_grad=True)
+        ((x @ x) * Tensor(w)).sum().backward()
+        expected = w @ data.T
+        expected += data.T @ w
+        assert np.array_equal(x.grad, expected)
+
+        x = Tensor(data.copy(), requires_grad=True)
+        (x + x).sum().backward()
+        assert np.array_equal(x.grad, np.full((4, 4), 2.0))
+
     def test_backward_requires_scalar(self):
         x = Tensor(np.ones(3), requires_grad=True)
         with pytest.raises(UsageError):
@@ -239,6 +288,34 @@ class TestGraphMechanics:
     def test_float64_everywhere(self):
         out = Tensor(np.ones(3, dtype=np.float32)) + 1
         assert out.data.dtype == np.float64
+
+
+class TestAddAll:
+    # The video input's shapes: projected patches, bias, type, frame, position.
+    SHAPES = [(2, 3, 4, 5), (5,), (5,), (1, 3, 1, 5), (1, 1, 4, 5)]
+
+    def run(self, fold, trained):
+        rng = np.random.default_rng(9)
+        terms = [Tensor(rng.normal(size=s), requires_grad=i in trained)
+                 for i, s in enumerate(self.SHAPES)]
+        if fold:
+            out = add_all(*terms)
+        else:
+            out = terms[0]
+            for t in terms[1:]:
+                out = out + t
+        if out.requires_grad:
+            (out * Tensor(rng.normal(size=self.SHAPES[0]))).sum().backward()
+        return out.data, [t.grad for t in terms]
+
+    @pytest.mark.parametrize("trained", [(0, 1, 2, 3, 4), (1, 3), (0,), ()])
+    def test_equals_the_chain_of_adds_bit_for_bit(self, trained):
+        (folded, folded_grads), (chain, chain_grads) = (
+            self.run(fold, trained) for fold in (True, False))
+        assert np.array_equal(folded, chain)
+        for i, (a, b) in enumerate(zip(folded_grads, chain_grads)):
+            assert (a is None) == (b is None) == (i not in trained)
+            assert a is None or (a.shape == b.shape and np.array_equal(a, b))
 
 
 @settings(deadline=None, max_examples=50)

@@ -1,5 +1,6 @@
 """Training step mechanics, the optimizer, and in-batch candidate building."""
 
+import gc
 from dataclasses import replace
 
 import numpy as np
@@ -10,6 +11,7 @@ from focusrank.data import generate_synthetic_pairs, spec_from_config
 from focusrank.errors import TrainingAbort
 from focusrank.model import RetrievalModel
 from focusrank.rng import RandomStream
+from focusrank.tensor import Tensor
 from focusrank.training import (
     AdamW,
     Batch,
@@ -113,6 +115,45 @@ class TestTrainStep:
         for name, g in grads[0].items():
             assert np.array_equal(g, grads[1][name]), name
         assert grads[0]["fusion.delta_scale"] != 0
+
+    def backward_once(self):
+        cfg = tiny_config()
+        model = RetrievalModel(replace(cfg, seed=3))
+        batch = make_batch(cfg)
+        bundle = training_loss(model, batch, cfg, rng=RandomStream(2).child("s"))
+        model.params.zero_grad()
+        (bundle.combined_tensor + bundle.scale_calibration).backward()
+        return model, batch, cfg, bundle
+
+    def test_backward_leaves_no_graph_behind(self):
+        def live_tensors():
+            gc.collect()
+            return sum(isinstance(o, Tensor) for o in gc.get_objects())
+
+        model, batch, cfg, _ = self.backward_once()
+        before = live_tensors()
+        bundle = training_loss(model, batch, cfg, rng=RandomStream(2).child("s"))
+        model.params.zero_grad()
+        (bundle.combined_tensor + bundle.scale_calibration).backward()
+        own = sum(isinstance(v, Tensor) for v in vars(bundle).values())
+        assert own == 6
+        # Only the bundle's own tensors outlive the backward: none of the graph
+        # beneath them, and no intermediate gradient.
+        assert live_tensors() - before <= own
+
+    def test_parameter_gradients_are_owned(self):
+        # A handed-over gradient must be an array of its own: a parameter's
+        # gradient sharing memory with another's, or with any parameter's
+        # values, would be changed by AdamW's in-place updates or accumulation.
+        model, _, _, _ = self.backward_once()
+        grads = [(name, t.grad) for name, t in model.params.items() if t.grad is not None]
+        assert len(grads) > len(model.params.names()) // 2
+        values = [t.data for _, t in model.params.items()]
+        for i, (name, g) in enumerate(grads):
+            for other, h in grads[i + 1:]:
+                assert not np.shares_memory(g, h), (name, other)
+            for data in values:
+                assert not np.shares_memory(g, data), name
 
     def test_calibration_composes_like_inference_without_stage1(self):
         # Inference ranks the block by scale * logits alone when stage-1 scores
