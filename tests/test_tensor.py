@@ -231,6 +231,35 @@ class TestGraphMechanics:
         (x + x).sum().backward()
         assert np.array_equal(x.grad, np.full((4, 4), 2.0))
 
+    @pytest.mark.parametrize("data_t,g_t", [(True, False), (False, True), (False, False)])
+    def test_fresh_gradient_is_stored_only_in_the_layout_of_zeros_like(self, data_t, g_t):
+        base = RNG.normal(size=(4, 3))
+        x = Tensor(base.T if data_t else base.T.copy(), requires_grad=True)
+        g = RNG.normal(size=(4, 3))
+        fresh = g.T if g_t else g.T.copy()
+        x._acc(fresh, fresh=True)
+        assert x.grad.strides == np.zeros_like(x.data).strides
+        assert np.array_equal(x.grad, g.T)
+        assert (x.grad is fresh) == (not data_t and not g_t)
+
+    @pytest.mark.parametrize("op", [
+        lambda a, b: a + b,
+        lambda a, b: a * b,
+        lambda a, b: a @ b,
+        lambda a, b: concat([a, b]),
+        lambda a, b: add_all(a, b),
+    ], ids=["add", "mul", "matmul", "concat", "add_all"])
+    def test_two_parents_never_share_a_gradient(self, op):
+        # A handed-over gradient belongs to one tensor: shared memory would let
+        # one tensor's later accumulation change the other's gradient.
+        a = Tensor(RNG.normal(size=(3, 3)), requires_grad=True)
+        b = Tensor(RNG.normal(size=(3, 3)), requires_grad=True)
+        out = op(a, b)
+        (out * Tensor(RNG.normal(size=out.shape))).sum().backward()
+        assert not np.shares_memory(a.grad, b.grad)
+        for g in (a.grad, b.grad):
+            assert not np.shares_memory(g, a.data) and not np.shares_memory(g, b.data)
+
     def test_backward_requires_scalar(self):
         x = Tensor(np.ones(3), requires_grad=True)
         with pytest.raises(UsageError):
