@@ -8,6 +8,12 @@ checkpoint whose zero-initialised tensors (`*.bind.out_*`,
 all the same vector, so a fixture from such a model would pin nothing of
 the focused view.
 
+`test_chunked_rankings_match_pins` pins, by sha256, every row that
+`rank_queries` returns for the 20 queries of each direction, ranked in
+chunks of 8, 8 and 4 (the fixtures above rank one chunk): broad-only,
+two-stage, two-stage without stage-1 scores, and two-stage on the 5-entry
+gallery. Its digests are constants in this file.
+
 The training fixtures pin `training_log.csv` and the sha256 of `model.bin`
 after two epochs of `train` at `pair_count=20, batch_size=10`, with Gumbel
 noise, without it (`use_gumbel=false`), with a fusion temperature but no
@@ -36,8 +42,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from focusrank import pipeline
 from focusrank.cli import execute, parse_args
 from focusrank.config import RunConfig
+from focusrank.data import build_galleries, generate_synthetic_pairs
 from focusrank.model import RetrievalModel
 from focusrank.rng import RandomStream
 
@@ -55,6 +63,14 @@ QUERY_CASES = [
     for indicators in ("true", "false")
 ]
 SMALL_DIRECTIONS = ("t2v", "v2t")
+# 20 queries per direction rank in chunks of 8, 8 and 4.
+PIN_CHUNK = 8
+RANKING_PINS = {
+    "broad-only": "c539800d2e6c3b3d0174e3154a35cc2d217a23a3df8fbdad160117a05941de1e",
+    "two-stage": "9676ffa37ebf9d5d7a0e41fb3619880541f7e9377b11058a9e6b67728f8a6b2f",
+    "two-stage-without-stage1": "6d5509a2a48aa3a83f0a8ac7dbc2a391c0ac47786fec81556d0275aab8654311",
+    "small-gallery": "e28e368c38cfbe06583470e54e47eb432685f95117be0f02656034f6e1b89025",
+}
 TRAIN_SIZE = ("--set", f"pair_count={PAIR_COUNT}", "--set", "batch_size=10", "--set", "epochs=2")
 TRAIN_CASES = {
     "default": (),
@@ -168,6 +184,42 @@ def test_small_gallery_query_matches_golden(checkpoint, tmp_path, direction, cap
 
 def test_eval_metrics_match_golden(checkpoint, tmp_path, capsys):
     assert eval_output(tmp_path, checkpoint) == (GOLDEN / "eval_metrics.csv").read_bytes()
+
+
+@pytest.fixture(scope="module")
+def encoded(checkpoint):
+    """The checkpoint model, its (globals, focus) queries per direction, and
+    the galleries they rank against: of the 20 pairs, and of 5 pairs."""
+    def config(pair_count):
+        cfg = RunConfig()
+        cfg.pair_count = pair_count
+        return cfg.validate()
+
+    model = RetrievalModel(config(PAIR_COUNT))
+    model.load(checkpoint)
+    text_q, video_q, videos, texts = build_galleries(model, generate_synthetic_pairs(model.cfg))
+    small = build_galleries(model, generate_synthetic_pairs(config(SMALL_PAIR_COUNT)))
+    return model, (text_q, video_q), (videos, texts), small[2:]
+
+
+@pytest.mark.parametrize("case", RANKING_PINS)
+def test_chunked_rankings_match_pins(encoded, case, monkeypatch):
+    model, queries, galleries, small_galleries = encoded
+    monkeypatch.setattr(pipeline, "FUSION_CHUNK", PIN_CHUNK)
+    net = None if case == "broad-only" else model.fusion
+    if case == "two-stage-without-stage1":
+        monkeypatch.setattr(model.fusion.cfg, "use_stage1_scores", False)
+    if case == "small-gallery":
+        galleries = small_galleries
+    digest = hashlib.sha256()
+    for (globals_, focus), gallery in zip(queries, galleries):
+        finals = pipeline.rank_queries(globals_, focus, gallery, net, model.cfg.k)
+        assert len(finals) == PAIR_COUNT
+        for final in finals:
+            for name in ("order", "final_score", "stage1_score", "delta"):
+                values = getattr(final, name)
+                digest.update(values.dtype.str.encode() + values.tobytes())
+    assert digest.hexdigest() == RANKING_PINS[case]
 
 
 @pytest.mark.parametrize("case", TRAIN_CASES)
