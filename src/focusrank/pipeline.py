@@ -9,8 +9,8 @@ cross-attends the query's remaining indicators over the flattened local
 tokens of the top-k candidates (with per-slot index embeddings on keys and
 values), projects the fused indicators to k logits, and adds the scaled
 logits to the stage-1 scores of the candidates. `compose_scores` re-sorts
-that k-block and appends the rest of the stage-1 order unchanged; broad-only
-ranking is the stage-1 order.
+each row's k-block of a chunk and keeps the rest of its stage-1 order;
+broad-only ranking is that composition with zero deltas.
 
 `focused_fuse` is the one fusion path, in training and at inference alike.
 `rank_queries` is the one inference ranking path: it ranks a batch of
@@ -64,8 +64,8 @@ class Gallery:
 
 @dataclass
 class CandidateSet:
-    """Stage-1 ranking of one query, or one per row of a (Q, N) chunk; the
-    first k entries of a row's order are its candidates."""
+    """Stage-1 ranking of one query, or of each row of a (Q, N) chunk (the form
+    `compose_scores` takes); a row's first k entries are its candidates."""
 
     order: np.ndarray   # (N,) or (Q, N) gallery indices, score desc, ties by ascending index
     scores: np.ndarray  # (N,) or (Q, N) stage-1 scores, gallery-aligned
@@ -260,24 +260,25 @@ def project_deltas(fused: Tensor, net: FusionNetwork) -> np.ndarray:
 
 def compose_scores(
     candidates: CandidateSet, deltas: np.ndarray, include_stage1: bool = True
-) -> FinalScores:
-    """Eq-style composition: refined = stage-1 + delta inside the top-k block.
+) -> list[FinalScores]:
+    """Compose a (Q, N) chunk: refined = stage-1 + (Q, k) deltas in each top-k block.
 
-    The block is re-sorted by refined score (ties by ascending gallery index)
+    Each block is re-sorted by refined score (ties by ascending gallery index)
     and occupies final ranks 1..k; the rest of the stage-1 order follows as is.
+    `stage1_score` rows are views of `candidates.scores`; no input is modified.
     """
     deltas = np.asarray(deltas, dtype=np.float64)
-    if len(deltas) != candidates.k:
-        raise DimensionError(f"{len(deltas)} deltas for {candidates.k} candidates")
     block, scores = candidates.indices, candidates.scores
-    refined = (scores[block] if include_stage1 else 0.0) + deltas
+    if deltas.ndim != 2 or deltas.shape != block.shape:
+        raise DimensionError(f"{deltas.shape} deltas for {block.shape} candidates")
+    refined = (np.take_along_axis(scores, block, axis=1) if include_stage1 else 0.0) + deltas
     order = candidates.order.copy()
-    order[: candidates.k] = block[np.lexsort((block, -refined))]
+    order[:, : candidates.k] = np.take_along_axis(block, np.lexsort((block, -refined)), 1)
     final_score = scores.copy()
-    final_score[block] = refined
-    delta_full = np.zeros(len(scores))
-    delta_full[block] = deltas
-    return FinalScores(order, final_score, scores.copy(), delta_full)
+    np.put_along_axis(final_score, block, refined, axis=1)
+    delta = np.zeros_like(scores)
+    np.put_along_axis(delta, block, deltas, axis=1)
+    return [FinalScores(*row) for row in zip(order, final_score, scores, delta)]
 
 
 def rank_full(query: EncodedItem, gallery: Gallery, net: FusionNetwork | None,
@@ -296,9 +297,9 @@ def rank_queries(
     """Rank (Q, C) query globals against one gallery, deterministically.
 
     Each chunk of `FUSION_CHUNK` queries is scored by one `broad_view_scores`
-    product and sorted by one `select_top_k` call, each row once. Without
-    a network (`net=None`) that stage-1 order is the ranking: broad-only. With
-    one, the (Q, m-1, C) focus indicators re-rank each top-k block.
+    product, sorted by one `select_top_k` call and composed by one
+    `compose_scores` call. Without a network (`net=None`) every delta is zero:
+    broad-only. With one, the (Q, m-1, C) focus indicators re-rank each block.
     """
     query_globals = np.asarray(query_globals, dtype=np.float64)
     if query_globals.ndim != 2:
@@ -317,13 +318,10 @@ def rank_queries(
         for start in range(0, len(query_globals), FUSION_CHUNK):
             rows = slice(start, start + FUSION_CHUNK)
             cands = select_top_k(broad_view_scores(query_globals[rows], gallery), k)
-            if net is not None:
+            if net is None:
+                deltas = np.zeros(cands.indices.shape)
+            else:
                 fused = focused_fuse(query_focus[rows], gallery.locals_, cands.indices, net)
                 deltas = project_deltas(fused, net)[:, : cands.k]
-                results += [compose_scores(CandidateSet(order, scores, cands.k), d,
-                                           include_stage1=net.cfg.use_stage1_scores)
-                            for order, scores, d in zip(cands.order, cands.scores, deltas)]
-            else:
-                results += [FinalScores(order, scores, scores.copy(), np.zeros_like(scores))
-                            for order, scores in zip(cands.order, cands.scores)]
+            results += compose_scores(cands, deltas, net is None or net.cfg.use_stage1_scores)
     return results

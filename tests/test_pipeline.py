@@ -401,51 +401,68 @@ class TestProjectDeltas:
 
 class TestComposeScores:
     def test_zero_deltas_keep_stage1_ranking(self):
-        scores = RNG.normal(size=20)
-        cands = select_top_k(scores, 5)
-        final = compose_scores(cands, np.zeros(5))
-        np.testing.assert_array_equal(final.order, stage1_order(scores))
+        scores = RNG.normal(size=(3, 20))
+        finals = compose_scores(select_top_k(scores, 5), np.zeros((3, 5)))
+        for final, row in zip(finals, scores):
+            np.testing.assert_array_equal(final.order, stage1_order(row))
+            np.testing.assert_array_equal(final.final_score, row)
+            np.testing.assert_array_equal(final.delta, np.zeros(20))
 
     def test_delta_promotes_candidate(self):
-        scores = np.array([0.8, 0.7])
-        cands = select_top_k(scores, 2)
-        final = compose_scores(cands, np.array([0.0, 0.2]))
+        scores = np.array([[0.8, 0.7]])
+        (final,) = compose_scores(select_top_k(scores, 2), np.array([[0.0, 0.2]]))
         np.testing.assert_allclose(final.final_score, [0.8, 0.9])
         np.testing.assert_array_equal(final.order, [1, 0])
 
     def test_matches_composition_oracle(self):
+        # Chunks of one to four rows, each row against the oracle; neither
+        # the candidate set nor the deltas may change.
         for _ in range(300):
-            n = int(RNG.integers(5, 64))
+            q, n = int(RNG.integers(1, 5)), int(RNG.integers(5, 64))
             k = int(RNG.integers(1, min(10, n) + 1))
-            scores = RNG.normal(size=n)
+            scores = RNG.normal(size=(q, n))
             cands = select_top_k(scores, k)
-            deltas = RNG.normal(size=k)
-            final = compose_scores(cands, deltas)
-            expected = compose_oracle(scores, cands.indices.tolist(), deltas.tolist())
-            np.testing.assert_array_equal(final.order, expected)
+            deltas = RNG.normal(size=(q, k))
+            before = [a.copy() for a in (cands.order, cands.scores, deltas)]
+            finals = compose_scores(cands, deltas)
+            assert len(finals) == q
+            for row, final in enumerate(finals):
+                expected = compose_oracle(scores[row], cands.indices[row].tolist(),
+                                          deltas[row].tolist())
+                np.testing.assert_array_equal(final.order, expected)
+            for old, new in zip(before, (cands.order, cands.scores, deltas)):
+                assert np.array_equal(old, new)
 
     def test_stage1_excluded_mode(self):
-        scores = RNG.normal(size=10)
+        scores = RNG.normal(size=(3, 10))
         cands = select_top_k(scores, 4)
-        deltas = RNG.normal(size=4)
-        final = compose_scores(cands, deltas, include_stage1=False)
-        expected = compose_oracle(scores, cands.indices.tolist(), deltas.tolist(), False)
-        np.testing.assert_array_equal(final.order, expected)
+        deltas = RNG.normal(size=(3, 4))
+        finals = compose_scores(cands, deltas, include_stage1=False)
+        for row, final in enumerate(finals):
+            expected = compose_oracle(scores[row], cands.indices[row].tolist(),
+                                      deltas[row].tolist(), False)
+            np.testing.assert_array_equal(final.order, expected)
+
+    def test_only_chunks_compose(self):
+        with pytest.raises(DimensionError):
+            compose_scores(select_top_k(RNG.normal(size=10), 4), np.zeros(4))
+        with pytest.raises(DimensionError):
+            compose_scores(select_top_k(RNG.normal(size=(2, 10)), 4), np.zeros((2, 3)))
 
 
 @settings(deadline=None, max_examples=60)
-@given(st.integers(0, 2**32 - 1), st.integers(2, 30), st.integers(1, 12))
-def test_rerank_containment_and_tail_preservation(seed, n, k):
+@given(st.integers(0, 2**32 - 1), st.integers(1, 4), st.integers(2, 30), st.integers(1, 12))
+def test_rerank_containment_and_tail_preservation(seed, q, n, k):
     rng = np.random.default_rng(seed)
-    scores = rng.normal(size=n)
+    scores = rng.normal(size=(q, n))
     k = min(k, n)
-    cands = select_top_k(scores, k)
-    final = compose_scores(cands, rng.normal(size=k))
-    stage1 = stage1_order(scores)
-    # Containment: the re-ranked block is a permutation of the stage-1 top-k.
-    assert set(final.order[:k]) == set(stage1[:k])
-    # Preservation: below the block, stage-1 relative order survives exactly.
-    np.testing.assert_array_equal(final.order[k:], stage1[k:])
+    finals = compose_scores(select_top_k(scores, k), rng.normal(size=(q, k)))
+    for final, row in zip(finals, scores):
+        stage1 = stage1_order(row)
+        # Containment: the re-ranked block is a permutation of the stage-1 top-k.
+        assert set(final.order[:k]) == set(stage1[:k])
+        # Preservation: below the block, stage-1 relative order survives exactly.
+        np.testing.assert_array_equal(final.order[k:], stage1[k:])
 
 
 class TestRankFull:
