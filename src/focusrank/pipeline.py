@@ -276,7 +276,7 @@ def compose_scores(
     order[:, : candidates.k] = np.take_along_axis(block, np.lexsort((block, -refined)), 1)
     final_score = scores.copy()
     np.put_along_axis(final_score, block, refined, axis=1)
-    delta = np.zeros_like(scores)
+    delta = np.zeros(scores.shape)
     np.put_along_axis(delta, block, deltas, axis=1)
     return [FinalScores(*row) for row in zip(order, final_score, scores, delta)]
 
