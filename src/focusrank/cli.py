@@ -222,6 +222,9 @@ def _ablate(cmd: argparse.Namespace, out_dir: Path) -> int:
     else:
         swept_key, raw = next(iter(sweeps.items()))
         runs = [(value, {swept_key: value}) for value in raw.split(",")]
+        parsed = [parse_value(swept_key, value) for value, _ in runs]
+        if len(set(parsed)) != len(parsed):
+            raise UsageError(f"ablate sweep {swept_key}={raw} repeats a value")
 
     base = {k: v for k, v in cmd.set.items() if k not in sweeps}
     # Every row's config is checked before the first row trains.

@@ -131,6 +131,8 @@ def load_config(path) -> RunConfig:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc.strerror}") from None
+    except UnicodeDecodeError:
+        raise ConfigError(f"config {path} is not UTF-8 text") from None
     seen: set[str] = set()
     for lineno, line in enumerate(text.splitlines(), start=1):
         body = line.split("#", 1)[0].strip()

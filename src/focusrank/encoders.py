@@ -30,6 +30,19 @@ from .tensor import (
 )
 
 
+def _typed_array(values, dtype, what: str) -> np.ndarray:
+    """`values` as a `dtype` array, if numpy reads them as a rectangular array
+    of a kind that casts to `dtype` (an empty one passes): a float token id is
+    not truncated, and a string or ragged input is an InputError."""
+    try:
+        array = np.asarray(values)
+    except ValueError:
+        raise InputError(f"{what} must be a rectangular array") from None
+    if array.size and not np.can_cast(array.dtype, dtype, casting="same_kind"):
+        raise InputError(f"{what} must hold {np.dtype(dtype)} values, got {array.dtype}")
+    return array.astype(dtype, copy=False)
+
+
 @dataclass
 class TextSequence:
     """Token ids for one query/caption."""
@@ -37,7 +50,7 @@ class TextSequence:
     tokens: np.ndarray
 
     def __post_init__(self):
-        self.tokens = np.asarray(self.tokens, dtype=np.int64)
+        self.tokens = _typed_array(self.tokens, np.int64, "token ids")
         if self.tokens.ndim != 1 or self.tokens.size == 0:
             raise InputError("text sequence must be a non-empty 1-d token array")
 
@@ -49,7 +62,7 @@ class VideoClip:
     frames: np.ndarray
 
     def __post_init__(self):
-        self.frames = np.asarray(self.frames, dtype=np.float64)
+        self.frames = _typed_array(self.frames, np.float64, "video clip")
         if self.frames.ndim != 3 or self.frames.shape[0] == 0:
             raise InputError("video clip must be a (T, P^2, D) array with T >= 1")
 
@@ -170,7 +183,7 @@ class TextEncoder:
         Returns (global (B, C) unit rows, focus (B, m-1, C) or None, locals (B, M, C)).
         Every token of every row is attended to: the batch holds no padding.
         """
-        tokens = np.asarray(tokens, dtype=np.int64)
+        tokens = _typed_array(tokens, np.int64, "token batch")
         if tokens.ndim != 2 or tokens.shape[1] == 0:
             raise InputError("token batch must be (B, M) with M >= 1")
         if tokens.shape[1] > self.cfg.text_len:
@@ -224,7 +237,7 @@ class VideoEncoder:
         Returns (global (B, C) unit rows, focus (B, m-1, C) or None,
         locals (B, P^2, C) after temporal mean pooling).
         """
-        clips = np.asarray(clips, dtype=np.float64)
+        clips = _typed_array(clips, np.float64, "clip batch")
         if clips.ndim != 4:
             raise InputError("clip batch must be (B, T, P^2, D)")
         b, t, n_patches, d = clips.shape

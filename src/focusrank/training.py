@@ -265,8 +265,8 @@ def train_loop(
 ) -> list[StepLog]:
     """Seeded epochs of train_step; returns the per-step loss log and, when
     out_dir is given, saves the trained parameters there as `model.bin`."""
-    if len(dataset) == 0:
-        raise InputError("cannot train on an empty dataset")
+    if len(dataset) < 2:
+        raise InputError(f"contrastive training needs at least 2 pairs, got {len(dataset)}")
     stream = RandomStream(cfg.seed).child("train")
     optimizer = AdamW(
         model.params, cfg.lr_base, cfg.lr_fusion, weight_decay=cfg.weight_decay

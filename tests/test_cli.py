@@ -229,6 +229,15 @@ class TestExecute:
                                 "--set", "k=3,0"]))
         assert not out.exists()
 
+    @pytest.mark.parametrize("sweep", ["k=2,2", "k=2,02", "lr_base=0.001,1e-3"])
+    def test_ablate_repeated_sweep_value_rejected(self, tiny_cfg_path, tmp_path, sweep):
+        # Two rows of one value would train twice into one run directory.
+        out = tmp_path / "ab"
+        with pytest.raises(UsageError):
+            execute(parse_args(["ablate", "--config", tiny_cfg_path, "--out", str(out),
+                                "--set", sweep]))
+        assert not out.exists()
+
     def test_ablate_blocked_run_directory_fails_before_training(self, tiny_cfg_path, tmp_path,
                                                                 capsys, monkeypatch):
         def no_work(cfg):
@@ -290,6 +299,14 @@ class TestExecute:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "VERBOSE" in err
         assert not (tmp_path / "g").exists()
+
+    def test_train_on_one_pair_fails_before_saving(self, tiny_cfg_path, tmp_path, capsys):
+        out = tmp_path / "one"
+        code = main(["train", "--config", tiny_cfg_path, "--out", str(out),
+                     "--set", "pair_count=1", "--set", "cohort_size=1"])
+        assert code == 1
+        assert "at least 2 pairs" in capsys.readouterr().err
+        assert not (out / "model.bin").exists()
 
     def test_csv_outputs_byte_identical_across_runs(self, tiny_cfg_path, tmp_path):
         blobs = []

@@ -304,6 +304,13 @@ class TestConfig:
             load_config(path)
         assert ":1:" in str(err.value)
 
+    def test_non_utf8_file_is_a_config_error(self, tmp_path):
+        path = tmp_path / "latin.cfg"
+        path.write_bytes(b"\xff\xfe")
+        with pytest.raises(ConfigError) as err:
+            load_config(path)
+        assert str(path) in str(err.value)
+
     def test_duplicate_key_rejected(self, tmp_path):
         path = tmp_path / "dup.cfg"
         path.write_text("dim: 32\ndim: 64\n")

@@ -157,6 +157,15 @@ class TestTextEncoder:
         with pytest.raises(InputError):
             model.encode_text(TextSequence(np.array([cfg.vocab_size])))
 
+    @pytest.mark.parametrize("bad", [[1.5], [np.nan], [2.0, 3.0], ["1"], [[1, 2], [3]], None])
+    def test_only_integer_token_ids_accepted(self, bad):
+        # A float id is not truncated to an integer; anything else is typed too.
+        with pytest.raises(InputError):
+            TextSequence(bad)
+        model = RetrievalModel(tiny_config())
+        with pytest.raises(InputError):
+            model.encode_text_batch([bad])
+
 
 class TestVideoEncoder:
     def test_identical_clip_bit_identical_encoding(self):
@@ -198,6 +207,13 @@ class TestVideoEncoder:
     def test_empty_clip_rejected(self):
         with pytest.raises(InputError):
             VideoClip(np.zeros((0, 4, 16)))
+
+    @pytest.mark.parametrize("bad", [[[["a"]]], [[[1.0, 2.0], [3.0]]], [[[1j]]]])
+    def test_non_numeric_clip_rejected(self, bad):
+        with pytest.raises(InputError):
+            VideoClip(bad)
+        with pytest.raises(InputError):
+            RetrievalModel(tiny_config(seed=5)).encode_video_batch([bad])
 
     def test_wrong_patch_grid_rejected(self):
         cfg = tiny_config(seed=5)
