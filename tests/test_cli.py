@@ -15,6 +15,8 @@ from focusrank import cli
 from focusrank.cli import execute, main, parse_args
 from focusrank.errors import ConfigError, UsageError
 
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
 TINY_CFG = """
 # miniature run for harness tests
 dim: 16
@@ -147,6 +149,8 @@ class TestExecute:
         rows = read_csv(out / "gradcheck.csv")
         assert all(row[3] == "pass" for row in rows[1:])
         assert {"layer-norm", "broadcast-attention"} <= {row[0] for row in rows[1:]}
+        # Every error and worst parameter, pinned (regenerated by test_golden.py).
+        assert (out / "gradcheck.csv").read_bytes() == (GOLDEN / "gradcheck.csv").read_bytes()
 
     def test_module_entry_point_runs_train(self, tiny_cfg_path, tmp_path):
         # `python -m focusrank` from a checkout, without the installed script.

@@ -1,8 +1,9 @@
 """Golden outputs of the CLI `train`, `query` and `eval` verbs, compared byte for byte.
 
 The fixtures under `tests/golden/` pin the ranking and metrics CSVs of a tiny
-run (`pair_count=20`), plus `query` on a gallery smaller than the default
-k=10 (`pair_count=5`), where stage 1 keeps every entry. They run against a
+run (`pair_count=20`), with and without query indicators, plus `query` on a
+gallery smaller than the default k=10 (`pair_count=5`), where stage 1 keeps
+every entry. They run against a
 checkpoint whose zero-initialised tensors (`*.bind.out_*`,
 `fusion.block*.out_*`, `fusion.delta_scale`) hold seeded non-zero values. At zero init every delta is zero and the text globals are
 all the same vector, so a fixture from such a model would pin nothing of
@@ -25,6 +26,9 @@ would follow the number of usable cores.
 `gumbel_temp` is the fusion attention temperature at inference too, whether
 or not training adds noise (`use_gumbel` switches the noise only); a test
 below pins that on the checkpoint.
+
+`gradcheck.csv` is the output of the `gradcheck` verb, compared by
+`test_cli.py::TestExecute::test_gradcheck_passes`.
 
 Regenerate the fixtures (only when a change is meant to alter the outputs):
 
@@ -112,9 +116,14 @@ def query_output(out: Path, checkpoint: Path, direction: str, indicators: str,
     return (out / "query_result.csv").read_bytes()
 
 
-def eval_output(out: Path, checkpoint: Path) -> bytes:
-    run_verb("eval", out, checkpoint)
+def eval_output(out: Path, checkpoint: Path, indicators: str = "true") -> bytes:
+    run_verb("eval", out, checkpoint, use_query_indicators=indicators)
     return (out / "metrics.csv").read_bytes()
+
+
+def gradcheck_output(out: Path) -> bytes:
+    assert execute(parse_args(["gradcheck", "--out", str(out)])) == 0
+    return (out / "gradcheck.csv").read_bytes()
 
 
 def train_output(out: Path, case: str) -> tuple[bytes, str]:
@@ -186,6 +195,11 @@ def test_eval_metrics_match_golden(checkpoint, tmp_path, capsys):
     assert eval_output(tmp_path, checkpoint) == (GOLDEN / "eval_metrics.csv").read_bytes()
 
 
+def test_eval_without_indicators_matches_golden(checkpoint, tmp_path, capsys):
+    got = eval_output(tmp_path, checkpoint, "false")
+    assert got == (GOLDEN / "eval_metrics_no_indicators.csv").read_bytes()
+
+
 @pytest.fixture(scope="module")
 def encoded(checkpoint):
     """The checkpoint model, its (globals, focus) queries per direction, and
@@ -240,6 +254,9 @@ def regenerate(work: Path) -> None:
         blob = query_output(work / f"small_{direction}", ckpt, direction, "true", SMALL_PAIR_COUNT)
         small_query_fixture(direction).write_bytes(blob)
     (GOLDEN / "eval_metrics.csv").write_bytes(eval_output(work / "eval", ckpt))
+    (GOLDEN / "eval_metrics_no_indicators.csv").write_bytes(
+        eval_output(work / "eval_no_indicators", ckpt, "false"))
+    (GOLDEN / "gradcheck.csv").write_bytes(gradcheck_output(work / "gradcheck"))
     for case in TRAIN_CASES:
         log_csv, model_digest = train_output(work / f"train_{case}", case)
         log_fixture, digest_fixture = train_fixtures(case)
