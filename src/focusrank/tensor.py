@@ -164,18 +164,7 @@ class Tensor:
     # -- arithmetic ------------------------------------------------------
 
     def __add__(self, other):
-        other = as_tensor(other)
-        out = _result(self.data + other.data, (self, other))
-        if out._parents:
-
-            def grad_fn(g):
-                if self.requires_grad:
-                    self._acc(_unbroadcast(g, self.data.shape))
-                if other.requires_grad:
-                    other._acc(_unbroadcast(g, other.data.shape))
-
-            out._grad_fn = grad_fn
-        return out
+        return add_all(self, other)
 
     def __mul__(self, other):
         other = as_tensor(other)
@@ -355,9 +344,10 @@ def concat(tensors, axis: int = 0) -> Tensor:
 
 
 def add_all(*terms) -> Tensor:
-    """Sum tensors left to right as one node: the bits of the chain of `+`
-    nodes t0 + t1 + t2 + ..., summed into one array. Every term after the
-    second must broadcast to the shape of t0 + t1."""
+    """Sum tensors left to right as one node: the bits of the chain of
+    two-term sums t0 + t1 + t2 + ..., summed into one array. Every term after
+    the second must broadcast to the shape of t0 + t1. `Tensor.__add__` is
+    the two-term case."""
     terms = [as_tensor(t) for t in terms]
     total = terms[0].data + terms[1].data
     for t in terms[2:]:
