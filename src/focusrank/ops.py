@@ -78,13 +78,14 @@ class ParameterSet:
         missing = set(self._params) - set(arrays)
         if missing:
             raise ConfigError(f"state missing parameters: {sorted(missing)}")
-        for name, value in arrays.items():
+        values = {name: np.asarray(value, dtype=np.float64) for name, value in arrays.items()}
+        # Every shape is checked before any parameter changes.
+        for name, value in values.items():
+            shape = self._params[name].data.shape
+            if value.shape != shape:
+                raise ConfigError(f"shape mismatch for {name!r}: {value.shape} vs {shape}")
+        for name, value in values.items():
             t = self._params[name]
-            value = np.asarray(value, dtype=np.float64)
-            if value.shape != t.data.shape:
-                raise ConfigError(
-                    f"shape mismatch for {name!r}: {value.shape} vs {t.data.shape}"
-                )
             t.data = value.copy()
             t.grad = None
 

@@ -335,6 +335,15 @@ class TestParameterSet:
         with pytest.raises(ConfigError):
             p.load_state({})
 
+    def test_failed_load_changes_nothing(self):
+        p = ParameterSet()
+        p.add("a", np.zeros(2))
+        p.add("b", np.zeros(3))
+        with pytest.raises(ConfigError):
+            p.load_state({"a": np.ones(2), "b": np.ones(4)})
+        assert np.array_equal(p["a"].data, np.zeros(2))
+        assert np.array_equal(p["b"].data, np.zeros(3))
+
 
 class TestCheckGradients:
     def test_quadratic_matches_closed_form(self):
