@@ -107,8 +107,7 @@ def _float(x) -> str:
     return repr(float(x))
 
 
-def _run_training(cfg: RunConfig, out_dir: Path) -> RetrievalModel:
-    dataset = generate_synthetic_pairs(cfg)
+def _run_training(cfg: RunConfig, dataset, out_dir: Path) -> RetrievalModel:
     model = RetrievalModel(cfg)
     logs = train_loop(dataset, model, cfg, out_dir=str(out_dir))
     rows = [
@@ -122,15 +121,12 @@ def _run_training(cfg: RunConfig, out_dir: Path) -> RetrievalModel:
     return model
 
 
-def _evaluate(cfg: RunConfig, model: RetrievalModel) -> list[MetricsReport]:
-    dataset = generate_synthetic_pairs(cfg)
+def _evaluate(model: RetrievalModel, dataset) -> list[MetricsReport]:
     text_q, video_q, video_gallery, text_gallery = build_galleries(model, dataset)
     reports = []
     for mode in ("broad-only", "two-stage"):
-        net = model.fusion if cfg.use_query_indicators else None
-        out = evaluate_two_stage(
-            text_q, video_gallery, video_q, text_gallery, net=net, k=cfg.k, mode=mode
-        )
+        out = evaluate_two_stage(text_q, video_gallery, video_q, text_gallery,
+                                 net=model.fusion, k=model.cfg.k, mode=mode)
         reports.extend(out.values())
     return reports
 
@@ -153,14 +149,17 @@ def execute(cmd: argparse.Namespace) -> int:
         raise UsageError(f"query_index {cfg.query_index} outside dataset of {cfg.pair_count} pairs")
     _make_out_dir(out_dir)
     if cmd.verb == "train":
-        _run_training(cfg, out_dir)
+        _run_training(cfg, generate_synthetic_pairs(cfg), out_dir)
         return 0
 
-    if cmd.verb == "eval":
+    if cmd.verb in ("eval", "query"):
         model = RetrievalModel(cfg)
         if cfg.checkpoint:
             model.load(cfg.checkpoint)
-        reports = _evaluate(cfg, model)
+        dataset = generate_synthetic_pairs(cfg)
+
+    if cmd.verb == "eval":
+        reports = _evaluate(model, dataset)
         _write_csv(out_dir / "metrics.csv", MetricsReport.CSV_HEADER, _metrics_rows(reports))
         for r in reports:
             print(f"{r.direction} {r.stage}: R@1={r.r1:.1f} R@5={r.r5:.1f} "
@@ -169,17 +168,12 @@ def execute(cmd: argparse.Namespace) -> int:
 
     if cmd.verb == "query":
         i = cfg.query_index
-        model = RetrievalModel(cfg)
-        if cfg.checkpoint:
-            model.load(cfg.checkpoint)
-        dataset = generate_synthetic_pairs(cfg)
         _, _, video_gallery, text_gallery = build_galleries(model, dataset)
         if cfg.query_direction == "t2v":
             query, gallery = model.encode_text(TextSequence(dataset.texts[i])), video_gallery
         else:
             query, gallery = model.encode_video(VideoClip(dataset.videos[i])), text_gallery
-        net = model.fusion if cfg.use_query_indicators else None
-        final = rank_full(query, gallery, net, cfg.k)
+        final = rank_full(query, gallery, model.fusion, cfg.k)
         rows = []
         for rank, idx in enumerate(final.order, start=1):
             rows.append((rank, int(idx), _float(final.stage1_score[idx]),
@@ -237,8 +231,9 @@ def _ablate(cmd: argparse.Namespace, out_dir: Path) -> int:
     rows = []
     for (label, cfg), run_dir in zip(configs, run_dirs):
         log.info("ablate %s=%s", swept_key, label)
-        model = _run_training(cfg, run_dir)
-        reports = {(r.direction, r.stage): r for r in _evaluate(cfg, model)}
+        dataset = generate_synthetic_pairs(cfg)
+        model = _run_training(cfg, dataset, run_dir)
+        reports = {(r.direction, r.stage): r for r in _evaluate(model, dataset)}
         t2v = reports[("t2v", "two-stage")]
         v2t = reports[("v2t", "two-stage")]
         rows.append((swept_key, label,

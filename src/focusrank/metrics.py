@@ -65,8 +65,8 @@ def evaluate_two_stage(
     video_gallery: Gallery,
     video_queries,
     text_gallery: Gallery,
-    net=None,
-    k: int = 10,
+    net,
+    k: int,
     mode: str = "two-stage",
     truth_t2v: list[int] | None = None,
     truth_v2t: list[int] | None = None,
@@ -75,7 +75,7 @@ def evaluate_two_stage(
     and "v2t" reports, labelled with `mode`.
 
     `mode` is "broad-only" (stage 1 alone, `net` unused) or "two-stage"
-    (`net` re-ranks; without one, stage 1 alone). `text_queries` /
+    (`net` re-ranks as `rank_queries` decides). `text_queries` /
     `video_queries` are (globals, focus_indicators) array pairs; truth
     defaults to index-aligned pairing (query i's true item is gallery entry i).
     """

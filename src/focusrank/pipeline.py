@@ -168,8 +168,6 @@ class FusionNetwork:
         self.params = params
         self.cfg = cfg
         c = cfg.dim
-        self.k = cfg.k
-        self.blocks = cfg.fusion_blocks
         params.add(
             "fusion.index_embedding",
             kaiming_normal(rng.child("index"), (cfg.k, c), c),
@@ -199,8 +197,8 @@ class FusionNetwork:
         if tokens.ndim != 4:
             raise DimensionError("candidate tokens need (N, n, C) locals and (B, k') indices")
         b, k_sel, n, c = tokens.shape
-        if k_sel > self.k:
-            raise ConfigError(f"candidate count {k_sel} incompatible with network k {self.k}")
+        if k_sel > self.cfg.k:
+            raise ConfigError(f"candidate count {k_sel} incompatible with network k {self.cfg.k}")
         slots = self.params["fusion.index_embedding"][:k_sel].reshape(1, k_sel, 1, self.cfg.dim)
         if _grad_mode.enabled:
             tokens = tokens + slots
@@ -219,7 +217,7 @@ class FusionNetwork:
         """
         if cand_tokens.shape[-2] == 0:
             raise InputError("focused fusion needs at least one candidate token")
-        for b in range(self.blocks):
+        for b in range(self.cfg.fusion_blocks):
             attended = scaled_dot_attention(
                 indicators,
                 cand_tokens,
@@ -283,7 +281,7 @@ def compose_scores(
 
 def rank_full(query: EncodedItem, gallery: Gallery, net: FusionNetwork | None,
               k: int) -> FinalScores:
-    """`rank_queries` on a batch of one; broad-only when `net` is None."""
+    """`rank_queries` on a batch of one."""
     return rank_queries(query.global_vec[None], query.focus_indicators[None], gallery, net, k)[0]
 
 
@@ -298,13 +296,16 @@ def rank_queries(
 
     Each chunk of `FUSION_CHUNK` queries is scored by one `broad_view_scores`
     product, sorted by one `select_top_k` call and composed by one
-    `compose_scores` call. Without a network (`net=None`) every delta is zero:
-    broad-only. With one, the (Q, m-1, C) focus indicators re-rank each block.
+    `compose_scores` call. Without a network (`net=None`), or with one built
+    without query indicators, every delta is zero: broad-only. Otherwise the
+    (Q, m-1, C) focus indicators re-rank each block.
     """
     query_globals = np.asarray(query_globals, dtype=np.float64)
     if query_globals.ndim != 2:
         raise DimensionError("query globals must be (Q, C)")
     _require_finite(query_globals, "query globals")
+    if net is not None and not net.cfg.use_query_indicators:
+        net = None  # no indicators, nothing to fuse: stage 1 ranks alone
     if net is not None:
         if query_focus is None:
             raise InputError("two-stage ranking needs query focus indicators")

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import RunConfig
-from .errors import InputError, TrainingAbort
+from .errors import InputError, TrainingAbort, UsageError
 from .losses import LossReport, combined_loss, contrastive_loss, cross_entropy
 from .model import RetrievalModel
 from .ops import GROUP_FUSION, ParameterSet
@@ -75,18 +75,16 @@ def build_candidates(sims: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def training_loss(
-    model: RetrievalModel,
-    batch: Batch,
-    cfg: RunConfig,
-    rng: RandomStream | None = None,
+    model: RetrievalModel, batch: Batch, rng: RandomStream | None = None
 ) -> LossBundle:
     """Forward pass of one step: both contrastive terms plus both focused
     cross-entropy terms over injected in-batch candidate sets of min(k, B)
-    items. Fusion samples Gumbel noise from `rng` unless `cfg.use_gumbel` is
-    off; without a stream it adds none."""
+    items, every switch read from `model.cfg`. Fusion samples Gumbel noise
+    from `rng` unless `use_gumbel` is off; without a stream it adds none."""
     b = len(batch)
     if b < 2:
         raise InputError("training batch must have at least 2 pairs")
+    cfg = model.cfg
     if not cfg.use_gumbel:
         rng = None
     k_train = min(cfg.k, b)
@@ -141,13 +139,7 @@ class AdamW:
     would silently drag tau toward 1).
     """
 
-    def __init__(
-        self,
-        params: ParameterSet,
-        lr_base: float,
-        lr_fusion: float,
-        weight_decay: float = 0.2,
-    ):
+    def __init__(self, params: ParameterSet, lr_base: float, lr_fusion: float, weight_decay: float):
         self.params = params
         self.rates = {"base": lr_base, "fusion": lr_fusion}
         self.weight_decay = weight_decay
@@ -195,15 +187,12 @@ class AdamW:
 
 
 def train_step(
-    model: RetrievalModel,
-    batch: Batch,
-    cfg: RunConfig,
-    optimizer: AdamW,
-    rng: RandomStream | None,
+    model: RetrievalModel, batch: Batch, optimizer: AdamW, rng: RandomStream | None
 ) -> LossReport:
-    """One optimizer update; aborts with diagnostics on a non-finite loss.
-    `rng=None` runs fusion without Gumbel noise."""
-    bundle = training_loss(model, batch, cfg, rng=rng)
+    """One optimizer update; aborts with diagnostics on a non-finite loss or
+    when the update leaves a parameter non-finite. `rng=None` runs fusion
+    without Gumbel noise."""
+    bundle = training_loss(model, batch, rng=rng)
     report = bundle.report()
     if not report.finite():
         raise TrainingAbort(
@@ -218,6 +207,14 @@ def train_step(
         objective = objective + bundle.scale_calibration
     objective.backward()
     optimizer.step()
+    # A finite loss can hide a diverged parameter (an infinite temperature
+    # gives uniform logits); training on would only end at the checkpoint.
+    broken = [name for name, t in model.params.items() if not np.isfinite(t.data).all()]
+    if broken:
+        raise TrainingAbort(
+            f"parameters {broken} hold NaN or infinite values after the update "
+            f"on batch items {batch.item_ids.tolist()}"
+        )
     model.params.zero_grad()
     return report
 
@@ -264,7 +261,10 @@ def train_loop(
     out_dir=None,
 ) -> list[StepLog]:
     """Seeded epochs of train_step; returns the per-step loss log and, when
-    out_dir is given, saves the trained parameters there as `model.bin`."""
+    out_dir is given, saves the trained parameters there as `model.bin`.
+    `cfg` must equal `model.cfg`, which the steps read."""
+    if cfg != model.cfg:
+        raise UsageError("train_loop needs the config the model was built with")
     if len(dataset) < 2:
         raise InputError(f"contrastive training needs at least 2 pairs, got {len(dataset)}")
     stream = RandomStream(cfg.seed).child("train")
@@ -275,7 +275,7 @@ def train_loop(
     for epoch in range(cfg.epochs):
         order = shuffle_cohorts(dataset.groups, stream.child("shuffle", epoch))
         for step, batch in enumerate(iterate_batches(dataset, order, cfg.batch_size)):
-            report = train_step(model, batch, cfg, optimizer, stream.child("step", epoch, step))
+            report = train_step(model, batch, optimizer, stream.child("step", epoch, step))
             logs.append(StepLog(epoch, step, report))
     if out_dir is not None:
         model.save(f"{out_dir}/model.bin")

@@ -167,7 +167,15 @@ class TestExecute:
         rows = read_csv(out / "training_log.csv")
         assert rows[0][:2] == ["epoch", "step"] and len(rows) == 3
 
-    def test_ablate_sweep_one_row_per_value(self, tiny_cfg_path, tmp_path, capsys):
+    def test_ablate_sweep_one_row_per_value(self, tiny_cfg_path, tmp_path, capsys, monkeypatch):
+        generated = []
+        generate = cli.generate_synthetic_pairs
+
+        def counting(cfg):
+            generated.append(cfg.k)
+            return generate(cfg)
+
+        monkeypatch.setattr(cli, "generate_synthetic_pairs", counting)
         out = tmp_path / "ab"
         code = execute(
             parse_args(["ablate", "--config", tiny_cfg_path, "--out", str(out),
@@ -177,6 +185,7 @@ class TestExecute:
         rows = read_csv(out / "ablation.csv")
         assert len(rows) == 3
         assert [r[1] for r in rows[1:]] == ["2", "3"]
+        assert generated == [2, 3]  # each row trains and evaluates on one dataset
 
     def test_ablate_sweep_labels_carry_no_spaces(self, tiny_cfg_path, tmp_path, capsys):
         out = tmp_path / "ab"
@@ -310,6 +319,23 @@ class TestExecute:
                      "--set", "pair_count=1", "--set", "cohort_size=1"])
         assert code == 1
         assert "at least 2 pairs" in capsys.readouterr().err
+        assert not (out / "model.bin").exists()
+
+    @pytest.mark.parametrize("overrides",
+                             [["lr_base=1e9", "lr_fusion=1e9"], ["temperature=1e-300"]],
+                             ids=["learning-rate", "temperature"])
+    def test_diverging_training_stops_before_saving(self, tiny_cfg_path, tmp_path, capsys,
+                                                    overrides):
+        # log_temperature overflows while the loss stays finite; the run must
+        # stop at that update, not at the checkpoint or at a config check.
+        out = tmp_path / "run"
+        sets = [arg for pair in overrides for arg in ("--set", pair)]
+        with np.errstate(all="ignore"):
+            code = main(["train", "--config", tiny_cfg_path, "--out", str(out), *sets])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: parameters ['log_temperature'] hold NaN or infinite")
+        assert "batch items" in err
         assert not (out / "model.bin").exists()
 
     def test_csv_outputs_byte_identical_across_runs(self, tiny_cfg_path, tmp_path):

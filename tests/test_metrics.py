@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from focusrank.config import RunConfig
+from focusrank.data import build_galleries, generate_synthetic_pairs
 from focusrank.errors import InputError
 from focusrank.metrics import compute_ranks, evaluate_two_stage, summarize
+from focusrank.model import RetrievalModel
 from focusrank.ops import ParameterSet
 from focusrank.pipeline import FusionNetwork, Gallery
 from focusrank.rng import RandomStream
@@ -122,9 +124,23 @@ def test_two_stage_evaluation_without_focus_rejected():
         evaluate_two_stage((globals_, None), gallery, (globals_, None), gallery, net=net, k=4)
 
 
+def test_model_without_indicators_evaluates_by_stage1():
+    # Its encoders give no focus indicators, and its network re-ranks nothing.
+    cfg = RunConfig(dim=16, layers=1, vocab_size=64, text_len=6, patch_count=4, patch_dim=16,
+                    frame_count=2, mlp_hidden=16, k=3, pair_count=12, cohort_size=3,
+                    latent_dim=6, use_query_indicators=False).validate()
+    model = RetrievalModel(cfg)
+    text_q, video_q, videos, texts = build_galleries(model, generate_synthetic_pairs(cfg))
+    assert text_q[1] is None and video_q[1] is None
+    for mode in ("broad-only", "two-stage"):
+        got = evaluate_two_stage(text_q, videos, video_q, texts, model.fusion, cfg.k, mode=mode)
+        assert got == evaluate_two_stage(text_q, videos, video_q, texts, None, cfg.k, mode=mode)
+
+
 def test_unknown_mode_rejected():
     globals_ = RNG.normal(size=(3, 8))
     globals_ /= np.linalg.norm(globals_, axis=1, keepdims=True)
     gallery = Gallery(globals_, RNG.normal(size=(3, 2, 8)))
     with pytest.raises(InputError):
-        evaluate_two_stage((globals_, None), gallery, (globals_, None), gallery, mode="focused")
+        evaluate_two_stage((globals_, None), gallery, (globals_, None), gallery, None, 4,
+                           mode="focused")

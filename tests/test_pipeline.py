@@ -595,6 +595,17 @@ class TestRankQueries:
         assert np.array_equal(full.order, batched.order)
         assert np.array_equal(full.final_score, batched.final_score)
 
+    def test_network_without_indicators_ranks_by_stage1(self):
+        # A model built without query indicators encodes (0, C) focus and has
+        # nothing to fuse: its network ranks exactly as no network does.
+        cfg = RunConfig(dim=8, k=4, mlp_hidden=16, use_query_indicators=False).validate()
+        gallery = make_gallery(n=30)
+        q = EncodedItem(unit_rows(1, 8)[0], np.zeros((0, 8)))
+        got = rank_full(q, gallery, make_net(cfg, randomize=True), 4)
+        want = rank_full(q, gallery, None, 4)
+        for name in ("order", "final_score", "stage1_score", "delta"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_query_globals_rejected(self, bad):
         globals_ = unit_rows(3, 8)

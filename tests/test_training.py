@@ -8,7 +8,7 @@ import pytest
 
 from focusrank.config import RunConfig
 from focusrank.data import generate_synthetic_pairs, spec_from_config
-from focusrank.errors import TrainingAbort
+from focusrank.errors import TrainingAbort, UsageError
 from focusrank.model import RetrievalModel
 from focusrank.rng import RandomStream
 from focusrank.tensor import Tensor
@@ -89,7 +89,7 @@ class TestTrainStep:
             model = RetrievalModel(replace(cfg, seed=3))
             opt = AdamW(model.params, cfg.lr_base, cfg.lr_fusion, cfg.weight_decay)
             report = train_step(
-                model, make_batch(cfg), cfg, opt, RandomStream(7).child("step")
+                model, make_batch(cfg), opt, RandomStream(7).child("step")
             )
             reports.append(report)
         assert reports[0] == reports[1]
@@ -104,7 +104,7 @@ class TestTrainStep:
         batch = make_batch(cfg)
         grads = []
         for summed in (False, True):
-            bundle = training_loss(model, batch, cfg, rng=RandomStream(2).child("s"))
+            bundle = training_loss(model, batch, rng=RandomStream(2).child("s"))
             model.params.zero_grad()
             if summed:
                 (bundle.combined_tensor + bundle.scale_calibration).backward()
@@ -120,7 +120,7 @@ class TestTrainStep:
         cfg = tiny_config()
         model = RetrievalModel(replace(cfg, seed=3))
         batch = make_batch(cfg)
-        bundle = training_loss(model, batch, cfg, rng=RandomStream(2).child("s"))
+        bundle = training_loss(model, batch, rng=RandomStream(2).child("s"))
         model.params.zero_grad()
         (bundle.combined_tensor + bundle.scale_calibration).backward()
         return model, batch, cfg, bundle
@@ -132,7 +132,7 @@ class TestTrainStep:
 
         model, batch, cfg, _ = self.backward_once()
         before = live_tensors()
-        bundle = training_loss(model, batch, cfg, rng=RandomStream(2).child("s"))
+        bundle = training_loss(model, batch, rng=RandomStream(2).child("s"))
         model.params.zero_grad()
         (bundle.combined_tensor + bundle.scale_calibration).backward()
         own = sum(isinstance(v, Tensor) for v in vars(bundle).values())
@@ -162,7 +162,7 @@ class TestTrainStep:
         cfg = tiny_config(seed=3, use_stage1_scores=False)
         model = RetrievalModel(cfg)
         model.params["fusion.delta_scale"].data = np.asarray(0.0)
-        bundle = training_loss(model, make_batch(cfg), cfg)
+        bundle = training_loss(model, make_batch(cfg))
         k_train = min(cfg.k, cfg.batch_size)
         assert abs(float(bundle.scale_calibration.data) - 2 * np.log(k_train)) < 1e-12
 
@@ -171,7 +171,7 @@ class TestTrainStep:
         model = RetrievalModel(replace(cfg, seed=3))
         before = {n: t.data.copy() for n, t in model.params.items()}
 
-        bundle = training_loss(model, make_batch(cfg), cfg)
+        bundle = training_loss(model, make_batch(cfg))
         model.params.zero_grad()
         bundle.combined_tensor.backward()
         grads = model.params.gradients()
@@ -189,7 +189,7 @@ class TestTrainStep:
         cfg = tiny_config(batch_size=2)
         model = RetrievalModel(replace(cfg, seed=1))
         batch = make_batch(cfg, n=2)
-        bundle = training_loss(model, batch, cfg)
+        bundle = training_loss(model, batch)
         assert np.isfinite(float(bundle.combined_tensor.data))
 
     @pytest.mark.parametrize("batch_size,width", [(2, 2), (3, 3), (4, 3), (6, 3)])
@@ -204,7 +204,7 @@ class TestTrainStep:
             return candidate_tokens(locals_, cand_indices)
 
         monkeypatch.setattr(model.fusion, "candidate_tokens", record)
-        training_loss(model, make_batch(cfg), cfg)
+        training_loss(model, make_batch(cfg))
         assert widths == [width, width]  # one row width per direction
 
     def test_loss_terms_permutation_equivariant(self):
@@ -217,10 +217,10 @@ class TestTrainStep:
                 t = model.params[name]
                 t.data = rng.normal(size=t.data.shape, scale=0.2)
         batch = make_batch(cfg, n=6)
-        a = training_loss(model, batch, cfg).report()
+        a = training_loss(model, batch).report()
         perm = np.random.default_rng(9).permutation(6)
         permuted = Batch(batch.texts[perm], batch.videos[perm], batch.item_ids[perm])
-        b = training_loss(model, permuted, cfg).report()
+        b = training_loss(model, permuted).report()
         assert abs(a.t2v - b.t2v) < 1e-12
         assert abs(a.v2t - b.v2t) < 1e-12
         assert abs(a.focus_t - b.focus_t) < 1e-12
@@ -233,7 +233,7 @@ class TestTrainStep:
         emb.data = np.full_like(emb.data, np.nan)
         opt = AdamW(model.params, cfg.lr_base, cfg.lr_fusion, cfg.weight_decay)
         with pytest.raises(TrainingAbort) as err:
-            train_step(model, make_batch(cfg), cfg, opt, RandomStream(0))
+            train_step(model, make_batch(cfg), opt, RandomStream(0))
         assert "batch items" in str(err.value)
 
     def test_gumbel_noise_changes_loss_but_not_deterministic_mode(self):
@@ -245,15 +245,15 @@ class TestTrainStep:
                 t = model.params[name]
                 t.data = rng.normal(size=t.data.shape, scale=0.2)
         batch = make_batch(cfg)
-        det1 = training_loss(model, batch, cfg).report()  # no stream: no noise
-        det2 = training_loss(model, batch, cfg).report()
+        det1 = training_loss(model, batch).report()  # no stream: no noise
+        det2 = training_loss(model, batch).report()
         assert det1 == det2
-        noisy1 = training_loss(model, batch, cfg, rng=RandomStream(1).child("a")).report()
-        noisy2 = training_loss(model, batch, cfg, rng=RandomStream(1).child("b")).report()
+        noisy1 = training_loss(model, batch, rng=RandomStream(1).child("a")).report()
+        noisy2 = training_loss(model, batch, rng=RandomStream(1).child("b")).report()
         assert noisy1.focus_t != noisy2.focus_t
         # use_gumbel=false ignores the stream.
-        cfg.use_gumbel = False
-        quiet = training_loss(model, batch, cfg, rng=RandomStream(1).child("a")).report()
+        model.cfg.use_gumbel = False
+        quiet = training_loss(model, batch, rng=RandomStream(1).child("a")).report()
         assert quiet == det1
 
 
@@ -262,7 +262,7 @@ class TestAdamW:
         cfg = tiny_config()
         model = RetrievalModel(cfg)
         opt = AdamW(model.params, lr_base=0.0, lr_fusion=1.0, weight_decay=0.0)
-        bundle = training_loss(model, make_batch(cfg), cfg)
+        bundle = training_loss(model, make_batch(cfg))
         model.params.zero_grad()
         bundle.combined_tensor.backward()
         before = {n: t.data.copy() for n, t in model.params.items()}
@@ -307,7 +307,7 @@ class TestTrainLoop:
         )
         batch = Batch(dataset.texts[order], dataset.videos[order], order)
         report = train_step(
-            manual_model, batch, cfg, opt,
+            manual_model, batch, opt,
             RandomStream(cfg.seed).child("train").child("step", 0, 0),
         )
         assert report == logs[0].report
@@ -324,6 +324,18 @@ class TestTrainLoop:
         reloaded.load(tmp_path / "model.bin")
         for name, t in model.params.items():
             assert np.array_equal(reloaded.params[name].data, t.data), name
+
+    def test_foreign_config_rejected_before_any_work(self, tmp_path):
+        # The steps read the model's own config; a second one would be ignored.
+        cfg = tiny_config(pair_count=8, cohort_size=2, batch_size=4, use_query_indicators=False)
+        dataset = generate_synthetic_pairs(spec_from_config(cfg))
+        model = RetrievalModel(cfg)
+        before = model.params.state()
+        with pytest.raises(UsageError):
+            train_loop(dataset, model, replace(cfg, use_query_indicators=True), str(tmp_path))
+        assert list(tmp_path.iterdir()) == []
+        for name, value in before.items():
+            assert np.array_equal(model.params[name].data, value), name
 
     def test_trailing_singleton_batch_dropped(self):
         cfg = tiny_config(pair_count=9, cohort_size=3, batch_size=4, epochs=1)
