@@ -9,10 +9,9 @@ the fine detail occupies a single text token and a single (per-item random)
 spatial patch position, so broad global matching tends to confuse cohort
 members while local cross-attention can separate them.
 
-Generation and encoding both run in fixed-size blocks of items on one block
-pool (`_on_pool`): the calling thread and one helper thread per further
-usable core pull blocks from one shared queue, each writing its rows straight
-into preallocated arrays. Every generated item draws only from its own keyed
+Generation and encoding both run in fixed-size blocks of items on the block
+pool (`pool.on_pool`), each block writing its rows straight into
+preallocated arrays. Every generated item draws only from its own keyed
 Philox streams (`rng`), which give the same values on any thread and in any
 order, so the order in which blocks run does not show in the bytes. Graph
 recording is switched off per thread (`tensor.no_grad`), so encoding helpers
@@ -22,14 +21,12 @@ never change the calling thread's grad mode.
 from __future__ import annotations
 
 import logging
-import os
-import queue
-import threading
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import pool
 from .config import RunConfig
 from .errors import ConfigError
 from .model import RetrievalModel
@@ -96,7 +93,7 @@ def generate_synthetic_pairs(cfg: RunConfig) -> PairedDataset:
     derives every item's streams and draws its filler tokens and needle
     position: short Python steps that hold the GIL and would only contend on
     other threads. The clips, whose cost is the GIL-free noise fills, are then
-    rendered in blocks of `BLOCK` items on the pool (`_on_pool`), each
+    rendered in blocks of `BLOCK` items on the pool (`pool.on_pool`), each
     straight into its row of the video array.
     """
     start_time = time.perf_counter()
@@ -139,7 +136,7 @@ def generate_synthetic_pairs(cfg: RunConfig) -> PairedDataset:
                 noise *= cfg.noise_level
                 clip += noise
 
-    threads = _on_pool(render, range(0, n, BLOCK))
+    threads = pool.on_pool(render, range(0, n, BLOCK))
     log.info(
         "generated %d pairs in %.3f s, threads=%d", n, time.perf_counter() - start_time, threads
     )
@@ -151,7 +148,7 @@ def encode_dataset(model: RetrievalModel, dataset: PairedDataset):
 
     The calling thread encodes each side's first block of `BLOCK` items and
     allocates the side's output arrays from its shapes. The other blocks then
-    run on the pool (`_on_pool`), each under its own `no_grad` and writing
+    run on the pool (`pool.on_pool`), each under its own `no_grad` and writing
     its rows in place. A block's arithmetic does not depend on its thread, so
     the result is bit-identical on any number of cores.
     """
@@ -170,54 +167,11 @@ def encode_dataset(model: RetrievalModel, dataset: PairedDataset):
         encode, items, out, start = task
         _write_rows(out, start, _encode_block(encode, items, start))
 
-    threads = _on_pool(encode_rows, tasks)
+    threads = pool.on_pool(encode_rows, tasks)
     log.info(
         "encoded %d pairs in %.3f s, threads=%d", n, time.perf_counter() - start_time, threads
     )
     return tuple(outputs)
-
-
-def _on_pool(work, tasks) -> int:
-    """Run `work(task)` for every task and return the number of threads used.
-
-    The calling thread and one helper thread per further usable core (CPU
-    affinity, else CPU count), but none beyond one per task after the first,
-    drain one queue of the tasks. If a task raises, the queue stops, every
-    helper is joined and the first error is re-raised.
-    """
-    pending = queue.SimpleQueue()
-    for task in tasks:
-        pending.put(task)
-    if hasattr(os, "sched_getaffinity"):
-        cores = len(os.sched_getaffinity(0))
-    else:
-        cores = os.cpu_count() or 1
-    errors: list[BaseException] = []
-
-    def drain() -> None:
-        try:
-            while not errors:
-                try:
-                    task = pending.get_nowait()
-                except queue.Empty:
-                    return
-                work(task)
-        except BaseException as exc:  # re-raised in the calling thread below
-            errors.append(exc)
-
-    helpers = []
-    try:
-        for _ in range(min(cores, len(tasks)) - 1):
-            helper = threading.Thread(target=drain, name="focusrank-pool")
-            helper.start()
-            helpers.append(helper)
-        drain()
-    finally:
-        for helper in helpers:
-            helper.join()
-    if errors:
-        raise errors[0]
-    return 1 + len(helpers)
 
 
 def _encode_block(encode, items: np.ndarray, start: int) -> list:

@@ -191,22 +191,26 @@ def train_step(
 ) -> LossReport:
     """One optimizer update; aborts with diagnostics on a non-finite loss or
     when the update leaves a parameter non-finite. `rng=None` runs fusion
-    without Gumbel noise."""
-    bundle = training_loss(model, batch, rng=rng)
-    report = bundle.report()
-    if not report.finite():
-        raise TrainingAbort(
-            f"non-finite loss {report} on batch items {batch.item_ids.tolist()}"
-        )
-    model.params.zero_grad()
-    # One backward pass for both terms: the calibration reaches only the delta
-    # scale, which the combined objective does not, so the sum's gradients are
-    # those of two separate passes.
-    objective = bundle.combined_tensor
-    if bundle.scale_calibration is not None:
-        objective = objective + bundle.scale_calibration
-    objective.backward()
-    optimizer.step()
+    without Gumbel noise.
+
+    Overflow and invalid values are not warned about: the finiteness checks
+    below report a diverging run, naming its parameters and batch items."""
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        bundle = training_loss(model, batch, rng=rng)
+        report = bundle.report()
+        if not report.finite():
+            raise TrainingAbort(
+                f"non-finite loss {report} on batch items {batch.item_ids.tolist()}"
+            )
+        model.params.zero_grad()
+        # One backward pass for both terms: the calibration reaches only the
+        # delta scale, which the combined objective does not, so the sum's
+        # gradients are those of two separate passes.
+        objective = bundle.combined_tensor
+        if bundle.scale_calibration is not None:
+            objective = objective + bundle.scale_calibration
+        objective.backward()
+        optimizer.step()
     # A finite loss can hide a diverged parameter (an infinite temperature
     # gives uniform logits); training on would only end at the checkpoint.
     broken = [name for name, t in model.params.items() if not np.isfinite(t.data).all()]

@@ -338,6 +338,21 @@ class TestExecute:
         assert "batch items" in err
         assert not (out / "model.bin").exists()
 
+    def test_diverging_training_prints_no_numpy_warning(self, tmp_path):
+        # The abort message explains the failure; overflow warnings before it do not.
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p), FOCUSRANK_LOG_LEVEL="WARNING")
+        done = subprocess.run(
+            [sys.executable, "-m", "focusrank", "train", "--out", str(tmp_path / "run"),
+             "--set", "pair_count=20", "--set", "batch_size=10",
+             "--set", "epochs=1", "--set", "lr_base=1e9", "--set", "lr_fusion=1e9"],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 1
+        assert "RuntimeWarning" not in done.stderr
+        assert done.stderr.startswith("error: parameters ['log_temperature'] hold NaN or infinite")
+
     def test_csv_outputs_byte_identical_across_runs(self, tiny_cfg_path, tmp_path):
         blobs = []
         for name in ("a", "b"):

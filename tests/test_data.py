@@ -9,7 +9,7 @@ import time
 import numpy as np
 import pytest
 
-from focusrank import data
+from focusrank import pool
 from focusrank.config import RunConfig, apply_overrides, load_config
 from focusrank.data import BLOCK, build_galleries, encode_dataset, generate_synthetic_pairs
 from focusrank.encoders import TextSequence, VideoClip
@@ -145,7 +145,7 @@ def test_generator_bytes_pinned(case):
 
 
 class TestBlockPool:
-    """Encoding and generation share one block pool (`data._on_pool`)."""
+    """Encoding and generation share one block pool (`pool.on_pool`)."""
 
     PAIRS = 60  # four blocks (of each side), the last one short
     CASES = ("encode", "generate")
@@ -167,15 +167,15 @@ class TestBlockPool:
     @pytest.mark.parametrize("case", CASES)
     def test_output_bit_identical_on_any_core_count(self, monkeypatch, case):
         threads = set()
-        pool = data._on_pool
+        on_pool = pool.on_pool
 
         def recording_pool(work, tasks):
             def recorded(task):
                 threads.add(threading.get_ident())
                 work(task)
-            return pool(recorded, tasks)
+            return on_pool(recorded, tasks)
 
-        monkeypatch.setattr(data, "_on_pool", recording_pool)
+        monkeypatch.setattr(pool, "on_pool", recording_pool)
         self.set_cores(monkeypatch, 1)
         one = self.run(case)
         assert threads == {threading.get_ident()}
@@ -200,7 +200,7 @@ class TestBlockPool:
             dataset.videos[self.PAIRS - 3, 1, 2, 0] = np.nan  # the video encoder rejects it
             fail = lambda: build_galleries(RetrievalModel(self.cfg), dataset)  # noqa: E731
         else:
-            pool = data._on_pool
+            on_pool = pool.on_pool
 
             def failing_pool(work, tasks):
                 def work_or_fail(task):
@@ -208,14 +208,27 @@ class TestBlockPool:
                         raise InputError("NaN in the last block")
                     work(task)
                     time.sleep(0.05)  # other blocks still run when the error surfaces
-                return pool(work_or_fail, tasks)
+                return on_pool(work_or_fail, tasks)
 
-            monkeypatch.setattr(data, "_on_pool", failing_pool)
+            monkeypatch.setattr(pool, "on_pool", failing_pool)
             fail = lambda: generate_synthetic_pairs(self.cfg)  # noqa: E731
         self.set_cores(monkeypatch, 4)
         before = threading.active_count()
         with pytest.raises(InputError, match="NaN"):
             fail()
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("cores", [1, 4])
+    def test_error_of_the_first_failing_task_raised(self, monkeypatch, cores):
+        def work(task):
+            if task == 0:
+                time.sleep(0.05)  # on two threads, task 1 fails first
+            raise InputError(f"task {task} failed")
+
+        self.set_cores(monkeypatch, cores)
+        before = threading.active_count()
+        with pytest.raises(InputError, match="task 0 failed"):
+            pool.on_pool(work, range(2))
         assert threading.active_count() == before
 
 

@@ -1,8 +1,15 @@
-"""Rank computation and the R@k / MdR / MnR summary."""
+"""Rank computation, the R@k / MdR / MnR summary and two-direction evaluation."""
+
+import logging
+import os
+import re
+import sys
+import threading
 
 import numpy as np
 import pytest
 
+from focusrank import metrics
 from focusrank.config import RunConfig
 from focusrank.data import build_galleries, generate_synthetic_pairs
 from focusrank.errors import InputError
@@ -144,3 +151,96 @@ def test_unknown_mode_rejected():
     with pytest.raises(InputError):
         evaluate_two_stage((globals_, None), gallery, (globals_, None), gallery, None, 4,
                            mode="focused")
+
+
+class TestConcurrentEvaluation:
+    """`evaluate_two_stage` ranks its two directions at once on the block pool,
+    then computes ranks and reports in the calling thread, t2v first."""
+
+    QUERIES = 80  # two fusion chunks per direction, the second one short
+
+    @pytest.fixture(scope="class")
+    def inputs(self):
+        cfg = RunConfig(dim=16, layers=1, vocab_size=64, text_len=6, patch_count=4,
+                        patch_dim=16, frame_count=2, mlp_hidden=16, k=3,
+                        pair_count=self.QUERIES, cohort_size=4, latent_dim=6).validate()
+        model = RetrievalModel(cfg)
+        rng = np.random.default_rng(7)
+        for name in model.params.names():  # zero-initialised: deltas would be zero
+            if name.endswith(("out_w", "out_b", "delta_scale")):
+                model.params[name].data = rng.normal(size=model.params[name].data.shape, scale=0.5)
+        text_q, video_q, videos, texts = build_galleries(model, generate_synthetic_pairs(cfg))
+        return (text_q, videos, video_q, texts), model.fusion, cfg.k
+
+    @staticmethod
+    def evaluate(monkeypatch, cores, inputs, mode, rank_queries=metrics.rank_queries):
+        """Reports, each direction's `FinalScores`, and the (thread, ranked ids)
+        of every `compute_ranks` call, with `cores` usable cores."""
+        (text_q, videos, video_q, texts), net, k = inputs
+        finals, rank_calls = {}, []
+        compute_ranks = metrics.compute_ranks
+
+        def recording_rank(globals_, focus, gallery, *args):
+            ranked = rank_queries(globals_, focus, gallery, *args)
+            finals["t2v" if gallery is videos else "v2t"] = ranked
+            return ranked
+
+        def recording_compute(ranked_ids, truth_ids):
+            rank_calls.append((threading.get_ident(), ranked_ids))
+            return compute_ranks(ranked_ids, truth_ids)
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)),
+                            raising=False)
+        monkeypatch.setattr(metrics, "rank_queries", recording_rank)
+        monkeypatch.setattr(metrics, "compute_ranks", recording_compute)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            reports = metrics.evaluate_two_stage(text_q, videos, video_q, texts, net, k, mode=mode)
+        finally:
+            sys.setswitchinterval(interval)
+        return reports, finals, rank_calls
+
+    @pytest.mark.parametrize("mode", ["broad-only", "two-stage"])
+    def test_same_bits_on_one_and_four_cores(self, monkeypatch, inputs, mode):
+        one, one_finals, _ = self.evaluate(monkeypatch, 1, inputs, mode)
+        many, many_finals, _ = self.evaluate(monkeypatch, 4, inputs, mode)
+        assert one == many
+        for direction in ("t2v", "v2t"):
+            assert len(one_finals[direction]) == self.QUERIES
+            for a, b in zip(one_finals[direction], many_finals[direction], strict=True):
+                assert a.order.tobytes() == b.order.tobytes()
+                assert a.final_score.tobytes() == b.final_score.tobytes()
+        if mode == "two-stage":  # the network reorders candidate blocks
+            _, broad, _ = self.evaluate(monkeypatch, 1, inputs, "broad-only")
+            _, _, k = inputs
+            assert any(not np.array_equal(a.order[:k], b.order[:k])
+                       for a, b in zip(one_finals["t2v"], broad["t2v"]))
+
+    @pytest.mark.parametrize("cores", [1, 4])
+    def test_ranks_computed_in_the_calling_thread_t2v_first(self, monkeypatch, inputs, cores):
+        _, finals, rank_calls = self.evaluate(monkeypatch, cores, inputs, "two-stage")
+        assert [thread for thread, _ in rank_calls] == [threading.get_ident()] * 2
+        for (_, ranked_ids), direction in zip(rank_calls, ("t2v", "v2t"), strict=True):
+            assert all(ids is f.order for ids, f in zip(ranked_ids, finals[direction], strict=True))
+
+    def test_helper_thread_ranks_a_direction_on_four_cores(self, monkeypatch, inputs):
+        threads = []
+        both_running = threading.Barrier(2, timeout=30)  # broken if the directions run in turn
+        rank_queries = metrics.rank_queries
+
+        def meeting(*args):
+            both_running.wait()
+            threads.append(threading.get_ident())
+            return rank_queries(*args)
+
+        self.evaluate(monkeypatch, 4, inputs, "two-stage", rank_queries=meeting)
+        assert len(set(threads)) == 2 and threading.get_ident() in threads
+
+    @pytest.mark.parametrize("cores", [1, 4])
+    def test_logs_time_and_threads(self, monkeypatch, inputs, caplog, cores):
+        caplog.set_level(logging.INFO, logger="focusrank.metrics")
+        self.evaluate(monkeypatch, cores, inputs, "broad-only")
+        (message,) = [r.getMessage() for r in caplog.records if r.name == "focusrank.metrics"]
+        assert re.fullmatch(rf"evaluated broad-only on {self.QUERIES} t2v and {self.QUERIES} "
+                            rf"v2t queries in \d+\.\d{{3}} s, threads={min(cores, 2)}", message)
