@@ -121,10 +121,10 @@ def _run_training(cfg: RunConfig, dataset, out_dir: Path) -> RetrievalModel:
     return model
 
 
-def _evaluate(model: RetrievalModel, dataset) -> list[MetricsReport]:
+def _evaluate(model: RetrievalModel, dataset, modes) -> list[MetricsReport]:
     text_q, video_q, video_gallery, text_gallery = build_galleries(model, dataset)
     reports = []
-    for mode in ("broad-only", "two-stage"):
+    for mode in modes:
         out = evaluate_two_stage(text_q, video_gallery, video_q, text_gallery,
                                  net=model.fusion, k=model.cfg.k, mode=mode)
         reports.extend(out.values())
@@ -159,7 +159,7 @@ def execute(cmd: argparse.Namespace) -> int:
         dataset = generate_synthetic_pairs(cfg)
 
     if cmd.verb == "eval":
-        reports = _evaluate(model, dataset)
+        reports = _evaluate(model, dataset, ("broad-only", "two-stage"))
         _write_csv(out_dir / "metrics.csv", MetricsReport.CSV_HEADER, _metrics_rows(reports))
         for r in reports:
             print(f"{r.direction} {r.stage}: R@1={r.r1:.1f} R@5={r.r5:.1f} "
@@ -233,9 +233,7 @@ def _ablate(cmd: argparse.Namespace, out_dir: Path) -> int:
         log.info("ablate %s=%s", swept_key, label)
         dataset = generate_synthetic_pairs(cfg)
         model = _run_training(cfg, dataset, run_dir)
-        reports = {(r.direction, r.stage): r for r in _evaluate(model, dataset)}
-        t2v = reports[("t2v", "two-stage")]
-        v2t = reports[("v2t", "two-stage")]
+        t2v, v2t = _evaluate(model, dataset, ("two-stage",))
         rows.append((swept_key, label,
                      _float(t2v.r1), _float(t2v.r5), _float(t2v.r10),
                      _float(t2v.mdr), _float(t2v.mnr),

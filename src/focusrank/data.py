@@ -143,8 +143,10 @@ def generate_synthetic_pairs(cfg: RunConfig) -> PairedDataset:
     return PairedDataset(texts, videos, groups)
 
 
-def encode_dataset(model: RetrievalModel, dataset: PairedDataset):
-    """Encode every pair; returns numpy (globals, focus, locals) per side.
+def build_galleries(model: RetrievalModel, dataset: PairedDataset):
+    """Encode every pair into a video gallery (t2v) and a text gallery (v2t),
+    returning (text_queries, video_queries, video_gallery, text_gallery),
+    where each queries entry is a (globals, focus) array pair.
 
     The calling thread encodes each side's first block of `BLOCK` items and
     allocates the side's output arrays from its shapes. The other blocks then
@@ -158,7 +160,7 @@ def encode_dataset(model: RetrievalModel, dataset: PairedDataset):
     outputs, tasks = [], []
     for encode, items in sides:
         first = _encode_block(encode, items, 0)
-        out = tuple(None if a is None else np.empty((n,) + a.shape[1:]) for a in first)
+        out = tuple(np.empty((n,) + a.shape[1:]) for a in first)
         _write_rows(out, 0, first)
         outputs.append(out)
         tasks += [(encode, items, out, start) for start in range(BLOCK, n, BLOCK)]
@@ -171,23 +173,16 @@ def encode_dataset(model: RetrievalModel, dataset: PairedDataset):
     log.info(
         "encoded %d pairs in %.3f s, threads=%d", n, time.perf_counter() - start_time, threads
     )
-    return tuple(outputs)
+    (tg, tf, tl), (vg, vf, vl) = outputs
+    return (tg, tf), (vg, vf), Gallery(vg, vl), Gallery(tg, tl)
 
 
 def _encode_block(encode, items: np.ndarray, start: int) -> list:
     with no_grad():
         parts = encode(items[start : start + BLOCK])
-    return [None if t is None else t.data for t in parts]
+    return [t.data for t in parts]
 
 
 def _write_rows(out, start: int, parts) -> None:
     for array, part in zip(out, parts):
-        if array is not None:
-            array[start : start + len(part)] = part
-
-
-def build_galleries(model: RetrievalModel, dataset: PairedDataset):
-    """Encode the dataset into a video gallery (t2v) and text gallery (v2t),
-    returning (text_queries, video_queries, video_gallery, text_gallery)."""
-    (tg, tf, tl), (vg, vf, vl) = encode_dataset(model, dataset)
-    return (tg, tf), (vg, vf), Gallery(vg, vl), Gallery(tg, tl)
+        array[start : start + len(part)] = part

@@ -130,13 +130,13 @@ class _EncoderTrunk:
             params.add(f"{side}.layer{i}.bind.out_w", np.zeros((c, c)))
             params.add(f"{side}.layer{i}.bind.out_b", np.zeros(c))
 
-    def __call__(self, embed, inputs) -> tuple[Tensor, Tensor | None]:
+    def __call__(self, embed, inputs) -> tuple[Tensor, Tensor]:
         """Run the stack over the (B, S, C) tokens `embed(inputs)`.
 
-        Returns (token states (B, S, C), indicators (B, m, C) or None without
-        query indicators). The tokens are built here, not passed in, because
-        a caller holds its call arguments until the call returns: passed-in
-        tokens would stay alive through every layer.
+        Returns (token states (B, S, C), indicators (B, m, C), or (B, 0, C)
+        without query indicators). The tokens are built here, not passed in,
+        because a caller holds its call arguments until the call returns:
+        passed-in tokens would stay alive through every layer.
         """
         p, cfg = self.params, self.cfg
         x = embed(inputs)
@@ -148,7 +148,7 @@ class _EncoderTrunk:
                 indicators = bind_query_indicators(
                     indicators, x, p[f"{bind}.out_w"], p[f"{bind}.out_b"]
                 )
-        return x, indicators if cfg.use_query_indicators else None
+        return x, indicators if cfg.use_query_indicators else x[:, :0, :]
 
     def _self_attention(self, x: Tensor, prefix: str) -> Tensor:
         # A call of its own, so the (B, S, C) temporaries are freed before binding.
@@ -180,8 +180,10 @@ class TextEncoder:
     def forward(self, tokens: np.ndarray):
         """Encode a (B, M) batch of token ids.
 
-        Returns (global (B, C) unit rows, focus (B, m-1, C) or None, locals (B, M, C)).
-        Every token of every row is attended to: the batch holds no padding.
+        Returns (global (B, C) unit rows, focus (B, m-1, C), locals (B, M, C)).
+        The global is indicator 0, or the mean of the token states without
+        query indicators. Every token of every row is attended to: the batch
+        holds no padding.
         """
         tokens = _typed_array(tokens, np.int64, "token batch")
         if tokens.ndim != 2 or tokens.shape[1] == 0:
@@ -193,13 +195,8 @@ class TextEncoder:
         if tokens.min() < 0 or tokens.max() >= self.cfg.vocab_size:
             raise InputError("token id outside vocabulary")
         x, indicators = self.trunk(self._input_tokens, tokens)
-        if indicators is not None:
-            global_vec = normalize_rows(indicators[:, 0, :])
-            focus = indicators[:, 1:, :]
-        else:
-            global_vec = normalize_rows(x.mean(axis=1))
-            focus = None
-        return global_vec, focus, x
+        pooled = indicators[:, 0, :] if self.cfg.use_query_indicators else x.mean(axis=1)
+        return normalize_rows(pooled), indicators[:, 1:, :], x
 
     def _input_tokens(self, tokens: np.ndarray) -> Tensor:
         """(B, M, C) token plus position embeddings."""
@@ -234,7 +231,7 @@ class VideoEncoder:
     def forward(self, clips: np.ndarray):
         """Encode a (B, T, P^2, D) batch of patch-feature grids.
 
-        Returns (global (B, C) unit rows, focus (B, m-1, C) or None,
+        Returns (global (B, C) unit rows, focus (B, m-1, C),
         locals (B, P^2, C) after temporal mean pooling).
         """
         clips = _typed_array(clips, np.float64, "clip batch")
@@ -255,9 +252,7 @@ class VideoEncoder:
         x, indicators = self.trunk(self._input_tokens, clips)
         global_vec = normalize_rows(x[:, 0, :])
         patch_states = x[:, 1:, :].reshape(b, t, n_patches, cfg.dim)
-        locals_ = temporal_mean_pool(patch_states)
-        focus = None if indicators is None else indicators[:, 1:, :]
-        return global_vec, focus, locals_
+        return global_vec, indicators[:, 1:, :], temporal_mean_pool(patch_states)
 
     def _input_tokens(self, clips: np.ndarray) -> Tensor:
         """(B, 1 + T*P^2, C): the global token, then the projected patches plus

@@ -16,6 +16,9 @@ from .rng import RandomStream
 from .tensor import Tensor, layer_norm, no_grad
 from .training import Batch, training_loss
 
+# Central-difference step of every check; `focusrank gradcheck` output is pinned at it.
+EPS = 1e-5
+
 
 @dataclass
 class GradCheckResult:
@@ -30,21 +33,15 @@ class GradCheckResult:
         return self.max_rel_error < tol
 
 
-def check_gradients(
-    loss_fn,
-    params: ParameterSet,
-    eps: float = 1e-5,
-    name: str = "loss",
-) -> GradCheckResult:
-    """Compare tape gradients of `loss_fn()` against central finite differences.
+def check_gradients(loss_fn, params: ParameterSet, name: str = "loss") -> GradCheckResult:
+    """Compare tape gradients of `loss_fn()` against central finite differences
+    of step `EPS`.
 
     `loss_fn` must rebuild the forward computation from the current parameter
     values and return a scalar Tensor. Relative error per coordinate uses the
     denominator max(|analytic|, |numeric|, 1e-8). The finite-difference
     forwards record no graph.
     """
-    if not 1e-7 <= eps <= 1e-4:
-        raise UsageError(f"eps must lie in [1e-7, 1e-4], got {eps}")
     params.zero_grad()
     loss = loss_fn()
     if not isinstance(loss, Tensor) or loss.data.shape != ():
@@ -61,12 +58,12 @@ def check_gradients(
         for i in range(flat.size):
             orig = flat[i]
             with no_grad():
-                flat[i] = orig + eps
+                flat[i] = orig + EPS
                 f_plus = float(loss_fn().data)
-                flat[i] = orig - eps
+                flat[i] = orig - EPS
                 f_minus = float(loss_fn().data)
             flat[i] = orig
-            numeric = (f_plus - f_minus) / (2.0 * eps)
+            numeric = (f_plus - f_minus) / (2.0 * EPS)
             a_i = a.reshape(-1)[i]
             denom = max(abs(a_i), abs(numeric), 1e-8)
             worst = max(worst, abs(a_i - numeric) / denom)

@@ -13,7 +13,7 @@ import numpy as np
 
 from . import pool
 from .errors import InputError
-from .pipeline import Gallery, rank_queries
+from .pipeline import FUSION_CHUNK, Gallery, rank_queries
 
 log = logging.getLogger(__name__)
 
@@ -84,36 +84,49 @@ def evaluate_two_stage(
     `video_queries` are (globals, focus_indicators) array pairs; truth
     defaults to index-aligned pairing (query i's true item is gallery entry i).
 
-    The two directions are independent `rank_queries` calls and run at once
-    on the block pool (`pool.on_pool`). Ranks and reports are then computed
-    in the calling thread, t2v first, so the results are the same on any
-    number of cores.
+    The queries are ranked `FUSION_CHUNK` at a time, so only one chunk's
+    rankings are held, whatever the query count. For each chunk the two
+    directions are independent `rank_queries` calls and run at once on the
+    block pool (`pool.on_pool`). Their ranks are then computed in the calling
+    thread, t2v first, so the results are the same on any number of cores.
     """
     start_time = time.perf_counter()
     if mode not in ("broad-only", "two-stage"):
         raise InputError(f"unknown mode {mode!r}")
     if mode == "broad-only":
         net = None
-    directions = [
+    directions = []
+    for direction, (globals_, focus), gallery, truth in (
         ("t2v", text_queries, video_gallery, truth_t2v),
         ("v2t", video_queries, text_gallery, truth_v2t),
-    ]
+    ):
+        if truth is None:
+            truth = range(len(globals_))
+        if len(truth) != len(globals_):
+            raise InputError("one truth id required per query")
+        if np.ndim(focus) != 3 or len(focus) != len(globals_):
+            raise InputError("one (m-1, C) set of focus indicators required per query")
+        directions.append((direction, globals_, focus, gallery, truth))
+    ranks = {direction: np.empty(len(globals_), dtype=np.int64)
+             for direction, globals_, *_ in directions}
     finals: dict[str, list] = {}
 
     def rank(task) -> None:
-        direction, (globals_, focus), gallery, _ = task
-        finals[direction] = rank_queries(globals_, focus, gallery, net, k)
+        (direction, globals_, focus, gallery, _), rows = task
+        finals[direction] = rank_queries(globals_[rows], focus[rows], gallery, net, k)
 
-    threads = pool.on_pool(rank, directions)
-    reports: dict[str, MetricsReport] = {}
-    for direction, (globals_, _), _, truth in directions:
-        if truth is None:
-            truth = range(len(globals_))
-        ranks = compute_ranks([f.order for f in finals[direction]], truth)
-        reports[direction] = summarize(ranks, direction, mode)
+    threads = 0
+    for start in range(0, max(map(len, ranks.values())), FUSION_CHUNK):
+        rows = slice(start, start + FUSION_CHUNK)
+        tasks = [d for d in directions if start < len(d[1])]
+        threads = max(threads, pool.on_pool(rank, [(d, rows) for d in tasks]))
+        for direction, *_, truth in tasks:
+            ranks[direction][rows] = compute_ranks(
+                [f.order for f in finals.pop(direction)], truth[rows]
+            )
     log.info(
         "evaluated %s on %d t2v and %d v2t queries in %.3f s, threads=%d",
         mode, len(text_queries[0]), len(video_queries[0]), time.perf_counter() - start_time,
         threads,
     )
-    return reports
+    return {direction: summarize(r, direction, mode) for direction, r in ranks.items()}

@@ -46,8 +46,7 @@ class RetrievalModel:
     def _encode_one(self, encode_batch, item: np.ndarray) -> EncodedItem:
         with no_grad():
             g, focus, _ = encode_batch(item[None])
-        focus = np.zeros((0, self.cfg.dim)) if focus is None else focus.data[0].copy()
-        return EncodedItem(g.data[0].copy(), focus)
+        return EncodedItem(g.data[0].copy(), focus.data[0].copy())
 
     def save(self, path) -> None:
         save_parameters(self.params, path)

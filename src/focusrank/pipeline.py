@@ -287,7 +287,7 @@ def rank_full(query: EncodedItem, gallery: Gallery, net: FusionNetwork | None,
 
 def rank_queries(
     query_globals: np.ndarray,
-    query_focus: np.ndarray | None,
+    query_focus: np.ndarray,
     gallery: Gallery,
     net: FusionNetwork | None,
     k: int,
@@ -307,9 +307,9 @@ def rank_queries(
     if net is not None and not net.cfg.use_query_indicators:
         net = None  # no indicators, nothing to fuse: stage 1 ranks alone
     if net is not None:
-        if query_focus is None:
-            raise InputError("two-stage ranking needs query focus indicators")
         query_focus = np.asarray(query_focus, dtype=np.float64)
+        if query_focus.ndim != 3:
+            raise InputError("two-stage ranking needs (Q, m-1, C) query focus indicators")
         if len(query_focus) != len(query_globals):
             raise DimensionError("one set of focus indicators required per query")
         _require_finite(query_focus, "query focus indicators")

@@ -39,6 +39,7 @@ class LossBundle:
     only the delta scale. The spec's focused loss reads the raw logits and
     therefore leaves the scale without any gradient; this term calibrates it
     toward values that make the composed re-ranking put the true candidate first.
+    Without query indicators it is a constant zero, like both focused terms.
     """
 
     t2v: Tensor
@@ -46,7 +47,7 @@ class LossBundle:
     focus_t: Tensor
     focus_v: Tensor
     combined_tensor: Tensor
-    scale_calibration: Tensor | None = None
+    scale_calibration: Tensor
 
     def report(self) -> LossReport:
         return LossReport(
@@ -104,7 +105,7 @@ def training_loss(
     else:
         l_focus_t = Tensor(0.0)
         l_focus_v = Tensor(0.0)
-        calibration = None
+        calibration = Tensor(0.0)
 
     combined = combined_loss(l_t2v, l_v2t, l_focus_v, l_focus_t)
     return LossBundle(l_t2v, l_v2t, l_focus_t, l_focus_v, combined, calibration)
@@ -206,10 +207,7 @@ def train_step(
         # One backward pass for both terms: the calibration reaches only the
         # delta scale, which the combined objective does not, so the sum's
         # gradients are those of two separate passes.
-        objective = bundle.combined_tensor
-        if bundle.scale_calibration is not None:
-            objective = objective + bundle.scale_calibration
-        objective.backward()
+        (bundle.combined_tensor + bundle.scale_calibration).backward()
         optimizer.step()
     # A finite loss can hide a diverged parameter (an infinite temperature
     # gives uniform logits); training on would only end at the checkpoint.

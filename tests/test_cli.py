@@ -187,6 +187,23 @@ class TestExecute:
         assert [r[1] for r in rows[1:]] == ["2", "3"]
         assert generated == [2, 3]  # each row trains and evaluates on one dataset
 
+    def test_ablate_evaluates_two_stage_once_per_row(self, tiny_cfg_path, tmp_path, capsys,
+                                                     monkeypatch):
+        # A row writes only two-stage reports, so it ranks no other mode.
+        modes = []
+        evaluate = cli.evaluate_two_stage
+
+        def counting(*args, **kwargs):
+            modes.append(kwargs.get("mode", "two-stage"))
+            return evaluate(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "evaluate_two_stage", counting)
+        out = tmp_path / "ab"
+        code = execute(parse_args(["ablate", "--config", tiny_cfg_path, "--out", str(out),
+                                   "--set", "k=2,3"]))
+        assert code == 0
+        assert modes == ["two-stage", "two-stage"]
+
     def test_ablate_sweep_labels_carry_no_spaces(self, tiny_cfg_path, tmp_path, capsys):
         out = tmp_path / "ab"
         code = execute(parse_args(["ablate", "--config", tiny_cfg_path, "--out", str(out),

@@ -11,7 +11,7 @@ import pytest
 
 from focusrank import pool
 from focusrank.config import RunConfig, apply_overrides, load_config
-from focusrank.data import BLOCK, build_galleries, encode_dataset, generate_synthetic_pairs
+from focusrank.data import BLOCK, build_galleries, generate_synthetic_pairs
 from focusrank.encoders import TextSequence, VideoClip
 from focusrank.errors import ConfigError, InputError
 from focusrank.model import RetrievalModel
@@ -158,7 +158,8 @@ class TestBlockPool:
         dataset = generate_synthetic_pairs(self.cfg)
         if case == "generate":
             return dataset.texts, dataset.videos, dataset.groups
-        return [a for side in encode_dataset(RetrievalModel(self.cfg), dataset) for a in side]
+        text_q, video_q, videos, texts = build_galleries(RetrievalModel(self.cfg), dataset)
+        return [*text_q, *video_q, videos.locals_, texts.locals_]
 
     @staticmethod
     def set_cores(monkeypatch, cores):
@@ -246,6 +247,23 @@ def test_single_item_encoding_equals_its_batched_row():
         ):
             assert item.global_vec.tobytes() == global_vec.tobytes()
             assert item.focus_indicators.tobytes() == focus.tobytes()
+
+
+def test_model_without_indicators_encodes_width_zero_focus_in_both_paths():
+    """Without query indicators, one item's focus and its row of
+    `build_galleries`' focus take one form: a (0, C) array."""
+    cfg = small_config(use_query_indicators=False)
+    model = RetrievalModel(cfg)
+    dataset = generate_synthetic_pairs(cfg)
+    (_, tf), (_, vf), _, _ = build_galleries(model, dataset)
+    assert tf.shape == vf.shape == (cfg.pair_count, 0, cfg.dim)
+    for i in (0, cfg.pair_count - 1):
+        for item, focus in (
+            (model.encode_text(TextSequence(dataset.texts[i])), tf[i]),
+            (model.encode_video(VideoClip(dataset.videos[i])), vf[i]),
+        ):
+            assert item.focus_indicators.shape == focus.shape == (0, cfg.dim)
+            assert item.focus_indicators.dtype == focus.dtype == np.float64
 
 
 def make_gallery(n=6, c=8, n_local=3):

@@ -5,6 +5,7 @@ import os
 import re
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from focusrank.errors import InputError
 from focusrank.metrics import compute_ranks, evaluate_two_stage, summarize
 from focusrank.model import RetrievalModel
 from focusrank.ops import ParameterSet
-from focusrank.pipeline import FusionNetwork, Gallery
+from focusrank.pipeline import FUSION_CHUNK, FusionNetwork, Gallery, rank_queries
 from focusrank.rng import RandomStream
 
 RNG = np.random.default_rng(53)
@@ -132,13 +133,13 @@ def test_two_stage_evaluation_without_focus_rejected():
 
 
 def test_model_without_indicators_evaluates_by_stage1():
-    # Its encoders give no focus indicators, and its network re-ranks nothing.
+    # Its encoders give width-0 focus indicators, and its network re-ranks nothing.
     cfg = RunConfig(dim=16, layers=1, vocab_size=64, text_len=6, patch_count=4, patch_dim=16,
                     frame_count=2, mlp_hidden=16, k=3, pair_count=12, cohort_size=3,
                     latent_dim=6, use_query_indicators=False).validate()
     model = RetrievalModel(cfg)
     text_q, video_q, videos, texts = build_galleries(model, generate_synthetic_pairs(cfg))
-    assert text_q[1] is None and video_q[1] is None
+    assert text_q[1].shape == video_q[1].shape == (cfg.pair_count, 0, cfg.dim)
     for mode in ("broad-only", "two-stage"):
         got = evaluate_two_stage(text_q, videos, video_q, texts, model.fusion, cfg.k, mode=mode)
         assert got == evaluate_two_stage(text_q, videos, video_q, texts, None, cfg.k, mode=mode)
@@ -153,11 +154,79 @@ def test_unknown_mode_rejected():
                            mode="focused")
 
 
+def random_evaluation_inputs(cfg, t2v_queries, v2t_queries, gallery_size, seed):
+    """Random (t2v queries, video gallery, v2t queries, text gallery) of
+    `cfg`'s shapes, and a fusion network whose zero-initialised parameters
+    hold random values, so that re-ranking moves candidates."""
+    rng = np.random.default_rng(seed)
+
+    def unit(n):
+        x = rng.normal(size=(n, cfg.dim))
+        return x / np.linalg.norm(x, axis=1, keepdims=True)
+
+    def queries(n):
+        return unit(n), rng.normal(size=(n, cfg.indicator_count - 1, cfg.dim))
+
+    inputs = (
+        queries(t2v_queries),
+        Gallery(unit(gallery_size), rng.normal(size=(gallery_size, cfg.patch_count, cfg.dim))),
+        queries(v2t_queries),
+        Gallery(unit(gallery_size), rng.normal(size=(gallery_size, cfg.text_len, cfg.dim))),
+    )
+    net = FusionNetwork(ParameterSet(), cfg, RandomStream(seed))
+    for name in net.params.names():
+        if name.endswith(("out_w", "out_b", "delta_scale")):
+            net.params[name].data = rng.normal(size=net.params[name].data.shape, scale=0.5)
+    return inputs, net
+
+
+@pytest.mark.parametrize("mode", ["broad-only", "two-stage"])
+def test_evaluation_ranks_a_chunk_at_a_time(monkeypatch, mode):
+    # Directions of different lengths, and truth that is not the query index.
+    cfg = RunConfig(dim=8, k=4, mlp_hidden=16, patch_count=3, text_len=5).validate()
+    counts = {"t2v": 2 * FUSION_CHUNK + 2, "v2t": FUSION_CHUNK - 5}
+    (text_q, videos, video_q, texts), net = random_evaluation_inputs(
+        cfg, counts["t2v"], counts["v2t"], gallery_size=150, seed=3)
+    rng = np.random.default_rng(4)
+    truth = {d: rng.permutation(150)[:count].tolist() for d, count in counts.items()}
+    sizes = []
+
+    def recording(globals_, *args):
+        sizes.append(len(globals_))
+        return rank_queries(globals_, *args)
+
+    monkeypatch.setattr(metrics, "rank_queries", recording)
+    got = evaluate_two_stage(text_q, videos, video_q, texts, net, cfg.k, mode=mode,
+                             truth_t2v=truth["t2v"], truth_v2t=truth["v2t"])
+    assert max(sizes) <= FUSION_CHUNK and sum(sizes) == sum(counts.values())
+    network = net if mode == "two-stage" else None
+    for direction, (globals_, focus), gallery in (("t2v", text_q, videos), ("v2t", video_q, texts)):
+        finals = rank_queries(globals_, focus, gallery, network, cfg.k)
+        ranks = compute_ranks([f.order for f in finals], truth[direction])
+        assert got[direction] == summarize(ranks, direction, mode)
+
+
+@pytest.mark.parametrize("mode", ["broad-only", "two-stage"])
+def test_evaluation_memory_does_not_grow_with_every_query(mode):
+    # Holding every query's four (N,) arrays peaks at 26-31 MB here.
+    cfg = RunConfig().validate()
+    (text_q, videos, video_q, texts), net = random_evaluation_inputs(cfg, 640, 640, 640, seed=5)
+    tracemalloc.start()
+    try:
+        evaluate_two_stage(text_q, videos, video_q, texts, net, cfg.k, mode=mode)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 15e6
+
+
 class TestConcurrentEvaluation:
-    """`evaluate_two_stage` ranks its two directions at once on the block pool,
-    then computes ranks and reports in the calling thread, t2v first."""
+    """`evaluate_two_stage` ranks each chunk's two directions at once on the
+    block pool, then computes the chunk's ranks in the calling thread, t2v
+    first."""
 
     QUERIES = 80  # two fusion chunks per direction, the second one short
+    CHUNKS = 2
 
     @pytest.fixture(scope="class")
     def inputs(self):
@@ -174,15 +243,16 @@ class TestConcurrentEvaluation:
 
     @staticmethod
     def evaluate(monkeypatch, cores, inputs, mode, rank_queries=metrics.rank_queries):
-        """Reports, each direction's `FinalScores`, and the (thread, ranked ids)
-        of every `compute_ranks` call, with `cores` usable cores."""
+        """Reports, each direction's `FinalScores` per `rank_queries` call, and
+        the (thread, ranked ids) of every `compute_ranks` call, with `cores`
+        usable cores."""
         (text_q, videos, video_q, texts), net, k = inputs
-        finals, rank_calls = {}, []
+        chunks, rank_calls = {"t2v": [], "v2t": []}, []
         compute_ranks = metrics.compute_ranks
 
         def recording_rank(globals_, focus, gallery, *args):
             ranked = rank_queries(globals_, focus, gallery, *args)
-            finals["t2v" if gallery is videos else "v2t"] = ranked
+            chunks["t2v" if gallery is videos else "v2t"].append(ranked)
             return ranked
 
         def recording_compute(ranked_ids, truth_ids):
@@ -199,30 +269,37 @@ class TestConcurrentEvaluation:
             reports = metrics.evaluate_two_stage(text_q, videos, video_q, texts, net, k, mode=mode)
         finally:
             sys.setswitchinterval(interval)
-        return reports, finals, rank_calls
+        return reports, chunks, rank_calls
+
+    @staticmethod
+    def finals(chunks, direction):
+        return [f for ranked in chunks[direction] for f in ranked]
 
     @pytest.mark.parametrize("mode", ["broad-only", "two-stage"])
     def test_same_bits_on_one_and_four_cores(self, monkeypatch, inputs, mode):
-        one, one_finals, _ = self.evaluate(monkeypatch, 1, inputs, mode)
-        many, many_finals, _ = self.evaluate(monkeypatch, 4, inputs, mode)
+        one, one_chunks, _ = self.evaluate(monkeypatch, 1, inputs, mode)
+        many, many_chunks, _ = self.evaluate(monkeypatch, 4, inputs, mode)
         assert one == many
         for direction in ("t2v", "v2t"):
-            assert len(one_finals[direction]) == self.QUERIES
-            for a, b in zip(one_finals[direction], many_finals[direction], strict=True):
+            assert len(one_chunks[direction]) == self.CHUNKS
+            one_finals = self.finals(one_chunks, direction)
+            assert len(one_finals) == self.QUERIES
+            for a, b in zip(one_finals, self.finals(many_chunks, direction), strict=True):
                 assert a.order.tobytes() == b.order.tobytes()
                 assert a.final_score.tobytes() == b.final_score.tobytes()
         if mode == "two-stage":  # the network reorders candidate blocks
             _, broad, _ = self.evaluate(monkeypatch, 1, inputs, "broad-only")
             _, _, k = inputs
             assert any(not np.array_equal(a.order[:k], b.order[:k])
-                       for a, b in zip(one_finals["t2v"], broad["t2v"]))
+                       for a, b in zip(self.finals(one_chunks, "t2v"), self.finals(broad, "t2v")))
 
     @pytest.mark.parametrize("cores", [1, 4])
     def test_ranks_computed_in_the_calling_thread_t2v_first(self, monkeypatch, inputs, cores):
-        _, finals, rank_calls = self.evaluate(monkeypatch, cores, inputs, "two-stage")
-        assert [thread for thread, _ in rank_calls] == [threading.get_ident()] * 2
-        for (_, ranked_ids), direction in zip(rank_calls, ("t2v", "v2t"), strict=True):
-            assert all(ids is f.order for ids, f in zip(ranked_ids, finals[direction], strict=True))
+        _, chunks, rank_calls = self.evaluate(monkeypatch, cores, inputs, "two-stage")
+        assert [thread for thread, _ in rank_calls] == [threading.get_ident()] * 2 * self.CHUNKS
+        expected = [chunks[d][c] for c in range(self.CHUNKS) for d in ("t2v", "v2t")]
+        for (_, ranked_ids), finals in zip(rank_calls, expected, strict=True):
+            assert all(ids is f.order for ids, f in zip(ranked_ids, finals, strict=True))
 
     def test_helper_thread_ranks_a_direction_on_four_cores(self, monkeypatch, inputs):
         threads = []
@@ -235,7 +312,9 @@ class TestConcurrentEvaluation:
             return rank_queries(*args)
 
         self.evaluate(monkeypatch, 4, inputs, "two-stage", rank_queries=meeting)
-        assert len(set(threads)) == 2 and threading.get_ident() in threads
+        pairs = [threads[i : i + 2] for i in range(0, len(threads), 2)]
+        assert len(pairs) == self.CHUNKS
+        assert all(len(set(pair)) == 2 and threading.get_ident() in pair for pair in pairs)
 
     @pytest.mark.parametrize("cores", [1, 4])
     def test_logs_time_and_threads(self, monkeypatch, inputs, caplog, cores):
