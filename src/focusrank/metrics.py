@@ -82,7 +82,8 @@ def evaluate_two_stage(
     `mode` is "broad-only" (stage 1 alone, `net` unused) or "two-stage"
     (`net` re-ranks as `rank_queries` decides). `text_queries` /
     `video_queries` are (globals, focus_indicators) array pairs; truth
-    defaults to index-aligned pairing (query i's true item is gallery entry i).
+    defaults to index-aligned pairing (query i's true item is gallery entry i);
+    an id that is not an integer in [0, N) raises before anything is ranked.
 
     The queries are ranked `FUSION_CHUNK` at a time, so only one chunk's
     rankings are held, whatever the query count. For each chunk the two
@@ -100,10 +101,12 @@ def evaluate_two_stage(
         ("t2v", text_queries, video_gallery, truth_t2v),
         ("v2t", video_queries, text_gallery, truth_v2t),
     ):
-        if truth is None:
-            truth = range(len(globals_))
+        truth = np.asarray(range(len(globals_)) if truth is None else truth)
         if len(truth) != len(globals_):
             raise InputError("one truth id required per query")
+        size = len(gallery.globals_)
+        if len(truth) and (truth.dtype.kind not in "iu" or truth.min() < 0 or truth.max() >= size):
+            raise InputError(f"{direction} truth ids must be integers in [0, {size})")
         if np.ndim(focus) != 3 or len(focus) != len(globals_):
             raise InputError("one (m-1, C) set of focus indicators required per query")
         directions.append((direction, globals_, focus, gallery, truth))

@@ -104,23 +104,23 @@ def stage1_order(scores: np.ndarray) -> np.ndarray:
     """Indices sorting each row of (N,) or (Q, N) scores descending, ties by
     ascending index; one value sort for the whole array.
 
-    Ties are equal computed scores (0.0 and -0.0 too): identical gallery rows
-    that score an ulp apart rank by score. Each key is `0.0 - score`, which
-    is `-score + 0.0` (both zeros become 0.0), with its low
-    `(N-1).bit_length()` bits replaced by the entry's index, so one `np.sort`
-    of the keys carries every row's order in their low bits. Keys of finite
-    scores are finite and pairwise distinct (only index 0 can make a zero),
-    so the sort returns them permuted.
-
-    Exactness rests on a per-row check, not on the packing: the row's exact
-    scores gathered in the new order must fall strictly. Then the indices are
-    distinct, so they are a permutation, and the unique one sorting the row;
-    it equals the stable order. Otherwise (a tie, two keys that differ only
-    in the replaced bits, or a non-finite score, whose packed key can be NaN)
-    the row is sorted by the stable `lexsort`. The result does not depend on
-    the numpy version; the speed does (a vectorised `np.sort` beats `argsort`).
+    Ties are equal computed scores (0.0 and -0.0 too). Each key is
+    `0.0 - score` (both zeros become 0.0) with its low `(N-1).bit_length()`
+    bits replaced by the entry's index, so one `np.sort` of the keys carries
+    every row's order in their low bits. The bits above them, a finite key's
+    high part, fix its sign, exponent and top mantissa bits: the keys sharing
+    a high part fill a float interval that no other high part's keys enter
+    (only index 0 packs to a zero), so they are neighbours after the sort. If
+    no neighbours share a high part, all high parts differ and order the
+    packed keys as the true keys, strictly: the sort is the row's unique
+    order, equal to the stable one. A row with a clash (a tie, or keys that
+    differ only in the index bits) or a non-finite score (whose packed key
+    can be NaN) is sorted again by the stable `lexsort`. The result does not
+    depend on the numpy version; the speed does (`np.sort` beats `argsort`).
     """
     scores = np.asarray(scores, dtype=np.float64)
+    if scores.ndim not in (1, 2):
+        raise DimensionError(f"stage-1 scores must be (N,) or (Q, N), not {scores.shape}")
     rows = np.atleast_2d(scores)
     n = rows.shape[1]
     low = (1 << max(n - 1, 0).bit_length()) - 1
@@ -129,18 +129,14 @@ def stage1_order(scores: np.ndarray) -> np.ndarray:
     packed &= ~low
     packed |= np.arange(n)
     keys.sort(axis=-1)
-    packed &= low
+    high = packed & ~low
     # Any NaN or inf makes its row's sum non-finite; an overflow only costs a fallback.
     with np.errstate(invalid="ignore", over="ignore"):
-        finite = np.isfinite(rows.sum(axis=-1))
-    ranked = np.empty(n)
-    falling = np.empty(max(n - 1, 0), dtype=bool)
-    for row, order, exact in zip(rows, packed, finite):
-        if exact:
-            np.take(row, order, out=ranked)
-            if np.greater(ranked[:-1], ranked[1:], out=falling).all():
-                continue
-        order[:] = np.lexsort((np.arange(n), -row))
+        redo = ~np.isfinite(rows.sum(axis=-1))
+    redo |= (high[:, 1:] == high[:, :-1]).any(axis=-1)
+    packed &= low
+    for row in np.flatnonzero(redo):
+        packed[row] = np.lexsort((np.arange(n), -rows[row]))
     return packed.reshape(scores.shape)
 
 
@@ -269,13 +265,14 @@ def compose_scores(
     block, scores = candidates.indices, candidates.scores
     if deltas.ndim != 2 or deltas.shape != block.shape:
         raise DimensionError(f"{deltas.shape} deltas for {block.shape} candidates")
-    refined = (np.take_along_axis(scores, block, axis=1) if include_stage1 else 0.0) + deltas
+    rows = np.arange(len(block))[:, None]
+    refined = (scores[rows, block] if include_stage1 else 0.0) + deltas
     order = candidates.order.copy()
-    order[:, : candidates.k] = np.take_along_axis(block, np.lexsort((block, -refined)), 1)
+    order[:, : candidates.k] = block[rows, np.lexsort((block, -refined))]
     final_score = scores.copy()
-    np.put_along_axis(final_score, block, refined, axis=1)
+    final_score[rows, block] = refined
     delta = np.zeros(scores.shape)
-    np.put_along_axis(delta, block, deltas, axis=1)
+    delta[rows, block] = deltas
     return [FinalScores(*row) for row in zip(order, final_score, scores, delta)]
 
 

@@ -154,6 +154,20 @@ def test_unknown_mode_rejected():
                            mode="focused")
 
 
+@pytest.mark.parametrize("bad", [{"truth_t2v": [0, 1, 5]}, {"truth_v2t": [0, -1, 2]},
+                                 {"truth_t2v": [0.0, 1.0, 2.0]}, {"truth_v2t": [True, False, True]}])
+def test_truth_outside_gallery_rejected_before_ranking(monkeypatch, bad):
+    globals_ = RNG.normal(size=(3, 8))
+    globals_ /= np.linalg.norm(globals_, axis=1, keepdims=True)
+    gallery = Gallery(globals_, RNG.normal(size=(3, 2, 8)))
+    queries = (globals_, np.zeros((3, 0, 8)))
+    calls = []
+    monkeypatch.setattr(metrics, "rank_queries", lambda *args: calls.append(args))
+    with pytest.raises(InputError, match=r"truth ids must be integers in \[0, 3\)"):
+        evaluate_two_stage(queries, gallery, queries, gallery, None, 2, **bad)
+    assert calls == []
+
+
 def random_evaluation_inputs(cfg, t2v_queries, v2t_queries, gallery_size, seed):
     """Random (t2v queries, video gallery, v2t queries, text gallery) of
     `cfg`'s shapes, and a fusion network whose zero-initialised parameters

@@ -146,6 +146,17 @@ def packed_keys_collide(row):
     return len(np.unique(high)) < len(row)
 
 
+def counting_lexsort(calls):
+    """An `np.lexsort` that appends the length of each row it sorts to `calls`."""
+    lexsort = np.lexsort
+
+    def counting(keys):
+        calls.append(len(keys[0]))
+        return lexsort(keys)
+
+    return counting
+
+
 class TestStage1Order:
     @settings(deadline=None, max_examples=200)
     @given(
@@ -188,24 +199,18 @@ class TestStage1Order:
             scores[:, dst] = np.nextafter(scores[:, src], np.inf)
         expected = [stable_order(row) for row in scores]
         calls = []
-        lexsort = np.lexsort
-
-        def counting(keys):
-            calls.append(len(keys[0]))
-            return lexsort(keys)
-
-        with mock.patch.object(np, "lexsort", counting):
+        with mock.patch.object(np, "lexsort", counting_lexsort(calls)):
             got = stage1_order(scores)
         assert got.shape == scores.shape
         for row, want in zip(got, expected):
             np.testing.assert_array_equal(row, want)
-        # The stable sort runs on every row holding a tie (0.0 against -0.0
-        # too) or a non-finite score, and on no row whose packed keys differ
-        # above the index bits.
+        # The stable sort runs on exactly the rows whose packed keys agree
+        # above the index bits, every row holding a tie (0.0 against -0.0
+        # too) among them, and on the rows holding a non-finite score.
         irregular = [not np.isfinite(row).all() for row in scores]
         tied = sum(bad or len(np.unique(row)) < n for row, bad in zip(scores, irregular))
         colliding = sum(bad or packed_keys_collide(row) for row, bad in zip(scores, irregular))
-        assert tied <= len(calls) <= colliding
+        assert tied <= len(calls) == colliding
         assert calls == [n] * len(calls)
 
     def test_lexsort_runs_only_on_a_tie(self, monkeypatch):
@@ -214,17 +219,48 @@ class TestStage1Order:
         tied[7] = tied[3000]
         expected = stable_order(scores), stable_order(tied)
         calls = []
-        lexsort = np.lexsort
-
-        def counting(keys):
-            calls.append(len(keys[0]))
-            return lexsort(keys)
-
-        monkeypatch.setattr(np, "lexsort", counting)
+        monkeypatch.setattr(np, "lexsort", counting_lexsort(calls))
         np.testing.assert_array_equal(stage1_order(scores), expected[0])
         assert calls == []
         np.testing.assert_array_equal(stage1_order(tied), expected[1])
         assert calls == [4096]
+
+    def test_distinct_eval_chunk_needs_no_lexsort(self, monkeypatch):
+        # An eval_4096-sized chunk of real stage-1 scores, none of whose
+        # rows has two keys agreeing above the index bits.
+        rng = np.random.default_rng(23)
+        scores = broad_view_scores(unit_rows(FUSION_CHUNK, 64, rng),
+                                   make_gallery(n=4096, c=64, n_local=1, rng=rng))
+        assert not any(packed_keys_collide(row) for row in scores)
+        expected = [stable_order(row) for row in scores]
+        calls = []
+        monkeypatch.setattr(np, "lexsort", counting_lexsort(calls))
+        got = stage1_order(scores)
+        assert calls == []
+        for row, want in zip(got, expected, strict=True):
+            np.testing.assert_array_equal(row, want)
+
+    def test_only_the_row_with_keys_an_ulp_apart_falls_back(self, monkeypatch):
+        # Row 5 gets a score one ulp above its entry 100's, at a higher
+        # index: the packed keys order that pair by index, wrongly.
+        rng = np.random.default_rng(29)
+        scores = np.stack([rng.permutation(4096) / 4096.0 for _ in range(8)])
+        scores[5, 3000] = np.nextafter(scores[5, 100], np.inf)
+        assert [packed_keys_collide(row) for row in scores] == [i == 5 for i in range(8)]
+        expected = [stable_order(row) for row in scores]
+        calls = []
+        monkeypatch.setattr(np, "lexsort", counting_lexsort(calls))
+        got = stage1_order(scores)
+        assert calls == [4096]
+        for row, want in zip(got, expected, strict=True):
+            np.testing.assert_array_equal(row, want)
+
+    @pytest.mark.parametrize("shape", [(), (2, 2, 2)])
+    def test_scores_must_be_a_row_or_a_chunk(self, shape):
+        with pytest.raises(DimensionError):
+            stage1_order(np.zeros(shape))
+        with pytest.raises(DimensionError):
+            select_top_k(np.zeros(shape), 1)
 
 
 def test_fusion_chunk_matches_eval_benchmark_op(monkeypatch):
