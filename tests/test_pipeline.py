@@ -241,11 +241,12 @@ class TestStage1Order:
             np.testing.assert_array_equal(row, want)
 
     def test_only_the_row_with_keys_an_ulp_apart_falls_back(self, monkeypatch):
-        # Row 5 gets a score one ulp above its entry 100's, at a higher
-        # index: the packed keys order that pair by index, wrongly.
+        # Row 5 gets a score one ulp above its entry 3000's, at index 100:
+        # the two packed keys differ only in the index bits, which put 3000
+        # first, wrongly.
         rng = np.random.default_rng(29)
         scores = np.stack([rng.permutation(4096) / 4096.0 for _ in range(8)])
-        scores[5, 3000] = np.nextafter(scores[5, 100], np.inf)
+        scores[5, 100] = np.nextafter(scores[5, 3000], np.inf)
         assert [packed_keys_collide(row) for row in scores] == [i == 5 for i in range(8)]
         expected = [stable_order(row) for row in scores]
         calls = []
