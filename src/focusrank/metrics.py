@@ -13,7 +13,7 @@ import numpy as np
 
 from . import pool
 from .errors import InputError
-from .pipeline import FUSION_CHUNK, Gallery, rank_queries
+from .pipeline import FUSION_CHUNK, FinalScores, Gallery, rank_queries
 
 log = logging.getLogger(__name__)
 
@@ -31,17 +31,24 @@ class MetricsReport:
     CSV_HEADER = ("direction", "stage", "R@1", "R@5", "R@10", "MdR", "MnR")
 
 
-def compute_ranks(ranked_ids: list[np.ndarray], truth_ids: list[int]) -> np.ndarray:
-    """1-based rank of the true item in each query's final ordering of gallery indices."""
-    if len(ranked_ids) != len(truth_ids):
+def compute_ranks(orders: np.ndarray, truth_ids) -> np.ndarray:
+    """1-based rank of each query's true item in its row of the (Q, N) final
+    orders of gallery indices: one comparison and one `argmax` for the chunk."""
+    try:
+        orders = np.asarray(orders)
+    except ValueError as exc:  # ragged rows
+        raise InputError("orders must be one (Q, N) array") from exc
+    if orders.ndim != 2 or orders.shape[1] == 0:
+        raise InputError(f"orders must be (Q, N) with N >= 1, not {orders.shape}")
+    truth = np.asarray(truth_ids)
+    if truth.shape != orders.shape[:1]:
         raise InputError("one truth id required per query")
-    ranks = np.empty(len(truth_ids), dtype=np.int64)
-    for i, (ordering, truth) in enumerate(zip(ranked_ids, truth_ids)):
-        hits = np.nonzero(np.asarray(ordering) == truth)[0]
-        if hits.size == 0:
-            raise InputError(f"truth id {truth} not present in gallery ordering")
-        ranks[i] = hits[0] + 1
-    return ranks
+    hits = orders == truth[:, None]
+    ranks = hits.argmax(axis=1)
+    missing = ~hits[np.arange(len(ranks)), ranks]
+    if missing.any():
+        raise InputError(f"truth id {truth[missing][0]} not present in gallery ordering")
+    return ranks.astype(np.int64) + 1
 
 
 def summarize(ranks: np.ndarray, direction: str = "", stage: str = "") -> MetricsReport:
@@ -83,13 +90,13 @@ def evaluate_two_stage(
     (`net` re-ranks as `rank_queries` decides). `text_queries` /
     `video_queries` are (globals, focus_indicators) array pairs; truth
     defaults to index-aligned pairing (query i's true item is gallery entry i);
-    an id that is not an integer in [0, N) raises before anything is ranked.
+    a direction without queries, or an id outside [0, N), raises first.
 
     The queries are ranked `FUSION_CHUNK` at a time, so only one chunk's
     rankings are held, whatever the query count. For each chunk the two
-    directions are independent `rank_queries` calls and run at once on the
-    block pool (`pool.on_pool`). Their ranks are then computed in the calling
-    thread, t2v first, so the results are the same on any number of cores.
+    directions are `rank_queries` calls that run at once on the block pool
+    (`pool.on_pool`). Their ranks are then computed in the calling thread,
+    t2v first, so the results are the same on any number of cores.
     """
     start_time = time.perf_counter()
     if mode not in ("broad-only", "two-stage"):
@@ -101,6 +108,8 @@ def evaluate_two_stage(
         ("t2v", text_queries, video_gallery, truth_t2v),
         ("v2t", video_queries, text_gallery, truth_v2t),
     ):
+        if len(globals_) == 0:
+            raise InputError(f"no {direction} queries to rank")
         truth = np.asarray(range(len(globals_)) if truth is None else truth)
         if len(truth) != len(globals_):
             raise InputError("one truth id required per query")
@@ -112,7 +121,7 @@ def evaluate_two_stage(
         directions.append((direction, globals_, focus, gallery, truth))
     ranks = {direction: np.empty(len(globals_), dtype=np.int64)
              for direction, globals_, *_ in directions}
-    finals: dict[str, list] = {}
+    finals: dict[str, FinalScores] = {}
 
     def rank(task) -> None:
         (direction, globals_, focus, gallery, _), rows = task
@@ -124,9 +133,7 @@ def evaluate_two_stage(
         tasks = [d for d in directions if start < len(d[1])]
         threads = max(threads, pool.on_pool(rank, [(d, rows) for d in tasks]))
         for direction, *_, truth in tasks:
-            ranks[direction][rows] = compute_ranks(
-                [f.order for f in finals.pop(direction)], truth[rows]
-            )
+            ranks[direction][rows] = compute_ranks(finals.pop(direction).order, truth[rows])
     log.info(
         "evaluated %s on %d t2v and %d v2t queries in %.3f s, threads=%d",
         mode, len(text_queries[0]), len(video_queries[0]), time.perf_counter() - start_time,

@@ -13,9 +13,9 @@ each row's k-block of a chunk and keeps the rest of its stage-1 order;
 broad-only ranking is that composition with zero deltas.
 
 `focused_fuse` is the one fusion path, in training and at inference alike.
-`rank_queries` is the one inference ranking path: it ranks a batch of
-queries, scoring and fusing `FUSION_CHUNK` of them per call. A single
-query is a batch of one (`rank_full`).
+`rank_queries` is the one inference ranking path: it ranks its batch as one
+chunk into one `FinalScores` of (Q, N) arrays. `evaluate_two_stage` cuts its
+queries into chunks of `FUSION_CHUNK`; `rank_full` is a batch of one.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from .ops import GROUP_FUSION, Mlp, ParameterSet, kaiming_normal, scaled_dot_att
 from .rng import RandomStream
 from .tensor import Tensor, _grad_mode, as_tensor, no_grad, take
 
-# Queries fused per call: bounds the (chunk, k*n, C) candidate-token array for any Q.
+# Queries per `rank_queries` call in `evaluate_two_stage`: bounds its (Q, k*n, C) tokens.
 FUSION_CHUNK = 64
 
 
@@ -63,27 +63,14 @@ class Gallery:
 
 
 @dataclass
-class CandidateSet:
-    """Stage-1 ranking of one query, or of each row of a (Q, N) chunk (the form
-    `compose_scores` takes); a row's first k entries are its candidates."""
-
-    order: np.ndarray   # (N,) or (Q, N) gallery indices, score desc, ties by ascending index
-    scores: np.ndarray  # (N,) or (Q, N) stage-1 scores, gallery-aligned
-    k: int              # re-ranked block size, min(requested k, N)
-
-    @property
-    def indices(self) -> np.ndarray:
-        return self.order[..., : self.k]
-
-
-@dataclass
 class FinalScores:
-    """Final ordering plus per-entry score decomposition, gallery-aligned."""
+    """Final orderings plus per-entry score decompositions, gallery-aligned:
+    (Q, N) arrays for a chunk of queries, or (N,) rows for one (`rank_full`)."""
 
-    order: np.ndarray         # (N,) gallery indices, best first
-    final_score: np.ndarray   # (N,) aligned to gallery order
-    stage1_score: np.ndarray  # (N,)
-    delta: np.ndarray         # (N,); zero outside the re-ranked block
+    order: np.ndarray         # gallery indices, best first
+    final_score: np.ndarray   # aligned to gallery order
+    stage1_score: np.ndarray
+    delta: np.ndarray         # zero outside the re-ranked block
 
 
 def broad_view_scores(query_globals: np.ndarray, gallery: Gallery) -> np.ndarray:
@@ -140,13 +127,13 @@ def stage1_order(scores: np.ndarray) -> np.ndarray:
     return packed.reshape(scores.shape)
 
 
-def select_top_k(scores: np.ndarray, k: int) -> CandidateSet:
-    """Sort the (N,) or (Q, N) scores once and mark each row's k best entries;
-    k above N clamps to N."""
-    if k < 1:
-        raise InputError("k must be >= 1")
-    scores = np.asarray(scores, dtype=np.float64)
-    return CandidateSet(stage1_order(scores), scores, min(k, scores.shape[-1]))
+def select_top_k(scores: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Sort the (N,) or (Q, N) scores once: each row's stage-1 order, and its
+    first k entries, the candidates; k above N clamps to N."""
+    if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k < 1:
+        raise InputError(f"k must be an integer >= 1, not {k!r}")
+    order = stage1_order(scores)
+    return order, order[..., :k]
 
 
 class FusionNetwork:
@@ -253,33 +240,35 @@ def project_deltas(fused: Tensor, net: FusionNetwork) -> np.ndarray:
 
 
 def compose_scores(
-    candidates: CandidateSet, deltas: np.ndarray, include_stage1: bool = True
-) -> list[FinalScores]:
-    """Compose a (Q, N) chunk: refined = stage-1 + (Q, k) deltas in each top-k block.
-
-    Each block is re-sorted by refined score (ties by ascending gallery index)
-    and occupies final ranks 1..k; the rest of the stage-1 order follows as is.
-    `stage1_score` rows are views of `candidates.scores`; no input is modified.
-    """
+    order: np.ndarray, scores: np.ndarray, deltas: np.ndarray, include_stage1: bool = True
+) -> FinalScores:
+    """Compose a chunk's (Q, N) stage-1 orders and scores with (Q, k) deltas:
+    refined = stage-1 + delta in each row's first k entries. Each block is
+    re-sorted by refined score (ties by ascending gallery index) and occupies
+    final ranks 1..k; the rest of the stage-1 order follows as is. The result's
+    `stage1_score` is `scores`; no input is modified."""
     deltas = np.asarray(deltas, dtype=np.float64)
-    block, scores = candidates.indices, candidates.scores
-    if deltas.ndim != 2 or deltas.shape != block.shape:
-        raise DimensionError(f"{deltas.shape} deltas for {block.shape} candidates")
+    if (scores.ndim != 2 or order.shape != scores.shape or deltas.ndim != 2
+            or len(deltas) != len(scores) or deltas.shape[1] > scores.shape[1]):
+        raise DimensionError(f"{deltas.shape} deltas for {scores.shape} orders and scores")
+    k = deltas.shape[1]
+    block = order[:, :k]
     rows = np.arange(len(block))[:, None]
     refined = (scores[rows, block] if include_stage1 else 0.0) + deltas
-    order = candidates.order.copy()
-    order[:, : candidates.k] = block[rows, np.lexsort((block, -refined))]
+    final_order = order.copy()
+    final_order[:, :k] = block[rows, np.lexsort((block, -refined))]
     final_score = scores.copy()
     final_score[rows, block] = refined
     delta = np.zeros(scores.shape)
     delta[rows, block] = deltas
-    return [FinalScores(*row) for row in zip(order, final_score, scores, delta)]
+    return FinalScores(final_order, final_score, scores, delta)
 
 
 def rank_full(query: EncodedItem, gallery: Gallery, net: FusionNetwork | None,
               k: int) -> FinalScores:
-    """`rank_queries` on a batch of one."""
-    return rank_queries(query.global_vec[None], query.focus_indicators[None], gallery, net, k)[0]
+    """`rank_queries` on a batch of one; the result holds (N,) views of its rows."""
+    final = rank_queries(query.global_vec[None], query.focus_indicators[None], gallery, net, k)
+    return FinalScores(**{name: rows[0] for name, rows in vars(final).items()})
 
 
 def rank_queries(
@@ -288,18 +277,20 @@ def rank_queries(
     gallery: Gallery,
     net: FusionNetwork | None,
     k: int,
-) -> list[FinalScores]:
-    """Rank (Q, C) query globals against one gallery, deterministically.
+) -> FinalScores:
+    """Rank (Q, C) query globals against one gallery as one chunk, deterministically.
 
-    Each chunk of `FUSION_CHUNK` queries is scored by one `broad_view_scores`
-    product, sorted by one `select_top_k` call and composed by one
-    `compose_scores` call. Without a network (`net=None`), or with one built
-    without query indicators, every delta is zero: broad-only. Otherwise the
-    (Q, m-1, C) focus indicators re-rank each block.
+    One `broad_view_scores` product, one `select_top_k` sort and one
+    `compose_scores` call; memory grows with Q·N. Without a network
+    (`net=None`), or with one built without query indicators, every delta is
+    zero: broad-only. Otherwise the (Q, m-1, C) focus indicators re-rank each
+    block in one fusion call.
     """
     query_globals = np.asarray(query_globals, dtype=np.float64)
     if query_globals.ndim != 2:
         raise DimensionError("query globals must be (Q, C)")
+    if len(query_globals) == 0:
+        raise InputError("need at least one query to rank")
     _require_finite(query_globals, "query globals")
     if net is not None and not net.cfg.use_query_indicators:
         net = None  # no indicators, nothing to fuse: stage 1 ranks alone
@@ -311,15 +302,12 @@ def rank_queries(
             raise DimensionError("one set of focus indicators required per query")
         _require_finite(query_focus, "query focus indicators")
 
-    results: list[FinalScores] = []
     with no_grad():
-        for start in range(0, len(query_globals), FUSION_CHUNK):
-            rows = slice(start, start + FUSION_CHUNK)
-            cands = select_top_k(broad_view_scores(query_globals[rows], gallery), k)
-            if net is None:
-                deltas = np.zeros(cands.indices.shape)
-            else:
-                fused = focused_fuse(query_focus[rows], gallery.locals_, cands.indices, net)
-                deltas = project_deltas(fused, net)[:, : cands.k]
-            results += compose_scores(cands, deltas, net is None or net.cfg.use_stage1_scores)
-    return results
+        scores = broad_view_scores(query_globals, gallery)
+        order, block = select_top_k(scores, k)
+        if net is None:
+            deltas = np.zeros(block.shape)
+        else:
+            fused = focused_fuse(query_focus, gallery.locals_, block, net)
+            deltas = project_deltas(fused, net)[:, : block.shape[1]]
+        return compose_scores(order, scores, deltas, net is None or net.cfg.use_stage1_scores)

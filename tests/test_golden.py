@@ -10,10 +10,11 @@ all the same vector, so a fixture from such a model would pin nothing of
 the focused view.
 
 `test_chunked_rankings_match_pins` pins, by sha256, every row that
-`rank_queries` returns for the 20 queries of each direction, ranked in
-chunks of 8, 8 and 4 (the fixtures above rank one chunk): broad-only,
-two-stage, two-stage without stage-1 scores, and two-stage on the 5-entry
-gallery. Its digests are constants in this file.
+`rank_queries` returns for the 20 queries of each direction. The test cuts
+them into chunks of 8, 8 and 4 and ranks each chunk in one call, as
+`evaluate_two_stage` does with `FUSION_CHUNK` (the fixtures above rank one
+chunk): broad-only, two-stage, two-stage without stage-1 scores, and
+two-stage on the 5-entry gallery. Its digests are constants in this file.
 
 The training fixtures pin `training_log.csv` and the sha256 of `model.bin`
 after two epochs of `train` at `pair_count=20, batch_size=10`, with Gumbel
@@ -219,7 +220,6 @@ def encoded(checkpoint):
 @pytest.mark.parametrize("case", RANKING_PINS)
 def test_chunked_rankings_match_pins(encoded, case, monkeypatch):
     model, queries, galleries, small_galleries = encoded
-    monkeypatch.setattr(pipeline, "FUSION_CHUNK", PIN_CHUNK)
     net = None if case == "broad-only" else model.fusion
     if case == "two-stage-without-stage1":
         monkeypatch.setattr(model.fusion.cfg, "use_stage1_scores", False)
@@ -227,12 +227,13 @@ def test_chunked_rankings_match_pins(encoded, case, monkeypatch):
         galleries = small_galleries
     digest = hashlib.sha256()
     for (globals_, focus), gallery in zip(queries, galleries):
-        finals = pipeline.rank_queries(globals_, focus, gallery, net, model.cfg.k)
-        assert len(finals) == PAIR_COUNT
-        for final in finals:
-            for name in ("order", "final_score", "stage1_score", "delta"):
-                values = getattr(final, name)
-                digest.update(values.dtype.str.encode() + values.tobytes())
+        for start in range(0, PAIR_COUNT, PIN_CHUNK):
+            rows = slice(start, start + PIN_CHUNK)
+            final = pipeline.rank_queries(globals_[rows], focus[rows], gallery, net, model.cfg.k)
+            for row in range(len(final.order)):
+                for name in ("order", "final_score", "stage1_score", "delta"):
+                    values = getattr(final, name)[row]
+                    digest.update(values.dtype.str.encode() + values.tobytes())
     assert digest.hexdigest() == RANKING_PINS[case]
 
 

@@ -63,10 +63,32 @@ class TestComputeRanks:
     def test_missing_truth_rejected(self):
         with pytest.raises(InputError):
             compute_ranks([np.array([1, 2, 3])], [9])
+        orders = np.array([[0, 1, 2], [2, 1, 0], [1, 0, 2]])
+        with pytest.raises(InputError, match="truth id 7 not present"):
+            compute_ranks(orders, [2, 7, 0])
 
     def test_mismatched_lengths_rejected(self):
         with pytest.raises(InputError):
             compute_ranks([np.array([1])], [1, 2])
+
+    def test_chunk_matches_per_row_scan(self):
+        # The per-row `np.nonzero` scan that a (Q, N) chunk's one comparison replaced.
+        rng = np.random.default_rng(59)
+        orders = np.stack([rng.permutation(4096) for _ in range(64)])
+        truth = rng.integers(0, 4096, size=64)
+        expected = [np.nonzero(row == t)[0][0] + 1 for row, t in zip(orders, truth, strict=True)]
+        ranks = compute_ranks(orders, truth)
+        assert ranks.dtype == np.int64
+        np.testing.assert_array_equal(ranks, expected)
+
+    @pytest.mark.parametrize("orders", [
+        [np.array([1, 2, 3]), np.array([1, 2])],
+        np.array([1, 2, 3]),
+        np.zeros((2, 3, 1), dtype=int),
+    ], ids=["ragged", "1-D", "3-D"])
+    def test_orders_must_be_one_chunk(self, orders):
+        with pytest.raises(InputError, match="orders must be"):
+            compute_ranks(orders, [1, 2])
 
 
 class TestSummarize:
@@ -154,17 +176,25 @@ def test_unknown_mode_rejected():
                            mode="focused")
 
 
-@pytest.mark.parametrize("bad", [{"truth_t2v": [0, 1, 5]}, {"truth_v2t": [0, -1, 2]},
-                                 {"truth_t2v": [0.0, 1.0, 2.0]}, {"truth_v2t": [True, False, True]}])
+@pytest.mark.parametrize("bad", [
+    ({"truth_t2v": [0, 1, 5]}, r"t2v truth ids must be integers in \[0, 3\)"),
+    ({"truth_v2t": [0, -1, 2]}, r"v2t truth ids must be integers in \[0, 3\)"),
+    ({"truth_t2v": [0.0, 1.0, 2.0]}, r"t2v truth ids must be integers in \[0, 3\)"),
+    ({"truth_v2t": [True, False, True]}, r"v2t truth ids must be integers in \[0, 3\)"),
+    ({"text_queries": (np.zeros((0, 8)), np.zeros((0, 0, 8)))}, "no t2v queries to rank"),
+])
 def test_truth_outside_gallery_rejected_before_ranking(monkeypatch, bad):
+    overrides, match = bad
     globals_ = RNG.normal(size=(3, 8))
     globals_ /= np.linalg.norm(globals_, axis=1, keepdims=True)
     gallery = Gallery(globals_, RNG.normal(size=(3, 2, 8)))
     queries = (globals_, np.zeros((3, 0, 8)))
     calls = []
     monkeypatch.setattr(metrics, "rank_queries", lambda *args: calls.append(args))
-    with pytest.raises(InputError, match=r"truth ids must be integers in \[0, 3\)"):
-        evaluate_two_stage(queries, gallery, queries, gallery, None, 2, **bad)
+    with pytest.raises(InputError, match=match):
+        evaluate_two_stage(**{"text_queries": queries, "video_gallery": gallery,
+                              "video_queries": queries, "text_gallery": gallery,
+                              "net": None, "k": 2, **overrides})
     assert calls == []
 
 
@@ -215,8 +245,8 @@ def test_evaluation_ranks_a_chunk_at_a_time(monkeypatch, mode):
     assert max(sizes) <= FUSION_CHUNK and sum(sizes) == sum(counts.values())
     network = net if mode == "two-stage" else None
     for direction, (globals_, focus), gallery in (("t2v", text_q, videos), ("v2t", video_q, texts)):
-        finals = rank_queries(globals_, focus, gallery, network, cfg.k)
-        ranks = compute_ranks([f.order for f in finals], truth[direction])
+        final = rank_queries(globals_, focus, gallery, network, cfg.k)
+        ranks = compute_ranks(final.order, truth[direction])
         assert got[direction] == summarize(ranks, direction, mode)
 
 
@@ -257,9 +287,9 @@ class TestConcurrentEvaluation:
 
     @staticmethod
     def evaluate(monkeypatch, cores, inputs, mode, rank_queries=metrics.rank_queries):
-        """Reports, each direction's `FinalScores` per `rank_queries` call, and
-        the (thread, ranked ids) of every `compute_ranks` call, with `cores`
-        usable cores."""
+        """Reports, each direction's chunk `FinalScores` per `rank_queries`
+        call, and the (thread, orders) of every `compute_ranks` call, with
+        `cores` usable cores."""
         (text_q, videos, video_q, texts), net, k = inputs
         chunks, rank_calls = {"t2v": [], "v2t": []}, []
         compute_ranks = metrics.compute_ranks
@@ -286,8 +316,8 @@ class TestConcurrentEvaluation:
         return reports, chunks, rank_calls
 
     @staticmethod
-    def finals(chunks, direction):
-        return [f for ranked in chunks[direction] for f in ranked]
+    def orders(chunks, direction):
+        return np.concatenate([chunk.order for chunk in chunks[direction]])
 
     @pytest.mark.parametrize("mode", ["broad-only", "two-stage"])
     def test_same_bits_on_one_and_four_cores(self, monkeypatch, inputs, mode):
@@ -296,24 +326,23 @@ class TestConcurrentEvaluation:
         assert one == many
         for direction in ("t2v", "v2t"):
             assert len(one_chunks[direction]) == self.CHUNKS
-            one_finals = self.finals(one_chunks, direction)
-            assert len(one_finals) == self.QUERIES
-            for a, b in zip(one_finals, self.finals(many_chunks, direction), strict=True):
+            assert len(self.orders(one_chunks, direction)) == self.QUERIES
+            for a, b in zip(one_chunks[direction], many_chunks[direction], strict=True):
                 assert a.order.tobytes() == b.order.tobytes()
                 assert a.final_score.tobytes() == b.final_score.tobytes()
         if mode == "two-stage":  # the network reorders candidate blocks
             _, broad, _ = self.evaluate(monkeypatch, 1, inputs, "broad-only")
             _, _, k = inputs
-            assert any(not np.array_equal(a.order[:k], b.order[:k])
-                       for a, b in zip(self.finals(one_chunks, "t2v"), self.finals(broad, "t2v")))
+            assert not np.array_equal(self.orders(one_chunks, "t2v")[:, :k],
+                                      self.orders(broad, "t2v")[:, :k])
 
     @pytest.mark.parametrize("cores", [1, 4])
     def test_ranks_computed_in_the_calling_thread_t2v_first(self, monkeypatch, inputs, cores):
         _, chunks, rank_calls = self.evaluate(monkeypatch, cores, inputs, "two-stage")
         assert [thread for thread, _ in rank_calls] == [threading.get_ident()] * 2 * self.CHUNKS
         expected = [chunks[d][c] for c in range(self.CHUNKS) for d in ("t2v", "v2t")]
-        for (_, ranked_ids), finals in zip(rank_calls, expected, strict=True):
-            assert all(ids is f.order for ids, f in zip(ranked_ids, finals, strict=True))
+        for (_, ranked_ids), chunk in zip(rank_calls, expected, strict=True):
+            assert ranked_ids is chunk.order  # not copied on the way
 
     def test_helper_thread_ranks_a_direction_on_four_cores(self, monkeypatch, inputs):
         threads = []

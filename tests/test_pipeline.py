@@ -275,39 +275,44 @@ def test_fusion_chunk_matches_eval_benchmark_op(monkeypatch):
 
 class TestSelectTopK:
     def test_tie_broken_by_lower_index(self):
-        cands = select_top_k(np.array([0.9, 0.1, 0.9, 0.5]), 2)
-        np.testing.assert_array_equal(cands.indices, [0, 2])
-        assert cands.k == 2
+        _, block = select_top_k(np.array([0.9, 0.1, 0.9, 0.5]), 2)
+        np.testing.assert_array_equal(block, [0, 2])
 
     def test_full_selection_is_sorted_order(self):
         scores = RNG.normal(size=9)
-        cands = select_top_k(scores, 9)
-        np.testing.assert_array_equal(cands.indices, stage1_order(scores))
+        order, block = select_top_k(scores, 9)
+        np.testing.assert_array_equal(block, stage1_order(scores))
+        np.testing.assert_array_equal(order, block)
 
     def test_matches_sort_oracle(self):
         for _ in range(1000):
             scores = RNG.normal(size=RNG.integers(10, 40))
             k = int(RNG.integers(1, 11))
-            cands = select_top_k(scores, k)
+            order, block = select_top_k(scores, k)
             expected = sorted(range(len(scores)), key=lambda i: (-scores[i], i))
-            np.testing.assert_array_equal(cands.order, expected)
-            np.testing.assert_array_equal(cands.indices, expected[:k])
-            np.testing.assert_array_equal(cands.scores, scores)
-            assert np.all(np.diff(cands.scores[cands.order]) <= 0)
+            np.testing.assert_array_equal(order, expected)
+            np.testing.assert_array_equal(block, expected[:k])
+            assert np.all(np.diff(scores[order]) <= 0)
 
     def test_clamps_k_to_gallery_size(self):
-        cands = select_top_k(np.array([0.1, 0.3]), 5)
-        assert cands.k == 2
-        np.testing.assert_array_equal(cands.indices, [1, 0])
+        _, block = select_top_k(np.array([0.1, 0.3]), 5)
+        np.testing.assert_array_equal(block, [1, 0])
+
+    @pytest.mark.parametrize("k", [0, -1, 2.5, "3", True])
+    def test_k_must_be_a_positive_integer(self, k):
+        with pytest.raises(InputError, match="k must be an integer >= 1"):
+            select_top_k(np.zeros(5), k)
+        with pytest.raises(InputError, match="k must be an integer >= 1"):
+            rank_queries(unit_rows(2, 8), None, make_gallery(), None, k)
 
 
 class TestFocusedFuse:
     def test_zero_init_projection_is_identity(self):
         net = make_net()
         gallery = make_gallery()
-        cands = select_top_k(broad_view_scores(unit_rows(1, 8)[0], gallery), 4)
+        _, block = select_top_k(broad_view_scores(unit_rows(1, 8)[0], gallery), 4)
         ind = RNG.normal(size=(1, 3, 8))
-        fused = focused_fuse(ind, gallery.locals_, cands.indices[None], net)
+        fused = focused_fuse(ind, gallery.locals_, block[None], net)
         np.testing.assert_array_equal(fused.data, ind)
 
     def test_single_candidate_single_token(self):
@@ -436,55 +441,68 @@ class TestProjectDeltas:
             net.project(Tensor(RNG.normal(size=(1, 2, 8))))  # needs (m-1)=3 rows
 
 
+def compose(scores, deltas, include_stage1=True):
+    """`compose_scores` on the stage-1 ranking of a (Q, N) chunk, k the width of `deltas`."""
+    order, _ = select_top_k(scores, deltas.shape[1])
+    return compose_scores(order, scores, deltas, include_stage1)
+
+
 class TestComposeScores:
     def test_zero_deltas_keep_stage1_ranking(self):
         scores = RNG.normal(size=(3, 20))
-        finals = compose_scores(select_top_k(scores, 5), np.zeros((3, 5)))
-        for final, row in zip(finals, scores):
-            np.testing.assert_array_equal(final.order, stage1_order(row))
-            np.testing.assert_array_equal(final.final_score, row)
-            np.testing.assert_array_equal(final.delta, np.zeros(20))
+        final = compose(scores, np.zeros((3, 5)))
+        assert final.order.shape == final.final_score.shape == final.delta.shape == (3, 20)
+        assert final.stage1_score is scores
+        for order, final_score, delta, row in zip(final.order, final.final_score, final.delta,
+                                                   scores, strict=True):
+            np.testing.assert_array_equal(order, stage1_order(row))
+            np.testing.assert_array_equal(final_score, row)
+            np.testing.assert_array_equal(delta, np.zeros(20))
 
     def test_delta_promotes_candidate(self):
-        scores = np.array([[0.8, 0.7]])
-        (final,) = compose_scores(select_top_k(scores, 2), np.array([[0.0, 0.2]]))
-        np.testing.assert_allclose(final.final_score, [0.8, 0.9])
-        np.testing.assert_array_equal(final.order, [1, 0])
+        final = compose(np.array([[0.8, 0.7]]), np.array([[0.0, 0.2]]))
+        np.testing.assert_allclose(final.final_score, [[0.8, 0.9]])
+        np.testing.assert_array_equal(final.order, [[1, 0]])
 
     def test_matches_composition_oracle(self):
         # Chunks of one to four rows, each row against the oracle; neither
-        # the candidate set nor the deltas may change.
+        # the stage-1 ranking nor the deltas may change.
         for _ in range(300):
             q, n = int(RNG.integers(1, 5)), int(RNG.integers(5, 64))
             k = int(RNG.integers(1, min(10, n) + 1))
             scores = RNG.normal(size=(q, n))
-            cands = select_top_k(scores, k)
+            order, block = select_top_k(scores, k)
             deltas = RNG.normal(size=(q, k))
-            before = [a.copy() for a in (cands.order, cands.scores, deltas)]
-            finals = compose_scores(cands, deltas)
-            assert len(finals) == q
-            for row, final in enumerate(finals):
-                expected = compose_oracle(scores[row], cands.indices[row].tolist(),
-                                          deltas[row].tolist())
-                np.testing.assert_array_equal(final.order, expected)
-            for old, new in zip(before, (cands.order, cands.scores, deltas)):
+            before = [a.copy() for a in (order, scores, deltas)]
+            final = compose_scores(order, scores, deltas)
+            assert final.order.shape == (q, n)
+            for row, got in enumerate(final.order):
+                expected = compose_oracle(scores[row], block[row].tolist(), deltas[row].tolist())
+                np.testing.assert_array_equal(got, expected)
+            for old, new in zip(before, (order, scores, deltas)):
                 assert np.array_equal(old, new)
 
     def test_stage1_excluded_mode(self):
         scores = RNG.normal(size=(3, 10))
-        cands = select_top_k(scores, 4)
+        order, block = select_top_k(scores, 4)
         deltas = RNG.normal(size=(3, 4))
-        finals = compose_scores(cands, deltas, include_stage1=False)
-        for row, final in enumerate(finals):
-            expected = compose_oracle(scores[row], cands.indices[row].tolist(),
+        final = compose_scores(order, scores, deltas, include_stage1=False)
+        for row, got in enumerate(final.order):
+            expected = compose_oracle(scores[row], block[row].tolist(),
                                       deltas[row].tolist(), False)
-            np.testing.assert_array_equal(final.order, expected)
+            np.testing.assert_array_equal(got, expected)
 
     def test_only_chunks_compose(self):
+        row = RNG.normal(size=10)
         with pytest.raises(DimensionError):
-            compose_scores(select_top_k(RNG.normal(size=10), 4), np.zeros(4))
+            compose_scores(stage1_order(row), row, np.zeros(4))
+        chunk = RNG.normal(size=(2, 10))
+        order = stage1_order(chunk)
+        for deltas in (np.zeros((3, 4)), np.zeros((2, 11)), np.zeros(4)):
+            with pytest.raises(DimensionError):
+                compose_scores(order, chunk, deltas)
         with pytest.raises(DimensionError):
-            compose_scores(select_top_k(RNG.normal(size=(2, 10)), 4), np.zeros((2, 3)))
+            compose_scores(order[:, :9], chunk, np.zeros((2, 4)))
 
 
 @settings(deadline=None, max_examples=60)
@@ -493,13 +511,13 @@ def test_rerank_containment_and_tail_preservation(seed, q, n, k):
     rng = np.random.default_rng(seed)
     scores = rng.normal(size=(q, n))
     k = min(k, n)
-    finals = compose_scores(select_top_k(scores, k), rng.normal(size=(q, k)))
-    for final, row in zip(finals, scores):
+    final = compose(scores, rng.normal(size=(q, k)))
+    for order, row in zip(final.order, scores, strict=True):
         stage1 = stage1_order(row)
         # Containment: the re-ranked block is a permutation of the stage-1 top-k.
-        assert set(final.order[:k]) == set(stage1[:k])
+        assert set(order[:k]) == set(stage1[:k])
         # Preservation: below the block, stage-1 relative order survives exactly.
-        np.testing.assert_array_equal(final.order[k:], stage1[k:])
+        np.testing.assert_array_equal(order[k:], stage1[k:])
 
 
 class TestRankFull:
@@ -518,12 +536,14 @@ class TestRankFull:
         q = EncodedItem(unit_rows(1, 8)[0], RNG.normal(size=(3, 8)))
         final = rank_full(q, gallery, net, 4)
         scores = broad_view_scores(q.global_vec, gallery)
-        cands = select_top_k(scores, 4)
-        assert cands.k == 3
-        fused = focused_fuse(q.focus_indicators[None], gallery.locals_, cands.indices[None], net)
+        _, block = select_top_k(scores, 4)
+        assert block.shape == (3,)
+        fused = focused_fuse(q.focus_indicators[None], gallery.locals_, block[None], net)
         deltas = project_deltas(fused, net)
-        expected = compose_oracle(scores, cands.indices.tolist(), deltas[0, :3].tolist())
+        expected = compose_oracle(scores, block.tolist(), deltas[0, :3].tolist())
         np.testing.assert_array_equal(final.order, expected)
+        for name in ("order", "final_score", "stage1_score", "delta"):
+            assert getattr(final, name).shape == (3,)
 
     def test_positive_rescaling_of_stage1_scores_keeps_argmax(self):
         scores = RNG.normal(size=15)
@@ -565,30 +585,39 @@ class TestRankQueries:
         globals_ = unit_rows(q, 8)
         focus = RNG.normal(size=(q, 3, 8))
         batched = rank_queries(globals_, focus, gallery, net, 4)
-        assert len(batched) == q
-        for i, got in enumerate(batched):
-            (single,) = rank_queries(globals_[i : i + 1], focus[i : i + 1], gallery, net, 4)
-            np.testing.assert_array_equal(got.order, single.order)
+        assert batched.order.shape == (q, 500)
+        for i in range(q):
+            single = rank_queries(globals_[i : i + 1], focus[i : i + 1], gallery, net, 4)
+            np.testing.assert_array_equal(batched.order[i : i + 1], single.order)
             for name in ("final_score", "stage1_score", "delta"):
                 np.testing.assert_allclose(
-                    getattr(got, name), getattr(single, name), rtol=0, atol=1e-12
+                    getattr(batched, name)[i : i + 1], getattr(single, name), rtol=0, atol=1e-12
                 )
-        assert any(np.any(f.delta != 0) for f in batched) == (mode == "two-stage")
+        assert np.any(batched.delta != 0) == (mode == "two-stage")
 
     @pytest.mark.parametrize("mode", ["broad-only", "two-stage"])
     def test_one_stage1_sort_per_chunk(self, mode, monkeypatch):
-        shapes = []
-
-        def counting(scores):
-            shapes.append(np.shape(scores))
-            return stage1_order(scores)
-
-        monkeypatch.setattr(pipeline, "stage1_order", counting)
+        # A batch, of any size, is one chunk: one product, one sort, at most
+        # one fusion and one composition.
+        stages = ("broad_view_scores", "select_top_k", "focused_fuse", "compose_scores")
+        spies = {name: mock.Mock(wraps=getattr(pipeline, name)) for name in stages}
+        for name, spy in spies.items():
+            monkeypatch.setattr(pipeline, name, spy)
         q = 2 * FUSION_CHUNK + 2
-        finals = rank_queries(unit_rows(q, 8), RNG.normal(size=(q, 3, 8)), make_gallery(n=40),
-                              net_for(mode), 4)
-        assert shapes == [(FUSION_CHUNK, 40), (FUSION_CHUNK, 40), (2, 40)]
-        assert len(finals) == q
+        final = rank_queries(unit_rows(q, 8), RNG.normal(size=(q, 3, 8)), make_gallery(n=40),
+                             net_for(mode), 4)
+        fusions = [(q, 3, 8)] if mode == "two-stage" else []
+        shapes = {name: [np.shape(call.args[0]) for call in spy.call_args_list]
+                  for name, spy in spies.items()}
+        assert shapes == {"broad_view_scores": [(q, 8)], "select_top_k": [(q, 40)],
+                          "focused_fuse": fusions, "compose_scores": [(q, 40)]}
+        assert final.order.shape == (q, 40)
+
+    @pytest.mark.parametrize("mode", ["broad-only", "two-stage"])
+    def test_empty_batch_rejected_before_any_work(self, mode, monkeypatch):
+        monkeypatch.setattr(pipeline, "broad_view_scores", mock.Mock(side_effect=AssertionError))
+        with pytest.raises(InputError, match="at least one query"):
+            rank_queries(np.zeros((0, 8)), np.zeros((0, 3, 8)), make_gallery(), net_for(mode), 4)
 
     @pytest.mark.parametrize("mode", ["broad-only", "two-stage"])
     def test_ranking_mutates_no_input(self, mode):
@@ -599,21 +628,6 @@ class TestRankQueries:
         before = [a.tobytes() for a in inputs]
         rank_queries(globals_, focus, gallery, net_for(mode), 4)
         assert [a.tobytes() for a in inputs] == before
-
-    @pytest.mark.parametrize("mode", ["broad-only", "two-stage"])
-    def test_one_stage1_product_per_chunk(self, mode, monkeypatch):
-        rows = []
-
-        def counting(query_globals, gallery):
-            rows.append(len(np.atleast_2d(query_globals)))
-            return broad_view_scores(query_globals, gallery)
-
-        monkeypatch.setattr(pipeline, "broad_view_scores", counting)
-        q = 2 * FUSION_CHUNK + 2
-        finals = rank_queries(unit_rows(q, 8), RNG.normal(size=(q, 3, 8)), make_gallery(n=40),
-                              net_for(mode), 4)
-        assert rows == [FUSION_CHUNK, FUSION_CHUNK, 2]
-        assert len(finals) == q
 
     @pytest.mark.parametrize("mode", ["broad-only", "two-stage"])
     def test_wrong_query_width_rejected(self, mode):
@@ -628,9 +642,11 @@ class TestRankQueries:
         gallery = make_gallery(n=30)
         q = EncodedItem(unit_rows(1, 8)[0], RNG.normal(size=(3, 8)))
         full = rank_full(q, gallery, net, 4)
-        (batched,) = rank_queries(q.global_vec[None], q.focus_indicators[None], gallery, net, 4)
-        assert np.array_equal(full.order, batched.order)
-        assert np.array_equal(full.final_score, batched.final_score)
+        batched = rank_queries(q.global_vec[None], q.focus_indicators[None], gallery, net, 4)
+        for name in ("order", "final_score", "stage1_score", "delta"):
+            row = getattr(full, name)
+            assert row.shape == (30,)
+            assert np.array_equal(row, getattr(batched, name)[0])
 
     def test_network_without_indicators_ranks_by_stage1(self):
         # A model built without query indicators encodes (0, C) focus and has
