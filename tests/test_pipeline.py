@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from focusrank.config import RunConfig
 from focusrank.encoders import EncodedItem
 from focusrank.errors import DimensionError, InputError
+from focusrank.metrics import evaluate_two_stage
 from focusrank import pipeline
 from focusrank.ops import ParameterSet
 from focusrank.pipeline import (
@@ -612,6 +613,28 @@ class TestRankQueries:
         assert shapes == {"broad_view_scores": [(q, 8)], "select_top_k": [(q, 40)],
                           "focused_fuse": fusions, "compose_scores": [(q, 40)]}
         assert final.order.shape == (q, 40)
+
+    @pytest.mark.parametrize("mode", ["broad-only", "two-stage"])
+    def test_one_stage1_product_per_chunk(self, mode, monkeypatch):
+        # Evaluation cuts each direction into FUSION_CHUNK rows and ranks each
+        # chunk with one stage-1 product. The galleries differ in size so the
+        # calls of each direction can be told apart; the two may interleave.
+        calls = []
+
+        def counting(query_globals, gallery):
+            calls.append((len(gallery.globals_), len(np.atleast_2d(query_globals))))
+            return broad_view_scores(query_globals, gallery)
+
+        monkeypatch.setattr(pipeline, "broad_view_scores", counting)
+        q = 2 * FUSION_CHUNK + 2
+        videos, texts = make_gallery(n=40), make_gallery(n=41)
+        queries = (unit_rows(q, 8), RNG.normal(size=(q, 3, 8)))
+        reports = evaluate_two_stage(queries, videos, queries, texts, net_for(mode), 4, mode=mode,
+                                     truth_t2v=list(np.arange(q) % 40),
+                                     truth_v2t=list(np.arange(q) % 41))
+        chunks = [FUSION_CHUNK, FUSION_CHUNK, 2]
+        assert sorted(calls) == sorted([(40, r) for r in chunks] + [(41, r) for r in chunks])
+        assert set(reports) == {"t2v", "v2t"}
 
     @pytest.mark.parametrize("mode", ["broad-only", "two-stage"])
     def test_empty_batch_rejected_before_any_work(self, mode, monkeypatch):
