@@ -8,6 +8,7 @@ missing keys fall back to the documented defaults below. Lines starting with
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -36,7 +37,6 @@ class RunConfig:
     patch_dim: int = 64           # raw patch feature width before projection
     frame_count: int = 4          # frames per generated clip; the longest clip encoded
     mlp_hidden: int = 128         # hidden width of the delta head
-    fusion_blocks: int = 1        # focused-view cross-attention blocks B_f
     k: int = 10                   # re-ranked candidates per query
     gumbel_temp: float = 1.0      # fusion attention temperature (training and inference)
     use_query_indicators: bool = True
@@ -56,7 +56,6 @@ class RunConfig:
     coarse_clusters: int = 0      # 0 = auto: pair_count // cohort_size
     latent_dim: int = 16
     noise_level: float = 0.1
-    fine_scale: float = 1.0       # amplitude of the distinguishing detail
     # io
     checkpoint: str = ""          # parameter file loaded by eval/query
     query_index: int = 0
@@ -68,14 +67,19 @@ class RunConfig:
         return self.coarse_clusters
 
     def validate(self) -> "RunConfig":
+        """Check each field's type, then its range; the first bad one raises
+        `ConfigError`. An int field takes any integer but a bool, a float
+        field any real number but a bool."""
+
         def require(cond: bool, message: str):
             if not cond:
                 raise ConfigError(message)
 
         for f in fields(self):
             value = getattr(self, f.name)
-            require(not isinstance(value, float) or math.isfinite(value),
-                    f"{f.name} must be finite")
+            require(_TYPE_CHECKS[f.type](value),
+                    f"{f.name} must be of type {f.type}, got {value!r}")
+            require(f.type != "float" or math.isfinite(value), f"{f.name} must be finite")
         require(self.dim >= 1, "dim must be >= 1")
         require(self.layers >= 1, "layers must be >= 1")
         require(2 <= self.indicator_count <= 6, "indicator_count must be in 2..6")
@@ -85,7 +89,6 @@ class RunConfig:
         require(self.patch_dim >= 1, "patch_dim must be >= 1")
         require(self.frame_count >= 1, "frame_count must be >= 1")
         require(self.mlp_hidden >= 1, "mlp_hidden must be >= 1")
-        require(self.fusion_blocks >= 1, "fusion_blocks must be >= 1")
         require(self.k >= 1, "k must be >= 1")
         require(self.gumbel_temp > 0, "gumbel_temp must be > 0")
         require(self.batch_size >= 2, "batch_size must be >= 2 (contrastive training)")
@@ -102,7 +105,6 @@ class RunConfig:
                 "coarse_clusters * cohort_size must equal pair_count")
         require(self.latent_dim >= 1, "latent_dim must be >= 1")
         require(self.noise_level >= 0, "noise_level must be >= 0")
-        require(self.fine_scale >= 0, "fine_scale must be >= 0")
         require(self.query_index >= 0, "query_index must be >= 0")
         require(self.query_direction in ("t2v", "v2t"),
                 "query_direction must be t2v or v2t")
@@ -111,6 +113,13 @@ class RunConfig:
 
 # Field types are annotation strings under `from __future__ import annotations`.
 _PARSERS = {"bool": _parse_bool, "int": int, "float": float, "str": str}
+# A bool is an int to Python, but neither an int nor a float setting here.
+_TYPE_CHECKS = {
+    "bool": lambda v: isinstance(v, bool),
+    "int": lambda v: isinstance(v, numbers.Integral) and not isinstance(v, bool),
+    "float": lambda v: isinstance(v, numbers.Real) and not isinstance(v, bool),
+    "str": lambda v: isinstance(v, str),
+}
 _FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
 
 

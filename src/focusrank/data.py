@@ -105,7 +105,7 @@ def generate_synthetic_pairs(cfg: RunConfig) -> PairedDataset:
     proj_fine = root.child("proj-fine").normal((cfg.latent_dim, cfg.patch_dim))
     # One row product per vector, not one GEMM, whose summation order may differ.
     coarse_vecs = np.array([_unit(latent @ proj_coarse) for latent in coarse_latents])
-    fine_vecs = np.array([cfg.fine_scale * _unit(latent @ proj_fine) for latent in fine_latents])
+    fine_vecs = np.array([_unit(latent @ proj_fine) for latent in fine_latents])
 
     n = cfg.pair_count
     items = np.arange(n, dtype=np.int64)

@@ -186,8 +186,8 @@ class TextEncoder:
         holds no padding.
         """
         tokens = _typed_array(tokens, np.int64, "token batch")
-        if tokens.ndim != 2 or tokens.shape[1] == 0:
-            raise InputError("token batch must be (B, M) with M >= 1")
+        if tokens.ndim != 2 or 0 in tokens.shape:
+            raise InputError(f"token batch must be (B, M) with B, M >= 1, not {tokens.shape}")
         if tokens.shape[1] > self.cfg.text_len:
             raise InputError(
                 f"sequence length {tokens.shape[1]} exceeds text_len {self.cfg.text_len}"
@@ -238,8 +238,8 @@ class VideoEncoder:
         if clips.ndim != 4:
             raise InputError("clip batch must be (B, T, P^2, D)")
         b, t, n_patches, d = clips.shape
-        if t == 0:
-            raise InputError("video clip has no frames")
+        if b == 0 or t == 0:
+            raise InputError(f"clip batch needs B >= 1 clips of T >= 1 frames, not {clips.shape}")
         cfg = self.cfg
         if t > cfg.frame_count:
             raise InputError(f"frame count {t} exceeds frame_count {cfg.frame_count}")

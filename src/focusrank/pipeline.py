@@ -137,14 +137,15 @@ def select_top_k(scores: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 class FusionNetwork:
-    """Focused-view fusion: cross-attention blocks plus the delta head.
+    """Focused-view fusion: one residual cross-attention block plus the delta head.
 
     `candidate_tokens`, for training and inference alike, flattens candidate
     locals to one key/value sequence of k*n tokens, each plus the index
     embedding of its candidate slot so the k output logits can be
     candidate-specific. All parameters live in the `fusion` learning-rate
-    group. Residual output projections and the delta scale are
-    zero-initialized: the whole stage is a no-op on rankings at step 0.
+    group. The block's residual output projection (`fusion.block0.out_w`,
+    `out_b`) and the delta scale are zero-initialized: the whole stage is a
+    no-op on rankings at step 0.
     """
 
     def __init__(self, params: ParameterSet, cfg: RunConfig, rng: RandomStream):
@@ -156,9 +157,8 @@ class FusionNetwork:
             kaiming_normal(rng.child("index"), (cfg.k, c), c),
             GROUP_FUSION,
         )
-        for b in range(cfg.fusion_blocks):
-            params.add(f"fusion.block{b}.out_w", np.zeros((c, c)), GROUP_FUSION)
-            params.add(f"fusion.block{b}.out_b", np.zeros(c), GROUP_FUSION)
+        params.add("fusion.block0.out_w", np.zeros((c, c)), GROUP_FUSION)
+        params.add("fusion.block0.out_b", np.zeros(c), GROUP_FUSION)
         self.mlp = Mlp(
             params,
             "fusion.mlp",
@@ -192,7 +192,7 @@ class FusionNetwork:
     def fuse(
         self, indicators: Tensor, cand_tokens: Tensor, rng: RandomStream | None = None
     ) -> Tensor:
-        """Run the residual cross-attention blocks over the candidate tokens.
+        """Run the residual cross-attention block over the candidate tokens.
 
         The attention logits are divided by `gumbel_temp`, in training and at
         inference alike. Gumbel noise from `rng` perturbs them when a stream
@@ -200,18 +200,15 @@ class FusionNetwork:
         """
         if cand_tokens.shape[-2] == 0:
             raise InputError("focused fusion needs at least one candidate token")
-        for b in range(self.cfg.fusion_blocks):
-            attended = scaled_dot_attention(
-                indicators,
-                cand_tokens,
-                cand_tokens,
-                temperature=self.cfg.gumbel_temp,
-                rng=None if rng is None else rng.child("fusion-block", b),
-            )
-            w = self.params[f"fusion.block{b}.out_w"]
-            bias = self.params[f"fusion.block{b}.out_b"]
-            indicators = indicators + (attended @ w + bias)
-        return indicators
+        attended = scaled_dot_attention(
+            indicators,
+            cand_tokens,
+            cand_tokens,
+            temperature=self.cfg.gumbel_temp,
+            rng=None if rng is None else rng.child("fusion-block", 0),
+        )
+        p = self.params
+        return indicators + (attended @ p["fusion.block0.out_w"] + p["fusion.block0.out_b"])
 
     def project(self, fused: Tensor) -> Tensor:
         """Map (B, m-1, C) fused indicators to (B, k) delta-head logits, before `delta_scale`."""

@@ -289,12 +289,8 @@ class Tensor:
             out._grad_fn = grad_fn
         return out
 
-    def mean(self, axis=None, keepdims: bool = False):
-        if axis is None:
-            count = self.data.size
-        else:
-            count = self.data.shape[axis]
-        return self.sum(axis=axis, keepdims=keepdims) * (1.0 / count)
+    def mean(self, axis: int, keepdims: bool = False):
+        return self.sum(axis=axis, keepdims=keepdims) * (1.0 / self.data.shape[axis])
 
     # -- elementwise transcendentals --------------------------------------
 

@@ -31,7 +31,8 @@ class Batch:
 
 @dataclass
 class LossBundle:
-    """Loss tensors of one forward pass (kept for backward).
+    """The two loss tensors of one forward pass that backward needs, and the
+    float report of its terms.
 
     `scale_calibration` lives outside the combined objective: it is the
     cross-entropy of the composed scores (stage-1 + delta, or the delta alone
@@ -42,21 +43,9 @@ class LossBundle:
     Without query indicators it is a constant zero, like both focused terms.
     """
 
-    t2v: Tensor
-    v2t: Tensor
-    focus_t: Tensor
-    focus_v: Tensor
     combined_tensor: Tensor
     scale_calibration: Tensor
-
-    def report(self) -> LossReport:
-        return LossReport(
-            float(self.t2v.data),
-            float(self.v2t.data),
-            float(self.focus_t.data),
-            float(self.focus_v.data),
-            float(self.combined_tensor.data),
-        )
+    report: LossReport
 
 
 def build_candidates(sims: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -108,7 +97,8 @@ def training_loss(
         calibration = Tensor(0.0)
 
     combined = combined_loss(l_t2v, l_v2t, l_focus_v, l_focus_t)
-    return LossBundle(l_t2v, l_v2t, l_focus_t, l_focus_v, combined, calibration)
+    terms = (l_t2v, l_v2t, l_focus_t, l_focus_v, combined)
+    return LossBundle(combined, calibration, LossReport(*(float(t.data) for t in terms)))
 
 
 def _focused_direction(model, query_focus, cand_locals, sims, k_train, rng, tag):
@@ -198,7 +188,7 @@ def train_step(
     below report a diverging run, naming its parameters and batch items."""
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         bundle = training_loss(model, batch, rng=rng)
-        report = bundle.report()
+        report = bundle.report
         if not report.finite():
             raise TrainingAbort(
                 f"non-finite loss {report} on batch items {batch.item_ids.tolist()}"

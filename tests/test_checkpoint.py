@@ -89,6 +89,17 @@ def test_name_that_is_not_utf8_rejected(tmp_path):
         load_parameters(path)
 
 
+def test_duplicate_parameter_name_rejected(tmp_path):
+    path = tmp_path / "ckpt.bin"
+    save_parameters({"w1": np.zeros(2), "w2": np.ones(2)}, path)
+    blob = path.read_bytes()
+    second = blob.index(b"w2") - 4  # the record's name length
+    path.write_bytes(blob.replace(b"w2", b"w1"))
+    with pytest.raises(FormatError, match="duplicate parameter 'w1'") as err:
+        load_parameters(path)
+    assert err.value.offset == second
+
+
 def test_shape_whose_size_overflows_int64_rejected(tmp_path):
     # 2**31 * 2**31 * 2 wraps to a negative int64 element count.
     path = tmp_path / "ckpt.bin"

@@ -73,6 +73,18 @@ class TestParseArgs:
         with pytest.raises(ConfigError):
             parse_args(["eval", "--set", "indicator_count=seven"])
 
+    def test_deleted_key_rejected(self):
+        with pytest.raises(ConfigError, match="unknown config key: 'fusion_blocks'"):
+            parse_args(["eval", "--set", "fusion_blocks=1"])
+
+    def test_override_without_equals_rejected(self):
+        with pytest.raises(UsageError, match="--set expects key=value"):
+            parse_args(["train", "--set", "k"])
+
+    def test_duplicate_override_key_rejected(self):
+        with pytest.raises(UsageError, match="duplicate --set key 'k'"):
+            parse_args(["ablate", "--set", "k=2", "--set", " k =3"])
+
     def test_sweep_list_only_for_ablate(self):
         with pytest.raises(UsageError):
             parse_args(["train", "--set", "k=5,10"])

@@ -5,6 +5,7 @@ import os
 import sys
 import threading
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from focusrank import pool
 from focusrank.config import RunConfig, apply_overrides, load_config
 from focusrank.data import BLOCK, build_galleries, generate_synthetic_pairs
 from focusrank.encoders import TextSequence, VideoClip
-from focusrank.errors import ConfigError, InputError
+from focusrank.errors import ConfigError, DimensionError, InputError
 from focusrank.model import RetrievalModel
 from focusrank.pipeline import Gallery
 
@@ -29,7 +30,6 @@ def small_config(**overrides):
         coarse_clusters=4,
         cohort_size=5,
         noise_level=0.1,
-        fine_scale=1.0,
         text_len=6,
         frame_count=2,
         patch_count=4,
@@ -277,6 +277,16 @@ class TestGalleryValidation:
         with pytest.raises(InputError):
             Gallery(np.zeros((0, 4)), np.zeros((0, 1, 4)))
 
+    @pytest.mark.parametrize("globals_shape, locals_shape, match", [
+        ((4,), (4, 2, 3), "needs"),
+        ((4, 3), (4, 3), "needs"),
+        ((4, 3), (5, 2, 3), "entry count"),
+        ((4, 3), (4, 2, 5), "width"),
+    ])
+    def test_mis_shaped_arrays_rejected(self, globals_shape, locals_shape, match):
+        with pytest.raises(DimensionError, match=match):
+            Gallery(np.zeros(globals_shape), np.zeros(locals_shape))
+
     @pytest.mark.parametrize("part", ["globals", "locals"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_entries_rejected(self, part, bad):
@@ -294,7 +304,6 @@ class TestConfig:
         cfg = load_config(path)
         assert cfg.indicator_count == 4
         assert cfg.k == 10
-        assert cfg.fusion_blocks == 1
         assert cfg.temperature == 0.01
         assert cfg.weight_decay == 0.2
         assert cfg.lr_fusion == 1e-4
@@ -366,11 +375,47 @@ class TestConfig:
             apply_overrides(RunConfig(), {key: value})
 
     def test_removed_keys_rejected(self):
-        # Training always uses min(k, batch) candidates, and the generated
-        # text_len and frame_count bound the encoders' inputs; the knobs are gone.
-        for key in ("k_train", "max_text_len", "max_frames"):
+        # Training always uses min(k, batch) candidates, the generated text_len
+        # and frame_count bound the encoders' inputs, and one fusion block and
+        # unit fine detail are the only ones built; the knobs are gone.
+        for key in ("k_train", "max_text_len", "max_frames", "fusion_blocks", "fine_scale"):
             with pytest.raises(ConfigError):
                 apply_overrides(RunConfig(), {key: "2"})
+
+    def test_removed_key_in_a_file_rejected(self, tmp_path):
+        path = tmp_path / "old.cfg"
+        path.write_text("fine_scale: 1.0\n")
+        with pytest.raises(ConfigError, match=":1: unknown config key: 'fine_scale'"):
+            load_config(path)
+
+    @pytest.mark.parametrize("raw", ["yes", "1", "True", ""])
+    def test_bool_value_must_be_true_or_false(self, tmp_path, raw):
+        with pytest.raises(ConfigError, match="expected true/false"):
+            apply_overrides(RunConfig(), {"use_gumbel": raw})
+        path = tmp_path / "b.cfg"
+        path.write_text(f"use_gumbel: {raw}\n")
+        with pytest.raises(ConfigError, match=":1: bad value for 'use_gumbel'"):
+            load_config(path)
+
+    @pytest.mark.parametrize("key, value", [
+        ("k", 2.5), ("dim", 8.0), ("k", True), ("seed", None), ("dim", "8"),
+        ("use_gumbel", 1), ("use_gumbel", "true"), ("use_stage1_scores", np.bool_(True)),
+        ("temperature", True), ("temperature", "0.1"), ("noise_level", None),
+        ("query_direction", 1), ("checkpoint", None),
+    ])
+    def test_wrongly_typed_value_rejected(self, key, value):
+        # Set in code, past the parser: the model would fail with a bare TypeError.
+        with pytest.raises(ConfigError, match=f"^{key} must be of type"):
+            RunConfig(**{key: value}).validate()
+        with pytest.raises(ConfigError, match=f"^{key} must be of type"):
+            RetrievalModel(RunConfig(**{key: value}))
+
+    @pytest.mark.parametrize("key, value", [
+        ("k", np.int64(3)), ("temperature", 1), ("temperature", np.float32(0.5)),
+        ("noise_level", Fraction(1, 20)), ("weight_decay", np.int64(0)),
+    ])
+    def test_integers_and_real_numbers_accepted(self, key, value):
+        assert getattr(RunConfig(**{key: value}).validate(), key) == value
 
     def test_unknown_attribute_rejected(self):
         # A removed or misspelt key set in code fails instead of being ignored.

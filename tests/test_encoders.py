@@ -100,6 +100,10 @@ class TestTemporalMeanPool:
         b = temporal_mean_pool(frames[perm]).data
         np.testing.assert_allclose(a, b, atol=1e-12)
 
+    def test_below_3d_rejected(self):
+        with pytest.raises(DimensionError):
+            temporal_mean_pool(np.zeros((4, 16)))
+
     def test_batched(self):
         frames = RNG.normal(size=(2, 3, 4, 6))
         out = temporal_mean_pool(frames).data
@@ -150,6 +154,13 @@ class TestTextEncoder:
     def test_empty_sequence_rejected(self):
         with pytest.raises(InputError):
             TextSequence(np.array([], dtype=np.int64))
+
+    @pytest.mark.parametrize("shape", [(4,), (2, 3, 1), (0, 4), (2, 0)])
+    def test_batch_must_be_rows_of_tokens(self, shape):
+        # An empty batch is an InputError too, not numpy's error from `min()`.
+        model = RetrievalModel(tiny_config())
+        with pytest.raises(InputError, match="token batch must be"):
+            model.encode_text_batch(np.zeros(shape, dtype=np.int64))
 
     def test_token_out_of_vocabulary_rejected(self):
         cfg = tiny_config()
@@ -207,6 +218,19 @@ class TestVideoEncoder:
     def test_empty_clip_rejected(self):
         with pytest.raises(InputError):
             VideoClip(np.zeros((0, 4, 16)))
+
+    @pytest.mark.parametrize("shape", [(2, 4, 16), (1, 2, 2, 4, 16)])
+    def test_batch_must_be_4d(self, shape):
+        model = RetrievalModel(tiny_config(seed=5))
+        with pytest.raises(InputError, match=r"clip batch must be \(B, T, P\^2, D\)"):
+            model.encode_video_batch(np.zeros(shape))
+
+    @pytest.mark.parametrize("shape", [(0, 2, 4, 16), (2, 0, 4, 16)])
+    def test_batch_without_clips_or_frames_rejected(self, shape):
+        # An empty batch used to encode to empty arrays.
+        model = RetrievalModel(tiny_config(seed=5))
+        with pytest.raises(InputError, match="B >= 1 clips of T >= 1 frames"):
+            model.encode_video_batch(np.zeros(shape))
 
     @pytest.mark.parametrize("bad", [[[["a"]]], [[[1.0, 2.0], [3.0]]], [[[1j]]]])
     def test_non_numeric_clip_rejected(self, bad):

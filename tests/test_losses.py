@@ -117,6 +117,10 @@ class TestContrastiveLoss:
         with pytest.raises(InputError):
             contrastive_loss(Tensor(batch), Tensor(batch), 0.1, "t2v")
 
+    def test_mismatched_shapes_rejected(self):
+        with pytest.raises(InputError, match="matching shapes"):
+            contrastive_loss(Tensor(unit_rows(3, 4)), Tensor(unit_rows(4, 4)), 0.1, "t2v")
+
     def test_unknown_direction_rejected(self):
         batch = unit_rows(2, 4)
         with pytest.raises(UsageError):

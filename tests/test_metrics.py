@@ -182,6 +182,7 @@ def test_unknown_mode_rejected():
     ({"truth_t2v": [0.0, 1.0, 2.0]}, r"t2v truth ids must be integers in \[0, 3\)"),
     ({"truth_v2t": [True, False, True]}, r"v2t truth ids must be integers in \[0, 3\)"),
     ({"text_queries": (np.zeros((0, 8)), np.zeros((0, 0, 8)))}, "no t2v queries to rank"),
+    ({"truth_v2t": [0, 1]}, "one truth id required per query"),
 ])
 def test_truth_outside_gallery_rejected_before_ranking(monkeypatch, bad):
     overrides, match = bad

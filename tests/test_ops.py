@@ -102,6 +102,13 @@ class TestScaledDotAttention:
         with pytest.raises(DimensionError):
             scaled_dot_attention(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 3))), Tensor(np.ones((3, 3))))
 
+    @pytest.mark.parametrize("which", [0, 1, 2])
+    def test_operand_below_2d_raises(self, which):
+        args = [Tensor(np.ones((2, 3))) for _ in range(3)]
+        args[which] = Tensor(np.ones(3))
+        with pytest.raises(DimensionError, match="at least 2-d"):
+            scaled_dot_attention(*args)
+
     def test_bad_gumbel_temp_raises(self):
         args = [Tensor(np.ones((1, 2)))] * 3
         for temperature in (0.0, -1.0, math.nan):
@@ -308,6 +315,12 @@ class TestParameterSet:
         p.add("w", np.zeros(2))
         with pytest.raises(ConfigError):
             p.add("w", np.zeros(2))
+
+    def test_unknown_group_rejected(self):
+        p = ParameterSet()
+        with pytest.raises(ConfigError, match="unknown parameter group"):
+            p.add("w", np.zeros(2), group="head")
+        assert p.names() == []
 
     def test_groups_and_missing(self):
         p = ParameterSet()

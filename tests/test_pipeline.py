@@ -308,6 +308,14 @@ class TestSelectTopK:
 
 
 class TestFocusedFuse:
+    def test_parameter_names_are_those_checkpoints_hold(self):
+        # A saved model.bin names its parameters; the one block keeps index 0.
+        assert make_net().params.names() == [
+            "fusion.index_embedding", "fusion.block0.out_w", "fusion.block0.out_b",
+            "fusion.mlp.w1", "fusion.mlp.b1", "fusion.mlp.w2", "fusion.mlp.b2",
+            "fusion.delta_scale",
+        ]
+
     def test_zero_init_projection_is_identity(self):
         net = make_net()
         gallery = make_gallery()
@@ -368,6 +376,11 @@ class TestFocusedFuse:
         with pytest.raises(InputError):
             focused_fuse(RNG.normal(size=(1, 3, 8)), np.zeros((1, 2, 8)),
                          np.zeros((1, 0), dtype=int), net)
+
+    def test_candidate_indices_must_be_a_batch(self):
+        # One row of indices gathers (k', n, C) tokens, not a batch of them.
+        with pytest.raises(DimensionError, match=r"\(B, k'\) indices"):
+            make_net().candidate_tokens(np.zeros((5, 2, 8)), np.arange(3))
 
     def test_noise_only_with_a_stream(self):
         net = make_net(randomize=True)  # default config samples Gumbel noise in training
@@ -696,6 +709,12 @@ class TestRankQueries:
         focus[2, 0, 5] = bad
         with pytest.raises(InputError):
             rank_queries(unit_rows(3, 8), focus, make_gallery(), make_net(randomize=True), 4)
+
+    @pytest.mark.parametrize("mode", ["broad-only", "two-stage"])
+    def test_query_globals_must_be_a_chunk(self, mode):
+        with pytest.raises(DimensionError, match=r"\(Q, C\)"):
+            rank_queries(unit_rows(1, 8)[0], RNG.normal(size=(1, 3, 8)), make_gallery(),
+                         net_for(mode), 4)
 
     def test_two_stage_without_focus_rejected(self):
         with pytest.raises(InputError):

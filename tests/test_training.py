@@ -8,7 +8,7 @@ import pytest
 
 from focusrank.config import RunConfig
 from focusrank.data import generate_synthetic_pairs, spec_from_config
-from focusrank.errors import TrainingAbort, UsageError
+from focusrank.errors import InputError, TrainingAbort, UsageError
 from focusrank.model import RetrievalModel
 from focusrank.rng import RandomStream
 from focusrank.tensor import Tensor
@@ -136,7 +136,7 @@ class TestTrainStep:
         model.params.zero_grad()
         (bundle.combined_tensor + bundle.scale_calibration).backward()
         own = sum(isinstance(v, Tensor) for v in vars(bundle).values())
-        assert own == 6
+        assert own == 2
         # Only the bundle's own tensors outlive the backward: none of the graph
         # beneath them, and no intermediate gradient.
         assert live_tensors() - before <= own
@@ -217,14 +217,19 @@ class TestTrainStep:
                 t = model.params[name]
                 t.data = rng.normal(size=t.data.shape, scale=0.2)
         batch = make_batch(cfg, n=6)
-        a = training_loss(model, batch).report()
+        a = training_loss(model, batch).report
         perm = np.random.default_rng(9).permutation(6)
         permuted = Batch(batch.texts[perm], batch.videos[perm], batch.item_ids[perm])
-        b = training_loss(model, permuted).report()
+        b = training_loss(model, permuted).report
         assert abs(a.t2v - b.t2v) < 1e-12
         assert abs(a.v2t - b.v2t) < 1e-12
         assert abs(a.focus_t - b.focus_t) < 1e-12
         assert abs(a.focus_v - b.focus_v) < 1e-12
+
+    def test_batch_of_one_rejected(self):
+        cfg = tiny_config()
+        with pytest.raises(InputError, match="at least 2 pairs"):
+            training_loss(RetrievalModel(cfg), make_batch(cfg, n=1))
 
     def test_nonfinite_loss_aborts_with_diagnostics(self):
         cfg = tiny_config()
@@ -245,15 +250,15 @@ class TestTrainStep:
                 t = model.params[name]
                 t.data = rng.normal(size=t.data.shape, scale=0.2)
         batch = make_batch(cfg)
-        det1 = training_loss(model, batch).report()  # no stream: no noise
-        det2 = training_loss(model, batch).report()
+        det1 = training_loss(model, batch).report  # no stream: no noise
+        det2 = training_loss(model, batch).report
         assert det1 == det2
-        noisy1 = training_loss(model, batch, rng=RandomStream(1).child("a")).report()
-        noisy2 = training_loss(model, batch, rng=RandomStream(1).child("b")).report()
+        noisy1 = training_loss(model, batch, rng=RandomStream(1).child("a")).report
+        noisy2 = training_loss(model, batch, rng=RandomStream(1).child("b")).report
         assert noisy1.focus_t != noisy2.focus_t
         # use_gumbel=false ignores the stream.
         model.cfg.use_gumbel = False
-        quiet = training_loss(model, batch, rng=RandomStream(1).child("a")).report()
+        quiet = training_loss(model, batch, rng=RandomStream(1).child("a")).report
         assert quiet == det1
 
 
