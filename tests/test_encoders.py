@@ -157,7 +157,6 @@ class TestTextEncoder:
 
     @pytest.mark.parametrize("shape", [(4,), (2, 3, 1), (0, 4), (2, 0)])
     def test_batch_must_be_rows_of_tokens(self, shape):
-        # An empty batch is an InputError too, not numpy's error from `min()`.
         model = RetrievalModel(tiny_config())
         with pytest.raises(InputError, match="token batch must be"):
             model.encode_text_batch(np.zeros(shape, dtype=np.int64))
@@ -227,7 +226,6 @@ class TestVideoEncoder:
 
     @pytest.mark.parametrize("shape", [(0, 2, 4, 16), (2, 0, 4, 16)])
     def test_batch_without_clips_or_frames_rejected(self, shape):
-        # An empty batch used to encode to empty arrays.
         model = RetrievalModel(tiny_config(seed=5))
         with pytest.raises(InputError, match="B >= 1 clips of T >= 1 frames"):
             model.encode_video_batch(np.zeros(shape))
