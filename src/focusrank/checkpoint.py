@@ -47,7 +47,10 @@ def save_parameters(params: ParameterSet | dict[str, np.ndarray], path) -> None:
         chunks.append(struct.pack("<I", value.ndim))
         chunks.append(struct.pack(f"<{value.ndim}I", *value.shape))
         chunks.append(value.tobytes())
-    Path(path).write_bytes(b"".join(chunks))
+    try:
+        Path(path).write_bytes(b"".join(chunks))
+    except OSError as exc:
+        raise FormatError(f"cannot write checkpoint {path}: {exc.strerror}") from None
 
 
 class _Reader:

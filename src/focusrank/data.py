@@ -11,9 +11,9 @@ members while local cross-attention can separate them.
 
 Generation and encoding both run in fixed-size blocks of items on the block
 pool (`pool.on_pool`), each block writing its rows straight into
-preallocated arrays. Every generated item draws only from its own keyed
-Philox streams (`rng`), which give the same values on any thread and in any
-order, so the order in which blocks run does not show in the bytes. Graph
+preallocated arrays. Every generated item takes one draw from each of its
+own keyed streams (`rng`), which gives the same values on any thread and in
+any order, so the order in which blocks run does not show in the bytes. Graph
 recording is switched off per thread (`tensor.no_grad`), so encoding helpers
 never change the calling thread's grad mode.
 """
@@ -118,10 +118,10 @@ def generate_synthetic_pairs(cfg: RunConfig) -> PairedDataset:
     noise_streams = []
     for item in range(n):
         item_rng = root.child("item", item)
-        texts[item, 3:] = item_rng.child("filler").rekeyed().integers(
+        texts[item, 3:] = item_rng.child("filler").integers(
             _FILLER_BASE, cfg.vocab_size, cfg.text_len - 3
         )
-        needles[item] = item_rng.child("needle").rekeyed().integers(0, cfg.patch_count)
+        needles[item] = item_rng.child("needle").integers(0, cfg.patch_count)
         noise_streams.append(item_rng.child("noise"))
 
     videos = np.zeros((n, cfg.frame_count, cfg.patch_count, cfg.patch_dim))
@@ -132,9 +132,7 @@ def generate_synthetic_pairs(cfg: RunConfig) -> PairedDataset:
             clip[...] = coarse_vecs[item // cfg.cohort_size]
             clip[:, needles[item], :] += fine_vecs[item % cfg.cohort_size]
             if cfg.noise_level > 0:
-                noise = noise_streams[item].rekeyed().normal(0.0, 1.0, clip.shape)
-                noise *= cfg.noise_level
-                clip += noise
+                clip += noise_streams[item].normal(clip.shape, scale=cfg.noise_level)
 
     threads = pool.on_pool(render, range(0, n, BLOCK))
     log.info(

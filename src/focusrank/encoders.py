@@ -33,12 +33,14 @@ from .tensor import (
 def _typed_array(values, dtype, what: str) -> np.ndarray:
     """`values` as a `dtype` array, if numpy reads them as a rectangular array
     of a kind that casts to `dtype` (an empty one passes): a float token id is
-    not truncated, and a string or ragged input is an InputError."""
+    not truncated, a bool is no integer id, and a string, complex or ragged
+    input is an InputError."""
     try:
         array = np.asarray(values)
     except ValueError:
         raise InputError(f"{what} must be a rectangular array") from None
-    if array.size and not np.can_cast(array.dtype, dtype, casting="same_kind"):
+    bool_as_int = array.dtype.kind == "b" and np.dtype(dtype).kind == "i"
+    if array.size and (bool_as_int or not np.can_cast(array.dtype, dtype, casting="same_kind")):
         raise InputError(f"{what} must hold {np.dtype(dtype)} values, got {array.dtype}")
     return array.astype(dtype, copy=False)
 

@@ -195,10 +195,10 @@ def run_gradient_suite(seed: int) -> list[GradCheckResult]:
         if pname.endswith(("out_w", "out_b", "delta_scale")):
             t = model.params[pname]
             t.data = rng.child("jitter", pname).normal(t.data.shape, scale=0.3)
-    data_rng = rng.child("batch")
+    data_rng = rng.child("batch").rekeyed()  # one generator for both draws
     batch = Batch(
         texts=np.asarray(data_rng.integers(0, cfg.vocab_size, (2, cfg.text_len))),
-        videos=data_rng.normal((2, cfg.frame_count, cfg.patch_count, cfg.patch_dim)),
+        videos=data_rng.normal(0.0, 1.0, (2, cfg.frame_count, cfg.patch_count, cfg.patch_dim)),
         item_ids=np.arange(2),
     )
     results.append(

@@ -11,9 +11,6 @@ from .errors import ConfigError, DimensionError
 from .rng import RandomStream
 from .tensor import Tensor, _result, _unbroadcast, as_tensor, gelu
 
-GROUP_BASE = "base"
-GROUP_FUSION = "fusion"
-
 
 def kaiming_normal(rng: RandomStream, shape, fan_in: int) -> np.ndarray:
     """Kaiming-normal init: zero-mean gaussian with std sqrt(2 / fan_in)."""
@@ -21,7 +18,7 @@ def kaiming_normal(rng: RandomStream, shape, fan_in: int) -> np.ndarray:
 
 
 class ParameterSet:
-    """Named trainable tensors, each tagged with a learning-rate group.
+    """Named trainable tensors; `training.AdamW` reads its policy from the names.
 
     Names are unique; iteration order is insertion order, which fixes the
     optimizer update order and keeps runs bit-reproducible.
@@ -29,16 +26,12 @@ class ParameterSet:
 
     def __init__(self):
         self._params: dict[str, Tensor] = {}
-        self._groups: dict[str, str] = {}
 
-    def add(self, name: str, value: np.ndarray, group: str = GROUP_BASE) -> Tensor:
+    def add(self, name: str, value: np.ndarray) -> Tensor:
         if name in self._params:
             raise ConfigError(f"duplicate parameter name: {name!r}")
-        if group not in (GROUP_BASE, GROUP_FUSION):
-            raise ConfigError(f"unknown parameter group: {group!r}")
         t = Tensor(np.asarray(value, dtype=np.float64), requires_grad=True)
         self._params[name] = t
-        self._groups[name] = group
         return t
 
     def __getitem__(self, name: str) -> Tensor:
@@ -49,10 +42,6 @@ class ParameterSet:
 
     def names(self) -> list[str]:
         return list(self._params)
-
-    def group(self, name: str) -> str:
-        self[name]
-        return self._groups[name]
 
     def items(self):
         return self._params.items()
@@ -161,14 +150,13 @@ class Mlp:
         d_hidden: int,
         d_out: int,
         rng: RandomStream,
-        group: str = GROUP_BASE,
     ):
         self.params = params
         self.prefix = prefix
-        params.add(f"{prefix}.w1", kaiming_normal(rng.child("w1"), (d_in, d_hidden), d_in), group)
-        params.add(f"{prefix}.b1", np.zeros(d_hidden), group)
-        params.add(f"{prefix}.w2", kaiming_normal(rng.child("w2"), (d_hidden, d_out), d_hidden), group)
-        params.add(f"{prefix}.b2", np.zeros(d_out), group)
+        params.add(f"{prefix}.w1", kaiming_normal(rng.child("w1"), (d_in, d_hidden), d_in))
+        params.add(f"{prefix}.b1", np.zeros(d_hidden))
+        params.add(f"{prefix}.w2", kaiming_normal(rng.child("w2"), (d_hidden, d_out), d_hidden))
+        params.add(f"{prefix}.b2", np.zeros(d_out))
 
     def __call__(self, x) -> Tensor:
         """Map (..., d_in) rows to (..., d_out); `x` needs a batch axis."""

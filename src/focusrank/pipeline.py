@@ -25,9 +25,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import RunConfig
-from .encoders import EncodedItem
+from .encoders import EncodedItem, _typed_array
 from .errors import ConfigError, DimensionError, InputError
-from .ops import GROUP_FUSION, Mlp, ParameterSet, kaiming_normal, scaled_dot_attention
+from .ops import Mlp, ParameterSet, kaiming_normal, scaled_dot_attention
 from .rng import RandomStream
 from .tensor import Tensor, _grad_mode, as_tensor, no_grad, take
 
@@ -48,8 +48,8 @@ class Gallery:
     locals_: np.ndarray   # (N, n, C)
 
     def __post_init__(self):
-        self.globals_ = np.asarray(self.globals_, dtype=np.float64)
-        self.locals_ = np.asarray(self.locals_, dtype=np.float64)
+        self.globals_ = _typed_array(self.globals_, np.float64, "gallery globals")
+        self.locals_ = _typed_array(self.locals_, np.float64, "gallery locals")
         if self.globals_.ndim != 2 or self.locals_.ndim != 3:
             raise DimensionError("gallery needs (N, C) globals and (N, n, C) locals")
         if len(self.globals_) == 0:
@@ -142,23 +142,20 @@ class FusionNetwork:
     `candidate_tokens`, for training and inference alike, flattens candidate
     locals to one key/value sequence of k*n tokens, each plus the index
     embedding of its candidate slot so the k output logits can be
-    candidate-specific. All parameters live in the `fusion` learning-rate
-    group. The block's residual output projection (`fusion.block0.out_w`,
-    `out_b`) and the delta scale are zero-initialized: the whole stage is a
-    no-op on rankings at step 0.
+    candidate-specific. Every parameter is named `fusion.*`, and by that
+    name `training.AdamW` gives it the `lr_fusion` learning rate. The
+    block's residual output projection (`fusion.block0.out_w`, `out_b`) and
+    the delta scale are zero-initialized: the whole stage is a no-op on
+    rankings at step 0.
     """
 
     def __init__(self, params: ParameterSet, cfg: RunConfig, rng: RandomStream):
         self.params = params
         self.cfg = cfg
         c = cfg.dim
-        params.add(
-            "fusion.index_embedding",
-            kaiming_normal(rng.child("index"), (cfg.k, c), c),
-            GROUP_FUSION,
-        )
-        params.add("fusion.block0.out_w", np.zeros((c, c)), GROUP_FUSION)
-        params.add("fusion.block0.out_b", np.zeros(c), GROUP_FUSION)
+        params.add("fusion.index_embedding", kaiming_normal(rng.child("index"), (cfg.k, c), c))
+        params.add("fusion.block0.out_w", np.zeros((c, c)))
+        params.add("fusion.block0.out_b", np.zeros(c))
         self.mlp = Mlp(
             params,
             "fusion.mlp",
@@ -166,9 +163,8 @@ class FusionNetwork:
             cfg.mlp_hidden,
             cfg.k,
             rng.child("mlp"),
-            group=GROUP_FUSION,
         )
-        params.add("fusion.delta_scale", np.zeros(()), GROUP_FUSION)
+        params.add("fusion.delta_scale", np.zeros(()))
 
     def candidate_tokens(self, locals_, cand_indices) -> Tensor:
         """(B, k'*n, C) tokens of rows `cand_indices[b]` of the (N, n, C) Tensor

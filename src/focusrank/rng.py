@@ -4,10 +4,11 @@ A stream is identified by a 256-bit key derived from the root seed and the
 chain of child labels. Children are independent of draw order, so a single
 seed reproduces a whole run no matter which parts of it execute first.
 Backed by numpy's Philox bit generator, which is counter-based: its output is
-a function of the key and the counter alone. So a stream's draws are the same
-on any thread and in any order, and one Philox per thread, re-keyed to each
-stream in turn (`RandomStream.rekeyed`), gives the draws a fresh generator
-would, without building one per stream.
+a function of the key and the counter alone. Every draw re-keys the calling
+thread's one Philox to the stream (`RandomStream.rekeyed`), so it equals the
+first draw of a fresh `Philox(key)` on any thread and in any order. Each draw
+starts at the stream's key: derive one child per draw, or call `rekeyed()`
+once for a run of draws that continue one another.
 """
 
 from __future__ import annotations
@@ -23,14 +24,16 @@ _ZEROS = np.zeros(4, dtype=np.uint64)  # a fresh Philox's counter and buffer
 
 
 class RandomStream:
-    """A keyed random stream with deterministic, label-addressed children."""
+    """A keyed random stream with deterministic, label-addressed children.
+    Each draw starts at the key; `rekeyed()` serves a run of draws."""
+
+    __slots__ = ("_key",)
 
     def __init__(self, seed: int | bytes):
         if isinstance(seed, bytes):
             self._key = seed
         else:
             self._key = hashlib.sha256(b"focusrank-root:%d" % int(seed)).digest()
-        self._generator: np.random.Generator | None = None
 
     def child(self, *labels) -> "RandomStream":
         """Derive an independent stream keyed by this stream plus `labels`."""
@@ -40,21 +43,13 @@ class RandomStream:
             h.update(str(label).encode("utf-8"))
         return RandomStream(h.digest())
 
-    @property
-    def generator(self) -> np.random.Generator:
-        if self._generator is None:
-            key = int.from_bytes(self._key[:16], "little")
-            self._generator = np.random.Generator(np.random.Philox(key=key))
-        return self._generator
-
     def rekeyed(self) -> np.random.Generator:
         """The calling thread's one reused generator, re-keyed to this stream.
 
-        Re-keying sets the state a fresh `generator` starts in: this stream's
-        key, a zero counter, an empty buffer and no cached 32-bit half. So the
-        draws are the same as from `generator`, at a fraction of the cost of
-        building one. The generator is this stream's only until the next
-        `rekeyed` call on the same thread.
+        Re-keying sets the state a fresh `Philox(key)` generator starts in:
+        this stream's key, a zero counter, an empty buffer and no cached
+        32-bit half, at a fraction of the cost of building one. The generator
+        is this stream's only until the next draw on the same thread.
         """
         generator = getattr(_per_thread, "generator", None)
         if generator is None:
@@ -70,18 +65,18 @@ class RandomStream:
         }
         return generator
 
-    # Convenience draw methods; draws within one stream are sequential.
+    # Convenience draw methods; each one starts at the stream's key.
     def normal(self, shape, scale=1.0) -> np.ndarray:
-        return self.generator.normal(0.0, scale, size=shape)
+        return self.rekeyed().normal(0.0, scale, size=shape)
 
     def uniform(self, shape, low=0.0, high=1.0) -> np.ndarray:
-        return self.generator.uniform(low, high, size=shape)
+        return self.rekeyed().uniform(low, high, size=shape)
 
     def gumbel(self, shape) -> np.ndarray:
-        return self.generator.gumbel(0.0, 1.0, size=shape)
+        return self.rekeyed().gumbel(0.0, 1.0, size=shape)
 
     def integers(self, low, high, shape=None) -> np.ndarray:
-        return self.generator.integers(low, high, size=shape)
+        return self.rekeyed().integers(low, high, size=shape)
 
     def permutation(self, n: int) -> np.ndarray:
-        return self.generator.permutation(n)
+        return self.rekeyed().permutation(n)

@@ -1,5 +1,5 @@
 """Training loop: in-batch candidate construction, dual-stage objective and
-a decoupled-weight-decay adaptive optimizer with per-group learning rates."""
+a decoupled-weight-decay adaptive optimizer with learning rates by name."""
 
 from __future__ import annotations
 
@@ -11,7 +11,7 @@ from .config import RunConfig
 from .errors import InputError, TrainingAbort, UsageError
 from .losses import LossReport, combined_loss, contrastive_loss, cross_entropy
 from .model import RetrievalModel
-from .ops import GROUP_FUSION, ParameterSet
+from .ops import ParameterSet
 from .pipeline import focused_fuse, stage1_order
 from .rng import RandomStream
 from .tensor import Tensor
@@ -124,15 +124,16 @@ ADAM_EPS = 1e-8
 
 
 class AdamW:
-    """Adaptive-moment update with decoupled weight decay and per-group rates.
+    """Adaptive-moment update with decoupled weight decay, its policy by name.
 
-    The learnable log-temperature is exempt from weight decay (decaying it
-    would silently drag tau toward 1).
+    `fusion.*` parameters step at `lr_fusion`, the rest at `lr_base`, and
+    `log_temperature` is exempt from weight decay (decaying it would
+    silently drag tau toward 1).
     """
 
     def __init__(self, params: ParameterSet, lr_base: float, lr_fusion: float, weight_decay: float):
         self.params = params
-        self.rates = {"base": lr_base, "fusion": lr_fusion}
+        self.lr_base, self.lr_fusion = lr_base, lr_fusion
         self.weight_decay = weight_decay
         self.step_count = 0
         self._m = {name: np.zeros_like(t.data) for name, t in params.items()}
@@ -164,7 +165,7 @@ class AdamW:
             np.multiply(1 - b2, g, out=a)
             a *= g
             v += a
-            lr = self.rates[self.params.group(name)]
+            lr = self.lr_fusion if name.startswith("fusion.") else self.lr_base
             np.divide(v, bias2, out=a)
             np.sqrt(a, out=a)
             a += ADAM_EPS

@@ -18,8 +18,8 @@ def _sample_params():
     rng = np.random.default_rng(3)
     p = ParameterSet()
     p.add("enc.w", rng.normal(size=(4, 6)))
-    p.add("enc.b", rng.normal(size=6), group="base")
-    p.add("fusion.scale", np.array(0.0), group="fusion")
+    p.add("enc.b", rng.normal(size=6))
+    p.add("fusion.scale", np.array(0.0))
     p.add("odd.high_dim", rng.normal(size=(2, 3, 4)))
     return p
 

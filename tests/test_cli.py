@@ -322,6 +322,17 @@ class TestExecute:
         assert err.startswith("error:") and str(out) in err
         assert out.read_text() == "a file, not a directory"
 
+    @pytest.mark.parametrize("verb, artifact", [("train", "model.bin"), ("eval", "metrics.csv")])
+    def test_unwritable_artifact_is_a_typed_error(self, tiny_cfg_path, tmp_path, capsys, verb,
+                                                  artifact):
+        out = tmp_path / "out"
+        (out / artifact).mkdir(parents=True)
+        code = main([verb, "--config", tiny_cfg_path, "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write") and str(out / artifact) in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+
     def test_query_index_checked_before_any_work(self, tiny_cfg_path, tmp_path, capsys,
                                                  monkeypatch):
         def no_work(cfg):

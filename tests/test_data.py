@@ -288,6 +288,21 @@ class TestGalleryValidation:
             Gallery(np.zeros(globals_shape), np.zeros(locals_shape))
 
     @pytest.mark.parametrize("part", ["globals", "locals"])
+    @pytest.mark.parametrize("bad", ["complex", "string", "ragged"])
+    def test_non_real_or_ragged_arrays_rejected(self, part, bad):
+        # A complex array must not lose its imaginary part to a cast.
+        gallery = make_gallery()
+        arrays = {"globals": gallery.globals_, "locals": gallery.locals_}
+        good = arrays[part]
+        arrays[part] = {
+            "complex": good.astype(complex),
+            "string": good.astype(str),
+            "ragged": [row.tolist() for row in good[:-1]] + [good[-1, :-1].tolist()],
+        }[bad]
+        with pytest.raises(InputError, match=f"gallery {part}"):
+            Gallery(arrays["globals"], arrays["locals"])
+
+    @pytest.mark.parametrize("part", ["globals", "locals"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_entries_rejected(self, part, bad):
         gallery = make_gallery()

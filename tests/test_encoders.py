@@ -167,9 +167,12 @@ class TestTextEncoder:
         with pytest.raises(InputError):
             model.encode_text(TextSequence(np.array([cfg.vocab_size])))
 
-    @pytest.mark.parametrize("bad", [[1.5], [np.nan], [2.0, 3.0], ["1"], [[1, 2], [3]], None])
+    @pytest.mark.parametrize(
+        "bad", [[1.5], [np.nan], [2.0, 3.0], ["1"], [[1, 2], [3]], None, [True, False, True]]
+    )
     def test_only_integer_token_ids_accepted(self, bad):
-        # A float id is not truncated to an integer; anything else is typed too.
+        # A float id is not truncated to an integer, nor a bool read as 0 or 1;
+        # anything else is typed too.
         with pytest.raises(InputError):
             TextSequence(bad)
         model = RetrievalModel(tiny_config())

@@ -316,16 +316,9 @@ class TestParameterSet:
         with pytest.raises(ConfigError):
             p.add("w", np.zeros(2))
 
-    def test_unknown_group_rejected(self):
-        p = ParameterSet()
-        with pytest.raises(ConfigError, match="unknown parameter group"):
-            p.add("w", np.zeros(2), group="head")
-        assert p.names() == []
-
     def test_groups_and_missing(self):
         p = ParameterSet()
-        p.add("a", np.zeros(2), group="fusion")
-        assert p.group("a") == "fusion"
+        p.add("a", np.zeros(2))
         with pytest.raises(ConfigError):
             p["missing"]
 

@@ -73,7 +73,36 @@ def test_rekeyed_draws_equal_a_fresh_generator(draw):
         generator = stream.rekeyed()
         for _ in range(2):
             assert np.array_equal(DRAWS[draw](generator), DRAWS[draw](expected))
-        assert np.array_equal(DRAWS[draw](stream.generator), DRAWS[draw](fresh(stream)))
+
+
+# The stream methods that make the draws of DRAWS, by the same keys.
+STREAM_DRAWS = {
+    "integers": lambda s: s.integers(50, 256, 7),
+    "integer": lambda s: s.integers(0, 16),
+    "normal": lambda s: s.normal((3, 5)),
+    "uniform": lambda s: s.uniform(9, -1.0, 2.0),
+    "permutation": lambda s: s.permutation(12),
+    "gumbel": lambda s: s.gumbel(6),
+}
+
+
+@pytest.mark.parametrize("draw", STREAM_DRAWS)
+def test_every_stream_draw_starts_at_the_key(draw):
+    stream = RandomStream(11).child("item", 3, "noise")
+    first = STREAM_DRAWS[draw](stream)
+    assert np.array_equal(first, DRAWS[draw](fresh(stream)))
+    assert np.array_equal(STREAM_DRAWS[draw](stream), first)
+    there = []
+    thread = threading.Thread(target=lambda: there.append(STREAM_DRAWS[draw](stream)))
+    thread.start()
+    thread.join()
+    assert np.array_equal(there[0], first)
+
+
+def test_a_stream_holds_only_its_key():
+    stream = RandomStream(11)
+    with pytest.raises(AttributeError):
+        stream.generator = None
 
 
 def test_rekeying_clears_a_cached_32_bit_half():

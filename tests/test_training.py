@@ -10,6 +10,8 @@ from focusrank.config import RunConfig
 from focusrank.data import generate_synthetic_pairs, spec_from_config
 from focusrank.errors import InputError, TrainingAbort, UsageError
 from focusrank.model import RetrievalModel
+from focusrank.ops import ParameterSet
+from focusrank.pipeline import FusionNetwork
 from focusrank.rng import RandomStream
 from focusrank.tensor import Tensor
 from focusrank.training import (
@@ -273,8 +275,33 @@ class TestAdamW:
         before = {n: t.data.copy() for n, t in model.params.items()}
         opt.step()
         for name, t in model.params.items():
-            if model.params.group(name) == "base":
+            if not name.startswith("fusion."):
                 assert np.array_equal(t.data, before[name]), name
+
+    def test_only_fusion_network_parameters_are_named_fusion(self):
+        cfg = tiny_config()
+        own = ParameterSet()
+        FusionNetwork(own, cfg, RandomStream(0))
+        assert own.names() and all(name.startswith("fusion.") for name in own.names())
+        others = set(RetrievalModel(cfg).params.names()) - set(own.names())
+        assert others and not any(name.startswith("fusion.") for name in others)
+
+    @pytest.mark.parametrize("frozen", ["base", "fusion"])
+    def test_learning_rate_follows_the_fusion_name(self, frozen):
+        cfg = tiny_config()
+        model = RetrievalModel(cfg)
+        rates = {"lr_base": 0.1, "lr_fusion": 0.1, f"lr_{frozen}": 0.0}
+        opt = AdamW(model.params, **rates, weight_decay=0.5)
+        bundle = training_loss(model, make_batch(cfg))
+        model.params.zero_grad()
+        bundle.combined_tensor.backward()
+        for _, t in model.params.items():
+            t.data += 0.5  # no zero left, so a nonzero rate moves each one, by decay at least
+        before = {n: t.data.copy() for n, t in model.params.items()}
+        opt.step()
+        unchanged = {n for n, t in model.params.items() if np.array_equal(t.data, before[n])}
+        fusion = {n for n in model.params.names() if n.startswith("fusion.")}
+        assert unchanged == (set(model.params.names()) - fusion if frozen == "base" else fusion)
 
     def test_weight_decay_shrinks_unused_weights(self):
         cfg = tiny_config()
