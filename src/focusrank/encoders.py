@@ -33,14 +33,15 @@ from .tensor import (
 def _typed_array(values, dtype, what: str) -> np.ndarray:
     """`values` as a `dtype` array, if numpy reads them as a rectangular array
     of a kind that casts to `dtype` (an empty one passes): a float token id is
-    not truncated, a bool is no integer id, and a string, complex or ragged
-    input is an InputError."""
+    not truncated, and a bool, string, complex or ragged input is an
+    InputError (a bool is no number, as in `RunConfig.validate`)."""
     try:
         array = np.asarray(values)
     except ValueError:
         raise InputError(f"{what} must be a rectangular array") from None
-    bool_as_int = array.dtype.kind == "b" and np.dtype(dtype).kind == "i"
-    if array.size and (bool_as_int or not np.can_cast(array.dtype, dtype, casting="same_kind")):
+    if array.size and (
+        array.dtype.kind == "b" or not np.can_cast(array.dtype, dtype, casting="same_kind")
+    ):
         raise InputError(f"{what} must hold {np.dtype(dtype)} values, got {array.dtype}")
     return array.astype(dtype, copy=False)
 

@@ -48,8 +48,8 @@ class RandomStream:
 
         Re-keying sets the state a fresh `Philox(key)` generator starts in:
         this stream's key, a zero counter, an empty buffer and no cached
-        32-bit half, at a fraction of the cost of building one. The generator
-        is this stream's only until the next draw on the same thread.
+        32-bit half, at a fraction of the cost of building one. It is this
+        stream's only until any stream draws or re-keys on the same thread.
         """
         generator = getattr(_per_thread, "generator", None)
         if generator is None:

@@ -288,7 +288,7 @@ class TestGalleryValidation:
             Gallery(np.zeros(globals_shape), np.zeros(locals_shape))
 
     @pytest.mark.parametrize("part", ["globals", "locals"])
-    @pytest.mark.parametrize("bad", ["complex", "string", "ragged"])
+    @pytest.mark.parametrize("bad", ["complex", "string", "bool", "ragged"])
     def test_non_real_or_ragged_arrays_rejected(self, part, bad):
         # A complex array must not lose its imaginary part to a cast.
         gallery = make_gallery()
@@ -297,6 +297,7 @@ class TestGalleryValidation:
         arrays[part] = {
             "complex": good.astype(complex),
             "string": good.astype(str),
+            "bool": good > 0,
             "ragged": [row.tolist() for row in good[:-1]] + [good[-1, :-1].tolist()],
         }[bad]
         with pytest.raises(InputError, match=f"gallery {part}"):

@@ -233,7 +233,7 @@ class TestVideoEncoder:
         with pytest.raises(InputError, match="B >= 1 clips of T >= 1 frames"):
             model.encode_video_batch(np.zeros(shape))
 
-    @pytest.mark.parametrize("bad", [[[["a"]]], [[[1.0, 2.0], [3.0]]], [[[1j]]]])
+    @pytest.mark.parametrize("bad", [[[["a"]]], [[[1.0, 2.0], [3.0]]], [[[1j]]], [[[True]]]])
     def test_non_numeric_clip_rejected(self, bad):
         with pytest.raises(InputError):
             VideoClip(bad)
