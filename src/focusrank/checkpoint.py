@@ -1,4 +1,5 @@
-"""Binary parameter checkpoints.
+"""Binary checkpoints: a map of names to float arrays, such as a model's
+parameters, in one file.
 
 Layout (all integers little-endian):
 
@@ -23,16 +24,15 @@ from pathlib import Path
 import numpy as np
 
 from .errors import FormatError
-from .ops import ParameterSet
 
 MAGIC = b"FRCP"
 VERSION = 1
 
 
-def save_parameters(params: ParameterSet | dict[str, np.ndarray], path) -> None:
-    """Write `params` to `path`. A non-finite value raises `FormatError`
-    naming its parameter before any byte is written: loading would reject it."""
-    arrays = params.state() if isinstance(params, ParameterSet) else dict(params)
+def save_parameters(arrays: dict[str, np.ndarray], path) -> None:
+    """Write the name -> array map `arrays` to `path`, in its order. A
+    non-finite value raises `FormatError` naming its array before any byte is
+    written: loading would reject it."""
     for name, value in arrays.items():
         if not np.isfinite(value).all():
             raise FormatError(f"parameter {name!r} holds NaN or infinite values")

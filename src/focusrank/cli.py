@@ -11,6 +11,7 @@ import csv
 import logging
 import os
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from .config import RunConfig, apply_overrides, load_config, parse_value
@@ -37,6 +38,10 @@ COMPONENT_ROWS = (
 )
 
 
+# A string value (a path, a direction) may hold a comma: it is whole, never a sweep.
+_STRING_KEYS = {f.name for f in fields(RunConfig) if f.type == "str"}
+
+
 def _split_overrides(pairs: list[str], allow_sweep: bool) -> dict[str, str]:
     overrides: dict[str, str] = {}
     for pair in pairs:
@@ -44,7 +49,8 @@ def _split_overrides(pairs: list[str], allow_sweep: bool) -> dict[str, str]:
             raise UsageError(f"--set expects key=value, got {pair!r}")
         key, value = pair.split("=", 1)
         key = key.strip()
-        values = [v.strip() for v in value.split(",")]
+        values = [value] if key in _STRING_KEYS else value.split(",")
+        values = [v.strip() for v in values]
         if len(values) > 1 and not allow_sweep:
             raise UsageError(f"comma list for {key!r} is only valid with the ablate verb")
         # Validate the key and every value eagerly so typos fail at parse time.
@@ -134,14 +140,6 @@ def _evaluate(model: RetrievalModel, dataset, modes) -> list[MetricsReport]:
     return reports
 
 
-def _metrics_rows(reports: list[MetricsReport]):
-    return [
-        (r.direction, r.stage, _float(r.r1), _float(r.r5), _float(r.r10),
-         _float(r.mdr), _float(r.mnr))
-        for r in reports
-    ]
-
-
 def execute(cmd: argparse.Namespace) -> int:
     out_dir = Path(cmd.out)
     if cmd.verb == "ablate":
@@ -163,7 +161,8 @@ def execute(cmd: argparse.Namespace) -> int:
 
     if cmd.verb == "eval":
         reports = _evaluate(model, dataset, ("broad-only", "two-stage"))
-        _write_csv(out_dir / "metrics.csv", MetricsReport.CSV_HEADER, _metrics_rows(reports))
+        _write_csv(out_dir / "metrics.csv", ("direction", "stage", *MetricsReport.COLUMNS),
+                   [(r.direction, r.stage, *map(_float, r.scores())) for r in reports])
         for r in reports:
             print(f"{r.direction} {r.stage}: R@1={r.r1:.1f} R@5={r.r5:.1f} "
                   f"R@10={r.r10:.1f} MdR={r.mdr:.1f} MnR={r.mnr:.2f}")
@@ -186,25 +185,23 @@ def execute(cmd: argparse.Namespace) -> int:
         print(f"query {i} ({cfg.query_direction}): top id {final.order[0]}")
         return 0
 
-    if cmd.verb == "gradcheck":
-        results = run_gradient_suite(seed=cfg.seed)
-        ok = True
-        rows = []
-        for r in results:
-            status = "pass" if r.passed() else "FAIL"
-            ok &= r.passed()
-            print(f"{status} {r.name}: max relative error {r.max_rel_error:.3e} "
-                  f"(worst: {r.worst_param})")
-            rows.append((r.name, _float(r.max_rel_error), r.worst_param, status))
-        _write_csv(out_dir / "gradcheck.csv",
-                   ("check", "max_rel_error", "worst_param", "status"), rows)
-        return 0 if ok else 1
-
-    raise UsageError(f"unknown verb {cmd.verb!r}")
+    # gradcheck, the last verb argparse accepts
+    results = run_gradient_suite(seed=cfg.seed)
+    ok = True
+    rows = []
+    for r in results:
+        status = "pass" if r.passed() else "FAIL"
+        ok &= r.passed()
+        print(f"{status} {r.name}: max relative error {r.max_rel_error:.3e} "
+              f"(worst: {r.worst_param})")
+        rows.append((r.name, _float(r.max_rel_error), r.worst_param, status))
+    _write_csv(out_dir / "gradcheck.csv",
+               ("check", "max_rel_error", "worst_param", "status"), rows)
+    return 0 if ok else 1
 
 
 def _ablate(cmd: argparse.Namespace, out_dir: Path) -> int:
-    sweeps = {k: v for k, v in cmd.set.items() if "," in v}
+    sweeps = {k: v for k, v in cmd.set.items() if "," in v and k not in _STRING_KEYS}
     if cmd.components:
         # The rows would drop a sweep, and their values would override a --set.
         clashes = sorted(set(sweeps) | (set(cmd.set) & set(COMPONENT_ROWS[0][1])))
@@ -231,23 +228,18 @@ def _ablate(cmd: argparse.Namespace, out_dir: Path) -> int:
     run_dirs = [out_dir / f"ablate_{swept_key}_{label}".replace("+", "") for label, _ in configs]
     for run_dir in run_dirs:
         _make_out_dir(run_dir)
-    rows = []
+    results = []
     for (label, cfg), run_dir in zip(configs, run_dirs):
         log.info("ablate %s=%s", swept_key, label)
         dataset = generate_synthetic_pairs(cfg)
         model = _run_training(cfg, dataset, run_dir)
-        t2v, v2t = _evaluate(model, dataset, ("two-stage",))
-        rows.append((swept_key, label,
-                     _float(t2v.r1), _float(t2v.r5), _float(t2v.r10),
-                     _float(t2v.mdr), _float(t2v.mnr),
-                     _float(v2t.r1), _float(v2t.r5), _float(v2t.r10),
-                     _float(v2t.mdr), _float(v2t.mnr)))
-    _write_csv(out_dir / "ablation.csv",
-               ("key", "value",
-                "t2v_R@1", "t2v_R@5", "t2v_R@10", "t2v_MdR", "t2v_MnR",
-                "v2t_R@1", "v2t_R@5", "v2t_R@10", "v2t_MdR", "v2t_MnR"), rows)
-    for row in rows:
-        print(f"{row[0]}={row[1]}: t2v R@1={float(row[2]):.1f} v2t R@1={float(row[7]):.1f}")
+        results.append((label, *_evaluate(model, dataset, ("two-stage",))))
+    columns = [f"{d}_{c}" for d in ("t2v", "v2t") for c in MetricsReport.COLUMNS]
+    _write_csv(out_dir / "ablation.csv", ("key", "value", *columns),
+               [(swept_key, label, *map(_float, t2v.scores() + v2t.scores()))
+                for label, t2v, v2t in results])
+    for label, t2v, v2t in results:
+        print(f"{swept_key}={label}: t2v R@1={t2v.r1:.1f} v2t R@1={v2t.r1:.1f}")
     return 0
 
 

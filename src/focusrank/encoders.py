@@ -90,13 +90,10 @@ def bind_query_indicators(indicators, tokens, out_w, out_b) -> Tensor:
     """One binding step: indicators + proj(attention(Q=indicators, K=V=tokens)).
 
     The output projection is expected to be zero at initialization, which
-    makes this op the identity on the indicators at step 0.
+    makes this op the identity on the indicators at step 0. Widths that
+    differ raise `DimensionError` in the attention.
     """
     indicators, tokens = as_tensor(indicators), as_tensor(tokens)
-    if indicators.shape[-1] != tokens.shape[-1]:
-        raise DimensionError(
-            f"indicator width {indicators.shape[-1]} != token width {tokens.shape[-1]}"
-        )
     attended = scaled_dot_attention(indicators, tokens, tokens)
     return indicators + (attended @ out_w + out_b)
 

@@ -65,7 +65,7 @@ def cross_entropy(logits, targets) -> Tensor:
         raise UsageError(f"target position out of range for k={k}")
     onehot = np.zeros((b, k))
     onehot[np.arange(b), targets] = 1.0
-    return -(log_softmax(logits, axis=-1) * Tensor(onehot)).sum() * (1.0 / b)
+    return -(log_softmax(logits) * Tensor(onehot)).sum() * (1.0 / b)
 
 
 def combined_loss(t2v, v2t, focus_v, focus_t) -> Tensor:

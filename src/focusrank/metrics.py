@@ -20,6 +20,9 @@ log = logging.getLogger(__name__)
 
 @dataclass
 class MetricsReport:
+    """One direction's and stage's recall at 1/5/10 in %, median and mean rank.
+    `scores()` gives them in the order of their CSV column names `COLUMNS`."""
+
     r1: float
     r5: float
     r10: float
@@ -28,7 +31,10 @@ class MetricsReport:
     direction: str = ""
     stage: str = ""
 
-    CSV_HEADER = ("direction", "stage", "R@1", "R@5", "R@10", "MdR", "MnR")
+    COLUMNS = ("R@1", "R@5", "R@10", "MdR", "MnR")
+
+    def scores(self) -> tuple[float, ...]:
+        return (self.r1, self.r5, self.r10, self.mdr, self.mnr)
 
 
 def compute_ranks(orders: np.ndarray, truth_ids) -> np.ndarray:
@@ -114,7 +120,7 @@ def evaluate_two_stage(
         if len(truth) != len(globals_):
             raise InputError("one truth id required per query")
         size = len(gallery.globals_)
-        if len(truth) and (truth.dtype.kind not in "iu" or truth.min() < 0 or truth.max() >= size):
+        if truth.dtype.kind not in "iu" or truth.min() < 0 or truth.max() >= size:
             raise InputError(f"{direction} truth ids must be integers in [0, {size})")
         if np.ndim(focus) != 3 or len(focus) != len(globals_):
             raise InputError("one (m-1, C) set of focus indicators required per query")

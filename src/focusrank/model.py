@@ -49,7 +49,7 @@ class RetrievalModel:
         return EncodedItem(g.data[0].copy(), focus.data[0].copy())
 
     def save(self, path) -> None:
-        save_parameters(self.params, path)
+        save_parameters(self.params.state(), path)
 
     def load(self, path) -> None:
         self.params.load_state(load_parameters(path))

@@ -29,7 +29,7 @@ from .encoders import EncodedItem, _typed_array
 from .errors import ConfigError, DimensionError, InputError
 from .ops import Mlp, ParameterSet, kaiming_normal, scaled_dot_attention
 from .rng import RandomStream
-from .tensor import Tensor, _grad_mode, as_tensor, no_grad, take
+from .tensor import Tensor, as_tensor, no_grad, take
 
 # Queries per `rank_queries` call in `evaluate_two_stage`: bounds its (Q, k*n, C) tokens.
 FUSION_CHUNK = 64
@@ -169,9 +169,10 @@ class FusionNetwork:
     def candidate_tokens(self, locals_, cand_indices) -> Tensor:
         """(B, k'*n, C) tokens of rows `cand_indices[b]` of the (N, n, C) Tensor
         or ndarray locals, each plus the index embedding of its slot. While a
-        graph is recorded the sum is a graph node, for the gradients; without
-        one (inference) the embedding is added in place into the fresh gather:
-        the same sums without a second (B, k', n, C) array and its page faults."""
+        graph is recorded (the embedding slice then requires a gradient) the
+        sum is a graph node, for the gradients; without one (inference) the
+        embedding is added in place into the fresh gather: the same sums
+        without a second (B, k', n, C) array and its page faults."""
         tokens = take(locals_, cand_indices)
         if tokens.ndim != 4:
             raise DimensionError("candidate tokens need (N, n, C) locals and (B, k') indices")
@@ -179,7 +180,7 @@ class FusionNetwork:
         if k_sel > self.cfg.k:
             raise ConfigError(f"candidate count {k_sel} incompatible with network k {self.cfg.k}")
         slots = self.params["fusion.index_embedding"][:k_sel].reshape(1, k_sel, 1, self.cfg.dim)
-        if _grad_mode.enabled:
+        if slots.requires_grad:
             tokens = tokens + slots
         else:
             tokens.data += slots.data

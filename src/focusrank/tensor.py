@@ -387,17 +387,18 @@ def broadcast_to(t: Tensor, shape) -> Tensor:
     return out
 
 
-def log_softmax(t: Tensor, axis: int = -1) -> Tensor:
+def log_softmax(t: Tensor) -> Tensor:
+    """Log-probabilities over the last axis, shifted by each row's maximum."""
     t = as_tensor(t)
-    shifted = t.data - np.max(t.data, axis=axis, keepdims=True)
-    lse = np.log(np.sum(np.exp(shifted), axis=axis, keepdims=True))
+    shifted = t.data - np.max(t.data, axis=-1, keepdims=True)
+    lse = np.log(np.sum(np.exp(shifted), axis=-1, keepdims=True))
     y = shifted - lse
     out = _result(y, (t,))
     if out._parents:
         sm = np.exp(y)
 
         def grad_fn(g):
-            t._acc(g - sm * np.sum(g, axis=axis, keepdims=True), fresh=True)
+            t._acc(g - sm * np.sum(g, axis=-1, keepdims=True), fresh=True)
 
         out._grad_fn = grad_fn
     return out
@@ -434,9 +435,10 @@ def normalize_rows(t: Tensor) -> Tensor:
     return t * squared**-0.5
 
 
-def layer_norm(t: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
-    """Standardize the last axis to zero mean / unit variance, then the
-    per-feature affine map with (C,) `gamma` and `beta`.
+def layer_norm(t: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
+    """Standardize the last axis to zero mean / unit variance (the variance
+    plus 1e-5 under the square root), then the per-feature affine map with
+    (C,) `gamma` and `beta`.
 
     One graph node. The forward runs the arithmetic of the composed ops in
     their order, reusing its scratch array for the output.
@@ -450,7 +452,7 @@ def layer_norm(t: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
         )
     xhat = x - x.sum(axis=-1, keepdims=True) * (1.0 / n)
     y = xhat * xhat
-    inv = (y.sum(axis=-1, keepdims=True) * (1.0 / n) + eps) ** -0.5
+    inv = (y.sum(axis=-1, keepdims=True) * (1.0 / n) + 1e-5) ** -0.5
     xhat *= inv
     np.multiply(xhat, gamma.data, out=y)
     y += beta.data

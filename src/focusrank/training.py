@@ -64,19 +64,15 @@ def build_candidates(sims: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     return top, np.where(missed, k - 1, hits.argmax(axis=1))
 
 
-def training_loss(
-    model: RetrievalModel, batch: Batch, rng: RandomStream | None = None
-) -> LossBundle:
+def training_loss(model: RetrievalModel, batch: Batch, rng: RandomStream) -> LossBundle:
     """Forward pass of one step: both contrastive terms plus both focused
     cross-entropy terms over injected in-batch candidate sets of min(k, B)
     items, every switch read from `model.cfg`. Fusion samples Gumbel noise
-    from `rng` unless `use_gumbel` is off; without a stream it adds none."""
+    from `rng` when `use_gumbel` is on, and ignores the stream when it is off."""
     b = len(batch)
     if b < 2:
         raise InputError("training batch must have at least 2 pairs")
     cfg = model.cfg
-    if not cfg.use_gumbel:
-        rng = None
     k_train = min(cfg.k, b)
 
     t_global, t_focus, t_locals = model.encode_text_batch(batch.texts)
@@ -103,7 +99,7 @@ def training_loss(
 
 def _focused_direction(model, query_focus, cand_locals, sims, k_train, rng, tag):
     cand_idx, positions = build_candidates(sims, k_train)
-    noise_rng = rng.child("gumbel", tag) if rng is not None else None
+    noise_rng = rng.child("gumbel", tag) if model.cfg.use_gumbel else None
     fused = focused_fuse(query_focus, cand_locals, cand_idx, model.fusion, noise_rng)
     logits = model.fusion.project(fused)
     focus = cross_entropy(logits[:, :k_train], positions)
@@ -179,11 +175,11 @@ class AdamW:
 
 
 def train_step(
-    model: RetrievalModel, batch: Batch, optimizer: AdamW, rng: RandomStream | None
+    model: RetrievalModel, batch: Batch, optimizer: AdamW, rng: RandomStream
 ) -> LossReport:
     """One optimizer update; aborts with diagnostics on a non-finite loss or
-    when the update leaves a parameter non-finite. `rng=None` runs fusion
-    without Gumbel noise.
+    when the update leaves a parameter non-finite. Fusion draws its Gumbel
+    noise from `rng` when `use_gumbel` is on (see `training_loss`).
 
     Overflow and invalid values are not warned about: the finiteness checks
     below report a diverging run, naming its parameters and batch items."""
@@ -247,15 +243,10 @@ def shuffle_cohorts(groups: np.ndarray, rng: RandomStream) -> np.ndarray:
     return np.concatenate(pieces)
 
 
-def train_loop(
-    dataset,
-    model: RetrievalModel,
-    cfg: RunConfig,
-    out_dir=None,
-) -> list[StepLog]:
-    """Seeded epochs of train_step; returns the per-step loss log and, when
-    out_dir is given, saves the trained parameters there as `model.bin`.
-    `cfg` must equal `model.cfg`, which the steps read."""
+def train_loop(dataset, model: RetrievalModel, cfg: RunConfig, out_dir) -> list[StepLog]:
+    """Seeded epochs of train_step; saves the trained parameters as
+    `out_dir/model.bin` and returns the per-step loss log. `cfg` must equal
+    `model.cfg`, which the steps read."""
     if cfg != model.cfg:
         raise UsageError("train_loop needs the config the model was built with")
     if len(dataset) < 2:
@@ -270,6 +261,5 @@ def train_loop(
         for step, batch in enumerate(iterate_batches(dataset, order, cfg.batch_size)):
             report = train_step(model, batch, optimizer, stream.child("step", epoch, step))
             logs.append(StepLog(epoch, step, report))
-    if out_dir is not None:
-        model.save(f"{out_dir}/model.bin")
+    model.save(f"{out_dir}/model.bin")
     return logs

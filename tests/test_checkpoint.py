@@ -27,7 +27,7 @@ def _sample_params():
 def test_round_trip_bit_exact(tmp_path):
     p = _sample_params()
     path = tmp_path / "ckpt.bin"
-    save_parameters(p, path)
+    save_parameters(p.state(), path)
     loaded = load_parameters(path)
     state = p.state()
     assert list(loaded) == list(state)
@@ -40,7 +40,7 @@ def test_round_trip_bit_exact(tmp_path):
 def test_round_trip_through_parameter_set(tmp_path):
     p = _sample_params()
     path = tmp_path / "ckpt.bin"
-    save_parameters(p, path)
+    save_parameters(p.state(), path)
     q = _sample_params()
     for _, t in q.items():
         t.data = t.data + 1.0
@@ -52,7 +52,7 @@ def test_round_trip_through_parameter_set(tmp_path):
 def test_truncated_file_rejected(tmp_path):
     p = _sample_params()
     path = tmp_path / "ckpt.bin"
-    save_parameters(p, path)
+    save_parameters(p.state(), path)
     blob = path.read_bytes()
     path.write_bytes(blob[: len(blob) - 5])
     with pytest.raises(FormatError):
@@ -61,7 +61,7 @@ def test_truncated_file_rejected(tmp_path):
 
 def test_trailing_garbage_rejected(tmp_path):
     path = tmp_path / "ckpt.bin"
-    save_parameters(_sample_params(), path)
+    save_parameters(_sample_params().state(), path)
     path.write_bytes(path.read_bytes() + b"xx")
     with pytest.raises(FormatError):
         load_parameters(path)
@@ -69,7 +69,7 @@ def test_trailing_garbage_rejected(tmp_path):
 
 def test_every_header_byte_is_protected(tmp_path):
     path = tmp_path / "ckpt.bin"
-    save_parameters(_sample_params(), path)
+    save_parameters(_sample_params().state(), path)
     blob = bytearray(path.read_bytes())
     for offset in range(16):  # magic + version + count + crc
         corrupted = bytearray(blob)
@@ -151,7 +151,7 @@ def test_non_finite_value_not_saved(tmp_path, bad):
 )
 def test_mutated_file_loads_or_raises_format_error(tmp_path_factory, mutations, reseal):
     path = tmp_path_factory.getbasetemp() / "fuzzed.bin"
-    save_parameters(_sample_params(), path)
+    save_parameters(_sample_params().state(), path)
     blob = bytearray(path.read_bytes())
     for at, flip in mutations:
         blob[at % len(blob)] ^= flip

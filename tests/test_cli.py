@@ -89,6 +89,12 @@ class TestParseArgs:
         with pytest.raises(UsageError):
             parse_args(["train", "--set", "k=5,10"])
 
+    @pytest.mark.parametrize("verb", ["eval", "ablate"])
+    def test_string_value_keeps_its_commas(self, verb):
+        # A path may hold a comma; a string key never sweeps.
+        cmd = parse_args([verb, "--set", "checkpoint=runs/a,b/model.bin"])
+        assert cmd.set == {"checkpoint": "runs/a,b/model.bin"}
+
     def test_unknown_verb_exits(self, capsys):
         with pytest.raises(SystemExit):
             parse_args(["dance"])
@@ -195,9 +201,19 @@ class TestExecute:
         )
         assert code == 0
         rows = read_csv(out / "ablation.csv")
-        assert len(rows) == 3
+        assert rows[0] == ["key", "value"] + [
+            f"{direction}_{column}" for direction in ("t2v", "v2t")
+            for column in ("R@1", "R@5", "R@10", "MdR", "MnR")]
+        assert [len(row) for row in rows] == [12, 12, 12]
         assert [r[1] for r in rows[1:]] == ["2", "3"]
         assert generated == [2, 3]  # each row trains and evaluates on one dataset
+
+    def test_ablate_takes_a_checkpoint_path_with_a_comma(self, tiny_cfg_path, tmp_path, capsys):
+        out = tmp_path / "ab"
+        code = execute(parse_args(["ablate", "--config", tiny_cfg_path, "--out", str(out),
+                                   "--set", "checkpoint=runs/a,b/model.bin", "--set", "k=2,3"]))
+        assert code == 0
+        assert [r[:2] for r in read_csv(out / "ablation.csv")[1:]] == [["k", "2"], ["k", "3"]]
 
     def test_ablate_evaluates_two_stage_once_per_row(self, tiny_cfg_path, tmp_path, capsys,
                                                      monkeypatch):
@@ -416,3 +432,22 @@ class TestExecute:
         )
         assert code == 0
         assert (out2 / "metrics.csv").exists()
+
+    def test_eval_loads_a_checkpoint_path_with_a_comma(self, tiny_cfg_path, tmp_path, capsys,
+                                                       monkeypatch):
+        out = tmp_path / "a,b"
+        execute(parse_args(["train", "--config", tiny_cfg_path, "--out", str(out)]))
+        loaded = []
+        load = cli.RetrievalModel.load
+
+        def recording(model, path):
+            loaded.append(path)
+            return load(model, path)
+
+        monkeypatch.setattr(cli.RetrievalModel, "load", recording)
+        code = execute(
+            parse_args(["eval", "--config", tiny_cfg_path, "--out", str(tmp_path / "eval"),
+                        "--set", f"checkpoint={out / 'model.bin'}"])
+        )
+        assert code == 0
+        assert loaded == [str(out / "model.bin")]

@@ -370,9 +370,10 @@ class TestCheckGradients:
     def test_constant_loss_zero_gradient(self):
         p = ParameterSet()
         p.add("unused", np.ones(4))
-        used = p.add("used", np.ones(2))
+        used = Tensor(np.ones(2), requires_grad=True)  # outside the checked set
         result = check_gradients(lambda: (used * used).sum(), p)
-        assert result.per_param["unused"] == 0.0
+        assert result.max_rel_error == 0.0
+        assert result.worst_param == "unused"
 
     def test_nonscalar_loss_rejected(self):
         p = ParameterSet()

@@ -13,7 +13,7 @@ from focusrank.model import RetrievalModel
 from focusrank.ops import ParameterSet
 from focusrank.pipeline import FusionNetwork
 from focusrank.rng import RandomStream
-from focusrank.tensor import Tensor
+from focusrank.tensor import Tensor, no_grad
 from focusrank.training import (
     AdamW,
     Batch,
@@ -164,16 +164,39 @@ class TestTrainStep:
         cfg = tiny_config(seed=3, use_stage1_scores=False)
         model = RetrievalModel(cfg)
         model.params["fusion.delta_scale"].data = np.asarray(0.0)
-        bundle = training_loss(model, make_batch(cfg))
+        bundle = training_loss(model, make_batch(cfg), RandomStream(2).child("s"))
         k_train = min(cfg.k, cfg.batch_size)
         assert abs(float(bundle.scale_calibration.data) - 2 * np.log(k_train)) < 1e-12
+
+    @pytest.mark.parametrize("use_stage1", [True, False])
+    def test_calibration_gradient_on_delta_scale_matches_finite_differences(self, use_stage1):
+        # The calibration gives the delta scale its only gradient. The gradient
+        # check suite cannot cover it: the term reads detached logits and
+        # stage-1 scores, through which finite differences over every
+        # parameter would see. Only the delta scale moves here.
+        cfg = tiny_config(seed=3, use_stage1_scores=use_stage1)
+        model = RetrievalModel(cfg)
+        scale = model.params["fusion.delta_scale"]
+        batch, stream = make_batch(cfg), RandomStream(2).child("s")
+        model.params.zero_grad()
+        training_loss(model, batch, stream).scale_calibration.backward()
+        analytic = float(scale.grad)
+        eps, start = 1e-5, scale.data.copy()
+        values = []
+        with no_grad():
+            for shift in (eps, -eps):
+                scale.data = start + shift
+                values.append(float(training_loss(model, batch, stream).scale_calibration.data))
+        numeric = (values[0] - values[1]) / (2 * eps)
+        assert analytic != 0
+        assert abs(analytic - numeric) <= 1e-8 * abs(analytic)
 
     def test_parameters_change_and_ce_reaches_mlp(self):
         cfg = tiny_config()
         model = RetrievalModel(replace(cfg, seed=3))
         before = {n: t.data.copy() for n, t in model.params.items()}
 
-        bundle = training_loss(model, make_batch(cfg))
+        bundle = training_loss(model, make_batch(cfg), RandomStream(2).child("s"))
         model.params.zero_grad()
         bundle.combined_tensor.backward()
         grads = model.params.gradients()
@@ -191,7 +214,7 @@ class TestTrainStep:
         cfg = tiny_config(batch_size=2)
         model = RetrievalModel(replace(cfg, seed=1))
         batch = make_batch(cfg, n=2)
-        bundle = training_loss(model, batch)
+        bundle = training_loss(model, batch, RandomStream(2).child("s"))
         assert np.isfinite(float(bundle.combined_tensor.data))
 
     @pytest.mark.parametrize("batch_size,width", [(2, 2), (3, 3), (4, 3), (6, 3)])
@@ -206,11 +229,12 @@ class TestTrainStep:
             return candidate_tokens(locals_, cand_indices)
 
         monkeypatch.setattr(model.fusion, "candidate_tokens", record)
-        training_loss(model, make_batch(cfg))
+        training_loss(model, make_batch(cfg), RandomStream(2).child("s"))
         assert widths == [width, width]  # one row width per direction
 
     def test_loss_terms_permutation_equivariant(self):
-        cfg = tiny_config(batch_size=6)
+        # Gumbel noise is drawn per batch position, so it would break equivariance.
+        cfg = tiny_config(batch_size=6, use_gumbel=False)
         model = RetrievalModel(replace(cfg, seed=2))
         # nonzero fusion weights so the focused path is nontrivial
         rng = np.random.default_rng(5)
@@ -219,10 +243,10 @@ class TestTrainStep:
                 t = model.params[name]
                 t.data = rng.normal(size=t.data.shape, scale=0.2)
         batch = make_batch(cfg, n=6)
-        a = training_loss(model, batch).report
+        a = training_loss(model, batch, RandomStream(2).child("s")).report
         perm = np.random.default_rng(9).permutation(6)
         permuted = Batch(batch.texts[perm], batch.videos[perm], batch.item_ids[perm])
-        b = training_loss(model, permuted).report
+        b = training_loss(model, permuted, RandomStream(2).child("s")).report
         assert abs(a.t2v - b.t2v) < 1e-12
         assert abs(a.v2t - b.v2t) < 1e-12
         assert abs(a.focus_t - b.focus_t) < 1e-12
@@ -231,7 +255,7 @@ class TestTrainStep:
     def test_batch_of_one_rejected(self):
         cfg = tiny_config()
         with pytest.raises(InputError, match="at least 2 pairs"):
-            training_loss(RetrievalModel(cfg), make_batch(cfg, n=1))
+            training_loss(RetrievalModel(cfg), make_batch(cfg, n=1), RandomStream(2))
 
     def test_nonfinite_loss_aborts_with_diagnostics(self):
         cfg = tiny_config()
@@ -252,16 +276,14 @@ class TestTrainStep:
                 t = model.params[name]
                 t.data = rng.normal(size=t.data.shape, scale=0.2)
         batch = make_batch(cfg)
-        det1 = training_loss(model, batch).report  # no stream: no noise
-        det2 = training_loss(model, batch).report
-        assert det1 == det2
         noisy1 = training_loss(model, batch, rng=RandomStream(1).child("a")).report
         noisy2 = training_loss(model, batch, rng=RandomStream(1).child("b")).report
         assert noisy1.focus_t != noisy2.focus_t
         # use_gumbel=false ignores the stream.
         model.cfg.use_gumbel = False
-        quiet = training_loss(model, batch, rng=RandomStream(1).child("a")).report
-        assert quiet == det1
+        quiet1 = training_loss(model, batch, rng=RandomStream(1).child("a")).report
+        quiet2 = training_loss(model, batch, rng=RandomStream(1).child("b")).report
+        assert quiet1 == quiet2
 
 
 class TestAdamW:
@@ -269,7 +291,7 @@ class TestAdamW:
         cfg = tiny_config()
         model = RetrievalModel(cfg)
         opt = AdamW(model.params, lr_base=0.0, lr_fusion=1.0, weight_decay=0.0)
-        bundle = training_loss(model, make_batch(cfg))
+        bundle = training_loss(model, make_batch(cfg), RandomStream(2).child("s"))
         model.params.zero_grad()
         bundle.combined_tensor.backward()
         before = {n: t.data.copy() for n, t in model.params.items()}
@@ -292,7 +314,7 @@ class TestAdamW:
         model = RetrievalModel(cfg)
         rates = {"lr_base": 0.1, "lr_fusion": 0.1, f"lr_{frozen}": 0.0}
         opt = AdamW(model.params, **rates, weight_decay=0.5)
-        bundle = training_loss(model, make_batch(cfg))
+        bundle = training_loss(model, make_batch(cfg), RandomStream(2).child("s"))
         model.params.zero_grad()
         bundle.combined_tensor.backward()
         for _, t in model.params.items():
@@ -324,12 +346,12 @@ class TestAdamW:
 
 
 class TestTrainLoop:
-    def test_single_batch_epoch_equals_one_step(self):
+    def test_single_batch_epoch_equals_one_step(self, tmp_path):
         cfg = tiny_config(pair_count=4, cohort_size=2, batch_size=4, epochs=1)
         dataset = generate_synthetic_pairs(spec_from_config(cfg))
 
         loop_model = RetrievalModel(cfg)
-        logs = train_loop(dataset, loop_model, cfg)
+        logs = train_loop(dataset, loop_model, cfg, out_dir=str(tmp_path))
         assert len(logs) == 1
 
         manual_model = RetrievalModel(cfg)
