@@ -1,5 +1,6 @@
 """Command-line surface: train, eval, query, gradcheck and ablate.
 
+Each verb runs on `RunConfig()` plus its `--set key=value` overrides.
 Artifacts are CSV files (deterministic byte-for-byte given seed + config)
 plus binary checkpoints. Log verbosity comes from $FOCUSRANK_LOG_LEVEL.
 """
@@ -14,7 +15,7 @@ import sys
 from dataclasses import fields
 from pathlib import Path
 
-from .config import RunConfig, apply_overrides, load_config, parse_value
+from .config import RunConfig, apply_overrides, parse_value
 from .data import build_galleries, generate_synthetic_pairs
 from .encoders import TextSequence, VideoClip
 from .errors import FocusrankError, UsageError
@@ -70,7 +71,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="verb", required=True)
     for verb in VERBS:
         p = sub.add_parser(verb)
-        p.add_argument("--config", default=None, help="config file (defaults apply if omitted)")
         p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                        help="config override; ablate accepts comma lists to sweep")
         p.add_argument("--out", default="out", help="artifact directory")
@@ -81,17 +81,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def parse_args(argv) -> argparse.Namespace:
-    """Parse `argv` into argparse's namespace: `verb`, `config`, `out`, and
-    `set`, the `--set` overrides as a key -> raw value dict; ablate adds
-    `components`. Override keys and single values are checked here."""
+    """Parse `argv` into argparse's namespace: `verb`, `out`, and `set`, the
+    `--set` overrides as a key -> raw value dict; ablate adds `components`.
+    Override keys and single values are checked here."""
     ns = build_parser().parse_args(argv)
     ns.set = _split_overrides(ns.set, allow_sweep=ns.verb == "ablate")
     return ns
-
-
-def _load(cmd: argparse.Namespace, overrides: dict[str, str]) -> RunConfig:
-    cfg = load_config(cmd.config) if cmd.config else RunConfig()
-    return apply_overrides(cfg, overrides)
 
 
 def _make_out_dir(out_dir: Path) -> None:
@@ -119,11 +114,8 @@ def _float(x) -> str:
 def _run_training(cfg: RunConfig, dataset, out_dir: Path) -> RetrievalModel:
     model = RetrievalModel(cfg)
     logs = train_loop(dataset, model, cfg, out_dir=str(out_dir))
-    rows = [
-        (s.epoch, s.step, _float(s.report.t2v), _float(s.report.v2t),
-         _float(s.report.focus_t), _float(s.report.focus_v), _float(s.report.combined))
-        for s in logs
-    ]
+    # The loss columns are `LossReport`'s fields, in their order.
+    rows = [(s.epoch, s.step, *map(_float, vars(s.report).values())) for s in logs]
     _write_csv(out_dir / "training_log.csv",
                ("epoch", "step", "l_t2v", "l_v2t", "l_focus_t", "l_focus_v", "combined"), rows)
     log.info("trained %d steps; final combined loss %.6f", len(logs), logs[-1].report.combined)
@@ -145,7 +137,7 @@ def execute(cmd: argparse.Namespace) -> int:
     if cmd.verb == "ablate":
         return _ablate(cmd, out_dir)
 
-    cfg = _load(cmd, cmd.set)
+    cfg = apply_overrides(RunConfig(), cmd.set)
     if cmd.verb == "query" and cfg.query_index >= cfg.pair_count:
         raise UsageError(f"query_index {cfg.query_index} outside dataset of {cfg.pair_count} pairs")
     _make_out_dir(out_dir)
@@ -222,7 +214,7 @@ def _ablate(cmd: argparse.Namespace, out_dir: Path) -> int:
 
     base = {k: v for k, v in cmd.set.items() if k not in sweeps}
     # Every row's config is checked before the first row trains.
-    configs = [(label, _load(cmd, {**base, **extra})) for label, extra in runs]
+    configs = [(label, apply_overrides(RunConfig(), {**base, **extra})) for label, extra in runs]
     _make_out_dir(out_dir)
     # So is every row's directory: a blocked one must not end the sweep midway.
     run_dirs = [out_dir / f"ablate_{swept_key}_{label}".replace("+", "") for label, _ in configs]

@@ -1,8 +1,8 @@
-"""Run configuration: flat `key: value` text files with strict key checking.
+"""Run configuration: `RunConfig`'s documented defaults plus `key=value` overrides.
 
-Unknown keys are rejected (a typo in an ablation script should fail loudly),
-missing keys fall back to the documented defaults below. Lines starting with
-`#` (or anything after a `#`) are comments.
+`apply_overrides(RunConfig(), overrides)` is the one way a run gets its
+settings. Unknown keys are rejected (a typo in an ablation script should fail
+loudly); keys not overridden keep the defaults below.
 """
 
 from __future__ import annotations
@@ -10,7 +10,6 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, fields
-from pathlib import Path
 
 from .errors import ConfigError
 
@@ -133,36 +132,8 @@ def parse_value(key: str, raw: str):
         raise ConfigError(f"bad value for {key!r}: {exc}") from None
 
 
-def load_config(path) -> RunConfig:
-    """Parse a config file; unknown keys or bad values fail with a line number."""
-    cfg = RunConfig()
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc.strerror}") from None
-    except UnicodeDecodeError:
-        raise ConfigError(f"config {path} is not UTF-8 text") from None
-    seen: set[str] = set()
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        body = line.split("#", 1)[0].strip()
-        if not body:
-            continue
-        if ":" not in body:
-            raise ConfigError(f"{path}:{lineno}: expected 'key: value', got {body!r}")
-        key, raw = body.split(":", 1)
-        key = key.strip()
-        if key in seen:
-            raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
-        seen.add(key)
-        try:
-            setattr(cfg, key, parse_value(key, raw))
-        except ConfigError as exc:
-            raise ConfigError(f"{path}:{lineno}: {exc}") from None
-    return cfg.validate()
-
-
 def apply_overrides(cfg: RunConfig, overrides: dict[str, str]) -> RunConfig:
-    """Apply `--set key=value` strings on top of a config, then re-validate."""
+    """Set each key from its raw `--set` string, then validate; the CLI passes `RunConfig()`."""
     for key, raw in overrides.items():
         setattr(cfg, key, parse_value(key, raw))
     return cfg.validate()

@@ -22,10 +22,7 @@ class LossReport:
     combined: float
 
     def finite(self) -> bool:
-        return all(
-            np.isfinite(v)
-            for v in (self.t2v, self.v2t, self.focus_t, self.focus_v, self.combined)
-        )
+        return all(np.isfinite(v) for v in vars(self).values())
 
 
 def contrastive_loss(text_globals, video_globals, temperature, direction: str) -> Tensor:

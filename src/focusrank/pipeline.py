@@ -177,6 +177,8 @@ class FusionNetwork:
         if tokens.ndim != 4:
             raise DimensionError("candidate tokens need (N, n, C) locals and (B, k') indices")
         b, k_sel, n, c = tokens.shape
+        if c != self.cfg.dim:
+            raise DimensionError(f"candidate locals are {c} wide, the network {self.cfg.dim}")
         if k_sel > self.cfg.k:
             raise ConfigError(f"candidate count {k_sel} incompatible with network k {self.cfg.k}")
         slots = self.params["fusion.index_embedding"][:k_sel].reshape(1, k_sel, 1, self.cfg.dim)
@@ -302,6 +304,10 @@ def rank_queries(
         if net is None:
             deltas = np.zeros(block.shape)
         else:
-            fused = focused_fuse(query_focus, gallery.locals_, block, net)
-            deltas = project_deltas(fused, net)[:, : block.shape[1]]
+            # An overflow in the attention (of 1/gumbel_temp, say) ends in NaN
+            # deltas, which the check below reports without numpy's warnings.
+            with np.errstate(over="ignore", invalid="ignore"):
+                fused = focused_fuse(query_focus, gallery.locals_, block, net)
+                deltas = project_deltas(fused, net)[:, : block.shape[1]]
+            _require_finite(deltas, f"re-ranking deltas at gumbel_temp={net.cfg.gumbel_temp!r}")
         return compose_scores(order, scores, deltas, net is None or net.cfg.use_stage1_scores)

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from focusrank import pool
-from focusrank.config import RunConfig, apply_overrides, load_config
+from focusrank.config import RunConfig, apply_overrides
 from focusrank.data import BLOCK, build_galleries, generate_synthetic_pairs
 from focusrank.encoders import TextSequence, VideoClip
 from focusrank.errors import ConfigError, DimensionError, InputError
@@ -314,10 +314,9 @@ class TestGalleryValidation:
 
 
 class TestConfig:
-    def test_empty_file_gives_documented_defaults(self, tmp_path):
-        path = tmp_path / "empty.cfg"
-        path.write_text("")
-        cfg = load_config(path)
+    def test_empty_file_gives_documented_defaults(self):
+        # No override: the documented defaults.
+        cfg = apply_overrides(RunConfig(), {})
         assert cfg.indicator_count == 4
         assert cfg.k == 10
         assert cfg.temperature == 0.01
@@ -325,53 +324,14 @@ class TestConfig:
         assert cfg.lr_fusion == 1e-4
         assert cfg.lr_base == 1e-6
 
-    def test_zero_k_rejected(self, tmp_path):
-        path = tmp_path / "bad.cfg"
-        path.write_text("k: 0\n")
+    def test_zero_k_rejected(self):
         with pytest.raises(ConfigError):
-            load_config(path)
+            apply_overrides(RunConfig(), {"k": "0"})
 
-    def test_indicator_count_range(self, tmp_path):
-        path = tmp_path / "m6.cfg"
-        path.write_text("indicator_count: 6\n")
-        assert load_config(path).indicator_count == 6
-        path.write_text("indicator_count: 7\n")
+    def test_indicator_count_range(self):
+        assert apply_overrides(RunConfig(), {"indicator_count": "6"}).indicator_count == 6
         with pytest.raises(ConfigError):
-            load_config(path)
-
-    def test_unknown_key_reports_line_number(self, tmp_path):
-        path = tmp_path / "typo.cfg"
-        path.write_text("dim: 32\nindicater_count: 4\n")
-        with pytest.raises(ConfigError) as err:
-            load_config(path)
-        assert ":2:" in str(err.value)
-
-    def test_comments_and_blank_lines(self, tmp_path):
-        path = tmp_path / "c.cfg"
-        path.write_text("# comment\n\ndim: 32  # trailing\nuse_gumbel: false\n")
-        cfg = load_config(path)
-        assert cfg.dim == 32
-        assert cfg.use_gumbel is False
-
-    def test_malformed_line_rejected(self, tmp_path):
-        path = tmp_path / "m.cfg"
-        path.write_text("dim 32\n")
-        with pytest.raises(ConfigError) as err:
-            load_config(path)
-        assert ":1:" in str(err.value)
-
-    def test_non_utf8_file_is_a_config_error(self, tmp_path):
-        path = tmp_path / "latin.cfg"
-        path.write_bytes(b"\xff\xfe")
-        with pytest.raises(ConfigError) as err:
-            load_config(path)
-        assert str(path) in str(err.value)
-
-    def test_duplicate_key_rejected(self, tmp_path):
-        path = tmp_path / "dup.cfg"
-        path.write_text("dim: 32\ndim: 64\n")
-        with pytest.raises(ConfigError):
-            load_config(path)
+            apply_overrides(RunConfig(), {"indicator_count": "7"})
 
     def test_overrides_validate(self):
         cfg = RunConfig()
@@ -398,20 +358,10 @@ class TestConfig:
             with pytest.raises(ConfigError):
                 apply_overrides(RunConfig(), {key: "2"})
 
-    def test_removed_key_in_a_file_rejected(self, tmp_path):
-        path = tmp_path / "old.cfg"
-        path.write_text("fine_scale: 1.0\n")
-        with pytest.raises(ConfigError, match=":1: unknown config key: 'fine_scale'"):
-            load_config(path)
-
     @pytest.mark.parametrize("raw", ["yes", "1", "True", ""])
-    def test_bool_value_must_be_true_or_false(self, tmp_path, raw):
-        with pytest.raises(ConfigError, match="expected true/false"):
+    def test_bool_value_must_be_true_or_false(self, raw):
+        with pytest.raises(ConfigError, match="bad value for 'use_gumbel': expected true/false"):
             apply_overrides(RunConfig(), {"use_gumbel": raw})
-        path = tmp_path / "b.cfg"
-        path.write_text(f"use_gumbel: {raw}\n")
-        with pytest.raises(ConfigError, match=":1: bad value for 'use_gumbel'"):
-            load_config(path)
 
     @pytest.mark.parametrize("key, value", [
         ("k", 2.5), ("dim", 8.0), ("k", True), ("seed", None), ("dim", "8"),

@@ -673,6 +673,13 @@ class TestRankQueries:
             rank_queries(unit_rows(3, 9), RNG.normal(size=(3, 3, 8)), make_gallery(c=8),
                          net_for(mode), 4)
 
+    def test_gallery_width_must_match_the_network(self):
+        # An 8-wide gallery and query agree with each other but not with a
+        # 64-wide network; numpy's broadcast ValueError is not a FocusrankError.
+        net = make_net(RunConfig(k=4).validate())
+        with pytest.raises(DimensionError, match="candidate locals are 8 wide, the network 64"):
+            rank_queries(unit_rows(2, 8), RNG.normal(size=(2, 3, 8)), make_gallery(), net, 4)
+
     def test_rank_full_is_a_batch_of_one(self):
         net = make_net(randomize=True)
         gallery = make_gallery(n=30)
